@@ -1,8 +1,10 @@
 """Experiment front-end: `run`, `ablate`, `compare`, `gen-data`, `analyze-corr`.
 
 Configs are INI-style `key = value` files with [experiment], [dataset] and
-[engine] sections; explicit CLI flags override file values. Exit codes:
-0 success, 2 config error, 3 runtime error.
+[engine] sections; explicit CLI flags override file values. Every field of
+`ExperimentConfig`, `DatasetSpec` and `EngineConfig` is both a flag (dashes)
+and an INI key (underscores), except the per-cell fields in `PER_CELL`.
+Exit codes: 0 success, 2 config error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -13,7 +15,10 @@ import hashlib
 import io
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+import types
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass, field, is_dataclass, replace
+from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -37,6 +42,11 @@ from .metrics import MetricsReport, correlation_density
 from .nn_core import save_model
 
 METHODS = ("pseudo_sup", "pseudo_sup_aug", "supervised", "self_training")
+
+# EngineConfig fields the runner sets for each cell; neither flags nor INI keys.
+PER_CELL = ("seed", "augment")
+# Flags not spelled as their field name with dashes.
+FLAG_NAMES = {"path": "--dataset"}
 
 
 class ConfigError(ValueError):
@@ -65,15 +75,102 @@ class ExperimentConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
     confidence_threshold: float | None = None
 
-    def validate(self) -> None:
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+    def validate(self, methods: Iterable[str] = ()) -> None:
+        """Reject a config before any command writes or trains; `methods`
+        are the methods a command runs in addition to `self.method`."""
+        for method in (self.method, *methods):
+            if method not in METHODS:
+                raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
+            if method == "self_training" and self.confidence_threshold is None:
+                raise ConfigError("method self_training requires confidence_threshold")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
-        if self.method == "self_training" and self.confidence_threshold is None:
-            raise ConfigError("method self_training requires confidence_threshold")
+        threshold = self.confidence_threshold
+        if threshold is not None and not 0.5 < threshold <= 1.0:
+            raise ConfigError("confidence_threshold must be in (0.5, 1]")
         if self.dataset.multimodal and self.dataset.grid is None:
             raise ConfigError("multimodal mode requires dataset grid dims")
+
+
+# ---------------------------------------------------------------------------
+# config schema: one entry per settable field, derived from the dataclasses
+
+def _parse_bool(raw: str) -> bool:
+    if raw.lower() in ("true", "1", "yes"):
+        return True
+    if raw.lower() in ("false", "0", "no"):
+        return False
+    raise ValueError(f"expected a boolean, got {raw!r}")
+
+
+# scalar type -> (parse one token, format one value)
+_SCALARS: dict[type, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
+    int: (int, str),
+    float: (float, repr),
+    str: (str, str),
+    bool: (_parse_bool, lambda v: str(v).lower()),
+}
+
+_TOP = "experiment"  # INI section of ExperimentConfig's own fields
+
+
+@dataclass(frozen=True)
+class _Field:
+    section: str  # _TOP, or the ExperimentConfig field holding the spec
+    name: str
+    scalar: type
+    nargs: int | str | None  # None: scalar; "+": tuple[T, ...]; n: n-tuple
+
+    def parse(self, raw: str) -> Any:
+        parse = _SCALARS[self.scalar][0]
+        if self.nargs is None:
+            return parse(raw)
+        items = tuple(parse(tok) for tok in raw.split())
+        if self.nargs != "+" and len(items) != self.nargs:
+            raise ValueError(f"expected {self.nargs} values, got {len(items)}")
+        return items
+
+    def format(self, value: Any) -> str:
+        fmt = _SCALARS[self.scalar][1]
+        return fmt(value) if self.nargs is None else " ".join(fmt(v) for v in value)
+
+
+def _build_schema() -> tuple[_Field, ...]:
+    def unwrap(tp):
+        if isinstance(tp, types.UnionType):  # X | None
+            (tp,) = (a for a in get_args(tp) if a is not type(None))
+        if get_origin(tp) is tuple:
+            args = get_args(tp)
+            return args[0], "+" if args[-1] is Ellipsis else len(args)
+        return tp, None
+
+    top = get_type_hints(ExperimentConfig)
+    sections = {_TOP: top} | {
+        name: get_type_hints(tp) for name, tp in top.items() if is_dataclass(tp)
+    }
+    return tuple(
+        _Field(section, name, *unwrap(tp))
+        for section, hints in sections.items()
+        for name, tp in hints.items()
+        if name not in PER_CELL and not is_dataclass(tp)
+    )
+
+
+SCHEMA = _build_schema()
+
+
+def _override(cfg: ExperimentConfig, values: dict[_Field, Any]) -> ExperimentConfig:
+    """`cfg` with each field in `values` set; a value the dataclasses reject
+    becomes a ConfigError."""
+    by_section: dict[str, dict[str, Any]] = {}
+    for f, value in values.items():
+        by_section.setdefault(f.section, {})[f.name] = value
+    top = by_section.pop(_TOP, {})
+    try:
+        nested = {s: replace(getattr(cfg, s), **kw) for s, kw in by_section.items()}
+        return replace(cfg, **top, **nested)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 # ---------------------------------------------------------------------------
@@ -81,59 +178,16 @@ class ExperimentConfig:
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
     cp = configparser.ConfigParser()
-    cp["experiment"] = {
-        "method": cfg.method,
-        "seeds": " ".join(str(s) for s in cfg.seeds),
-        "output_dir": cfg.output_dir,
-    }
-    if cfg.confidence_threshold is not None:
-        cp["experiment"]["confidence_threshold"] = repr(cfg.confidence_threshold)
-    ds = cfg.dataset
-    cp["dataset"] = {}
-    if ds.path is not None:
-        cp["dataset"]["path"] = ds.path
-    cp["dataset"].update(
-        {
-            "n_per_class": str(ds.n_per_class),
-            "dim": str(ds.dim),
-            "class_separation": repr(ds.class_separation),
-            "label_fraction": repr(ds.label_fraction),
-            "fractions": " ".join(repr(f) for f in ds.fractions),
-            "multimodal": str(ds.multimodal).lower(),
-            "vf_target_len": str(ds.vf_target_len),
-        }
-    )
-    if ds.grid is not None:
-        cp["dataset"]["grid"] = f"{ds.grid[0]} {ds.grid[1]}"
-    eng = cfg.engine
-    cp["engine"] = {
-        "hidden_dims": " ".join(str(d) for d in eng.hidden_dims),
-        "n_classes": str(eng.n_classes),
-        "beta": str(eng.beta),
-        "gamma": repr(eng.gamma),
-        "policy_lr": repr(eng.policy_lr),
-        "classifier_lr": repr(eng.classifier_lr),
-        "weight_decay": repr(eng.weight_decay),
-        "epochs": str(eng.epochs),
-        "batch_labeled": str(eng.batch_labeled),
-        "batch_unlabeled": str(eng.batch_unlabeled),
-        "batch_val": str(eng.batch_val),
-        "warmup_steps": str(eng.warmup_steps),
-        "pseudo_loss_weight": repr(eng.pseudo_loss_weight),
-        "crop_scale_min": repr(eng.crop_scale_min),
-        "policy_warm_start": str(eng.policy_warm_start).lower(),
-    }
+    for f in SCHEMA:
+        if not cp.has_section(f.section):
+            cp.add_section(f.section)
+        spec = cfg if f.section == _TOP else getattr(cfg, f.section)
+        value = getattr(spec, f.name)
+        if value is not None:
+            cp[f.section][f.name] = f.format(value)
     buf = io.StringIO()
     cp.write(buf)
     return buf.getvalue()
-
-
-def _parse_bool(raw: str, key: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
 
 
 def config_from_ini(text: str) -> ExperimentConfig:
@@ -142,57 +196,14 @@ def config_from_ini(text: str) -> ExperimentConfig:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
-    cfg = ExperimentConfig()
-    try:
-        if cp.has_section("experiment"):
-            sec = cp["experiment"]
-            cfg.method = sec.get("method", cfg.method)
-            if "seeds" in sec:
-                cfg.seeds = tuple(int(s) for s in sec["seeds"].split())
-            cfg.output_dir = sec.get("output_dir", cfg.output_dir)
-            if "confidence_threshold" in sec:
-                cfg.confidence_threshold = float(sec["confidence_threshold"])
-        if cp.has_section("dataset"):
-            sec = cp["dataset"]
-            ds = cfg.dataset
-            ds.path = sec.get("path", ds.path)
-            ds.n_per_class = sec.getint("n_per_class", ds.n_per_class)
-            ds.dim = sec.getint("dim", ds.dim)
-            ds.class_separation = sec.getfloat("class_separation", ds.class_separation)
-            ds.label_fraction = sec.getfloat("label_fraction", ds.label_fraction)
-            if "fractions" in sec:
-                parts = tuple(float(f) for f in sec["fractions"].split())
-                if len(parts) != 3:
-                    raise ConfigError("fractions: expected 3 values")
-                ds.fractions = parts
-            if "grid" in sec:
-                h, w = (int(v) for v in sec["grid"].split())
-                ds.grid = (h, w)
-            if "multimodal" in sec:
-                ds.multimodal = _parse_bool(sec["multimodal"], "multimodal")
-            ds.vf_target_len = sec.getint("vf_target_len", ds.vf_target_len)
-        if cp.has_section("engine"):
-            sec = cp["engine"]
-            eng = {}
-            if "hidden_dims" in sec:
-                eng["hidden_dims"] = tuple(int(d) for d in sec["hidden_dims"].split())
-            for key in ("n_classes", "beta", "epochs", "batch_labeled",
-                        "batch_unlabeled", "batch_val", "warmup_steps"):
-                if key in sec:
-                    eng[key] = sec.getint(key)
-            for key in ("gamma", "policy_lr", "classifier_lr", "weight_decay",
-                        "pseudo_loss_weight", "crop_scale_min"):
-                if key in sec:
-                    eng[key] = sec.getfloat(key)
-            if "policy_warm_start" in sec:
-                eng["policy_warm_start"] = _parse_bool(
-                    sec["policy_warm_start"], "policy_warm_start")
-            cfg.engine = replace(cfg.engine, **eng)
-    except (ValueError, configparser.Error) as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc)) from None
-    return cfg
+    values = {}
+    for f in SCHEMA:
+        if cp.has_option(f.section, f.name):
+            try:
+                values[f] = f.parse(cp[f.section][f.name])
+            except (ValueError, configparser.Error) as exc:
+                raise ConfigError(f"{f.name}: {exc}") from None
+    return _override(ExperimentConfig(), values)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +248,35 @@ def _write_cell(out_dir: str, seed: int, result: TrainResult) -> None:
         save_model(result.policy, os.path.join(out_dir, "policy.ckpt"))
 
 
+def _run_cells(
+    cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
+    write_cells: bool = True, hash_splits: bool = False,
+) -> list[tuple[str, list[MetricsReport]]]:
+    """Validate `cfg`, write config.ini, then per seed build the splits once
+    and train every (method, engine) cell on them, writing each cell under
+    `<output_dir>/<method>/<seed>` if `write_cells`. Returns, per seed, the
+    sha256 of the serialized splits ("" unless `hash_splits`) and one report
+    per cell."""
+    cfg.validate(method for method, _ in cells)
+    os.makedirs(cfg.output_dir, exist_ok=True)
+    with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
+        fh.write(config_to_ini(cfg))
+    per_seed = []
+    for seed in cfg.seeds:
+        splits = build_splits(cfg.dataset, seed)
+        split_hash = (hashlib.sha256(serialize_splits(splits).encode()).hexdigest()
+                      if hash_splits else "")
+        reports = []
+        for method, engine in cells:
+            result = _run_method(method, splits, replace(engine, seed=seed),
+                                 cfg.confidence_threshold)
+            if write_cells:
+                _write_cell(os.path.join(cfg.output_dir, method, str(seed)), seed, result)
+            reports.append(result.final_metrics)
+        per_seed.append((split_hash, reports))
+    return per_seed
+
+
 def _mean_std(values: list[float]) -> tuple[float, float]:
     arr = np.asarray(values, dtype=np.float64)
     std = float(arr.std(ddof=1)) if len(arr) > 1 else 0.0
@@ -260,17 +300,7 @@ def _summary_row(method: str, reports: list[MetricsReport]) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsReport]:
     """One method over all seeds; per-seed cells plus a root summary.csv."""
-    cfg.validate()
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
-        fh.write(config_to_ini(cfg))
-    reports = []
-    for seed in cfg.seeds:
-        splits = build_splits(cfg.dataset, seed)
-        engine = replace(cfg.engine, seed=seed)
-        result = _run_method(cfg.method, splits, engine, cfg.confidence_threshold)
-        _write_cell(os.path.join(cfg.output_dir, cfg.method, str(seed)), seed, result)
-        reports.append(result.final_metrics)
+    reports = [r for _, (r,) in _run_cells(cfg, [(cfg.method, cfg.engine)])]
     with open(os.path.join(cfg.output_dir, "summary.csv"), "w") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         fh.write(_summary_row(cfg.method, reports) + "\n")
@@ -280,35 +310,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[MetricsReport]:
 def compare_methods(cfg: ExperimentConfig, methods: list[str]) -> str:
     """Run several methods on byte-identical per-seed splits; emits
     comparison.csv with one mean/std row per method plus the shared split hash."""
-    if len(methods) < 2:
-        raise ConfigError("compare requires at least 2 methods")
-    for m in methods:
-        if m not in METHODS:
-            raise ConfigError(f"unknown method {m!r}")
-        if m == "self_training" and cfg.confidence_threshold is None:
-            raise ConfigError("method self_training requires confidence_threshold")
-    if not cfg.seeds:
-        raise ConfigError("at least one seed is required")
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
-        fh.write(config_to_ini(cfg))
-    per_method: dict[str, list[MetricsReport]] = {m: [] for m in methods}
-    hashes: dict[str, list[str]] = {m: [] for m in methods}
-    for seed in cfg.seeds:
-        splits = build_splits(cfg.dataset, seed)
-        split_hash = hashlib.sha256(serialize_splits(splits).encode()).hexdigest()
-        engine = replace(cfg.engine, seed=seed)
-        for method in methods:
-            result = _run_method(method, splits, engine, cfg.confidence_threshold)
-            _write_cell(os.path.join(cfg.output_dir, method, str(seed)), seed, result)
-            per_method[method].append(result.final_metrics)
-            hashes[method].append(split_hash)
+    if len(methods) < 2 or len(set(methods)) != len(methods):
+        raise ConfigError("compare requires at least 2 distinct methods")
+    per_seed = _run_cells(cfg, [(m, cfg.engine) for m in methods], hash_splits=True)
+    combined = hashlib.sha256("".join(h for h, _ in per_seed).encode()).hexdigest()
     path = os.path.join(cfg.output_dir, "comparison.csv")
     with open(path, "w") as fh:
         fh.write(SUMMARY_HEADER + ",split_hash\n")
-        for method in methods:
-            combined = hashlib.sha256("".join(hashes[method]).encode()).hexdigest()
-            fh.write(_summary_row(method, per_method[method]) + f",{combined}\n")
+        for i, method in enumerate(methods):
+            row = _summary_row(method, [reports[i] for _, reports in per_seed])
+            fh.write(row + f",{combined}\n")
     return path
 
 
@@ -318,124 +329,62 @@ def run_ablation(cfg: ExperimentConfig, beta_grid: list[int],
     ablation.csv (one row per cell) and ablation_pivot.csv (mean AUC table)."""
     if not beta_grid or not gamma_grid:
         raise ConfigError("ablation grids must be non-empty")
-    if any(b < 1 for b in beta_grid):
-        raise ConfigError("beta values must be >= 1")
-    if any(not 0.0 <= g <= 1.0 for g in gamma_grid):
-        raise ConfigError("gamma values must be in [0, 1]")
-    if not cfg.seeds:
-        raise ConfigError("at least one seed is required")
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
-        fh.write(config_to_ini(cfg))
-    rows = []
-    mean_auc: dict[tuple[int, float], float] = {}
-    for beta in beta_grid:
-        for gamma in gamma_grid:
-            aucs = []
-            for seed in cfg.seeds:
-                splits = build_splits(cfg.dataset, seed)
-                engine = replace(cfg.engine, beta=beta, gamma=gamma, seed=seed)
-                result = train(splits, engine)
-                rows.append((beta, gamma, seed, result.final_metrics.auc))
-                aucs.append(result.final_metrics.auc)
-            mean_auc[(beta, gamma)] = float(np.mean(aucs))
+    if cfg.method != "pseudo_sup":
+        raise ConfigError(f"ablate runs method pseudo_sup only, got {cfg.method!r}")
+    grid = [(beta, gamma) for beta in beta_grid for gamma in gamma_grid]
+    try:
+        cells = [(cfg.method, replace(cfg.engine, beta=b, gamma=g)) for b, g in grid]
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    per_seed = _run_cells(cfg, cells, write_cells=False)
+    aucs = [[reports[i].auc for _, reports in per_seed] for i in range(len(grid))]
     path = os.path.join(cfg.output_dir, "ablation.csv")
     with open(path, "w") as fh:
         fh.write("beta,gamma,seed,auc\n")
-        for beta, gamma, seed, auc in rows:
-            fh.write(f"{beta},{gamma:.17g},{seed},{auc:.17g}\n")
+        for (beta, gamma), cell_aucs in zip(grid, aucs):
+            for seed, auc in zip(cfg.seeds, cell_aucs):
+                fh.write(f"{beta},{gamma:.17g},{seed},{auc:.17g}\n")
+    mean_auc = {key: float(np.mean(a)) for key, a in zip(grid, aucs)}
     with open(os.path.join(cfg.output_dir, "ablation_pivot.csv"), "w") as fh:
         fh.write("beta," + ",".join(f"gamma={g:.17g}" for g in gamma_grid) + "\n")
         for beta in beta_grid:
-            cells = ",".join(f"{mean_auc[(beta, g)]:.17g}" for g in gamma_grid)
-            fh.write(f"{beta},{cells}\n")
+            row = ",".join(f"{mean_auc[(beta, g)]:.17g}" for g in gamma_grid)
+            fh.write(f"{beta},{row}\n")
     return path
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="INI config file; flags override its values")
-    p.add_argument("--method", choices=METHODS)
-    p.add_argument("--seeds", type=int, nargs="+")
-    p.add_argument("--output-dir")
-    p.add_argument("--confidence-threshold", type=float)
-    # dataset
-    p.add_argument("--dataset", help="dataset file path (overrides inline synthesis)")
-    p.add_argument("--n-per-class", type=int)
-    p.add_argument("--dim", type=int)
-    p.add_argument("--class-separation", type=float)
-    p.add_argument("--label-fraction", type=float)
-    p.add_argument("--fractions", type=float, nargs=3)
-    p.add_argument("--grid", type=int, nargs=2, metavar=("H", "W"))
-    p.add_argument("--multimodal", action="store_true", default=None)
-    p.add_argument("--vf-target-len", type=int)
-    # engine
-    p.add_argument("--hidden-dims", type=int, nargs="+")
-    p.add_argument("--beta", type=int)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--policy-lr", type=float)
-    p.add_argument("--classifier-lr", type=float)
-    p.add_argument("--weight-decay", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--batch-labeled", type=int)
-    p.add_argument("--batch-unlabeled", type=int)
-    p.add_argument("--batch-val", type=int)
-    p.add_argument("--warmup-steps", type=int)
-    p.add_argument("--pseudo-loss-weight", type=float)
+def _add_flags(p: argparse.ArgumentParser, schema: Iterable[_Field]) -> None:
+    for f in schema:
+        flag = FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
+        if f.scalar is bool:
+            p.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
+        else:
+            p.add_argument(flag, dest=f.name, type=f.scalar, nargs=f.nargs)
+
+
+def _given(args: argparse.Namespace, schema: Iterable[_Field]) -> dict[_Field, Any]:
+    values = {f: getattr(args, f.name) for f in schema}
+    return {f: tuple(v) if isinstance(v, list) else v
+            for f, v in values.items() if v is not None}
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     if args.config:
         try:
             with open(args.config) as fh:
                 cfg = config_from_ini(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-    else:
-        cfg = ExperimentConfig()
-    if args.method:
-        cfg.method = args.method
-    if args.seeds:
-        cfg.seeds = tuple(args.seeds)
-    if args.output_dir:
-        cfg.output_dir = args.output_dir
-    if args.confidence_threshold is not None:
-        cfg.confidence_threshold = args.confidence_threshold
-    ds = cfg.dataset
-    if args.dataset:
-        ds.path = args.dataset
-    for flag, attr in (
-        ("n_per_class", "n_per_class"),
-        ("dim", "dim"),
-        ("class_separation", "class_separation"),
-        ("label_fraction", "label_fraction"),
-        ("vf_target_len", "vf_target_len"),
-    ):
-        val = getattr(args, flag)
-        if val is not None:
-            setattr(ds, attr, val)
-    if args.fractions:
-        ds.fractions = tuple(args.fractions)
-    if args.grid:
-        ds.grid = tuple(args.grid)
-    if args.multimodal is not None:
-        ds.multimodal = args.multimodal
-    eng = {}
-    for flag in ("beta", "gamma", "policy_lr", "classifier_lr", "weight_decay",
-                 "epochs", "batch_labeled", "batch_unlabeled", "batch_val",
-                 "warmup_steps", "pseudo_loss_weight"):
-        val = getattr(args, flag)
-        if val is not None:
-            eng[flag] = val
-    if args.hidden_dims:
-        eng["hidden_dims"] = tuple(args.hidden_dims)
-    try:
-        cfg.engine = replace(cfg.engine, **eng)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    return cfg
+    return _override(cfg, _given(args, SCHEMA))
+
+
+# gen-data synthesizes a dataset, so it takes no input-file flag.
+_GEN_SCHEMA = tuple(f for f in SCHEMA
+                    if f.section == "dataset" and f.name not in FLAG_NAMES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -445,30 +394,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run one method over the seed list")
-    _add_common_flags(p_run)
+    def experiment_parser(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("--config", help="INI config file; flags override its values")
+        _add_flags(p, SCHEMA)
+        return p
 
-    p_abl = sub.add_parser("ablate", help="beta/gamma grid ablation")
-    _add_common_flags(p_abl)
+    experiment_parser("run", "run one method over the seed list")
+    p_abl = experiment_parser("ablate", "beta/gamma grid ablation")
     p_abl.add_argument("--beta-grid", type=int, nargs="+", default=[10, 50, 100])
     p_abl.add_argument("--gamma-grid", type=float, nargs="+",
                        default=[0.0, 0.5, 0.9, 1.0])
-
-    p_cmp = sub.add_parser("compare", help="compare methods on shared splits")
-    _add_common_flags(p_cmp)
+    p_cmp = experiment_parser("compare", "compare methods on shared splits")
     p_cmp.add_argument("--methods", nargs="+", default=["supervised", "pseudo_sup"])
 
     p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset file")
     p_gen.add_argument("--out", required=True)
     p_gen.add_argument("--seed", type=int, default=1)
-    p_gen.add_argument("--n-per-class", type=int, default=500)
-    p_gen.add_argument("--dim", type=int, default=20)
-    p_gen.add_argument("--class-separation", type=float, default=1.0)
-    p_gen.add_argument("--label-fraction", type=float, default=0.5)
-    p_gen.add_argument("--fractions", type=float, nargs=3, default=[0.7, 0.1, 0.2])
-    p_gen.add_argument("--grid", type=int, nargs=2, metavar=("H", "W"))
-    p_gen.add_argument("--multimodal", action="store_true")
-    p_gen.add_argument("--vf-target-len", type=int, default=52)
+    _add_flags(p_gen, _GEN_SCHEMA)
 
     p_corr = sub.add_parser("analyze-corr",
                             help="within/between-group correlation densities")
@@ -479,20 +422,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> None:
-    spec = DatasetSpec(
-        n_per_class=args.n_per_class,
-        dim=args.dim,
-        class_separation=args.class_separation,
-        label_fraction=args.label_fraction,
-        fractions=tuple(args.fractions),
-        grid=tuple(args.grid) if args.grid else None,
-        multimodal=args.multimodal,
-        vf_target_len=args.vf_target_len,
-    )
-    if spec.multimodal and spec.grid is None:
-        raise ConfigError("multimodal mode requires --grid")
-    splits = build_splits(spec, args.seed)
-    save_dataset(splits, args.out)
+    cfg = _override(ExperimentConfig(), _given(args, _GEN_SCHEMA))
+    cfg.validate()
+    save_dataset(build_splits(cfg.dataset, args.seed), args.out)
     print(f"wrote {args.out}")
 
 
@@ -518,17 +450,15 @@ def main(argv: list[str] | None = None) -> int:
             _cmd_gen_data(args)
         elif args.command == "analyze-corr":
             _cmd_analyze_corr(args)
-        elif args.command == "run":
+        else:
             cfg = _config_from_args(args)
-            run_experiment(cfg)
-            print(f"wrote {os.path.join(cfg.output_dir, 'summary.csv')}")
-        elif args.command == "ablate":
-            cfg = _config_from_args(args)
-            path = run_ablation(cfg, args.beta_grid, args.gamma_grid)
-            print(f"wrote {path}")
-        elif args.command == "compare":
-            cfg = _config_from_args(args)
-            path = compare_methods(cfg, args.methods)
+            if args.command == "run":
+                run_experiment(cfg)
+                path = os.path.join(cfg.output_dir, "summary.csv")
+            elif args.command == "ablate":
+                path = run_ablation(cfg, args.beta_grid, args.gamma_grid)
+            else:
+                path = compare_methods(cfg, args.methods)
             print(f"wrote {path}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

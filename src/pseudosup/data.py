@@ -347,6 +347,19 @@ def save_dataset(splits: DatasetSplits, path: str) -> None:
         fh.write(serialize_splits(splits))
 
 
+def _header_ints(path: str, lineno: int, tokens: list[str], count: int) -> tuple[int, ...]:
+    """The `count` integers after a header keyword, or a DatasetFormatError."""
+    try:
+        values = tuple(int(t) for t in tokens[1:])
+    except ValueError:
+        values = ()
+    if len(values) != count:
+        raise DatasetFormatError(
+            f"{path}: line {lineno}: expected '{tokens[0]}' and {count} integer(s)"
+        )
+    return values
+
+
 def load_dataset(path: str) -> DatasetSplits:
     parts: dict[str, list[Sample]] = {tag: [] for tag in _SPLIT_TAGS}
     grid: tuple[int, int] | None = None
@@ -361,10 +374,10 @@ def load_dataset(path: str) -> DatasetSplits:
         if not tokens:
             continue
         if tokens[0] == "n_features":
-            n_features = int(tokens[1])
+            (n_features,) = _header_ints(path, lineno, tokens, 1)
             continue
         if tokens[0] == "grid":
-            grid = (int(tokens[1]), int(tokens[2]))
+            grid = _header_ints(path, lineno, tokens, 2)
             continue
         body_start = lineno
         break

@@ -13,7 +13,7 @@ same loop machinery so their degeneracy equivalences exercise real code paths.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 

@@ -3,7 +3,7 @@ within-group vs between-group pairwise-correlation density analysis."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np

@@ -1,12 +1,18 @@
+import configparser
+import dataclasses
 import os
+import re
 
 import numpy as np
 import pytest
 
 from pseudosup.cli import (
+    PER_CELL,
     ConfigError,
     DatasetSpec,
     ExperimentConfig,
+    _config_from_args,
+    build_parser,
     build_splits,
     compare_methods,
     config_from_ini,
@@ -33,6 +39,77 @@ def small_cfg(tmp_path, method="supervised", seeds=(1, 2)):
     )
 
 
+def nondefault_cfg():
+    """Every flag-settable field away from its default."""
+    return ExperimentConfig(
+        method="self_training", seeds=(3, 4), output_dir="runs/x",
+        dataset=DatasetSpec(path="data.txt", n_per_class=7, dim=5,
+                            class_separation=2.5, label_fraction=0.25,
+                            fractions=(0.6, 0.2, 0.2), grid=(2, 3),
+                            multimodal=True, vf_target_len=60),
+        engine=EngineConfig(hidden_dims=(4, 3), n_classes=3, beta=7, gamma=0.5,
+                            policy_lr=0.002, classifier_lr=0.003,
+                            weight_decay=0.01, epochs=3, batch_labeled=5,
+                            batch_unlabeled=6, batch_val=9, warmup_steps=8,
+                            pseudo_loss_weight=0.75, crop_scale_min=0.5,
+                            policy_warm_start=False),
+        confidence_threshold=0.95,
+    )
+
+
+NONDEFAULT_ARGV = [
+    "run", "--method", "self_training", "--seeds", "3", "4",
+    "--output-dir", "runs/x", "--confidence-threshold", "0.95",
+    "--dataset", "data.txt", "--n-per-class", "7", "--dim", "5",
+    "--class-separation", "2.5", "--label-fraction", "0.25",
+    "--fractions", "0.6", "0.2", "0.2", "--grid", "2", "3", "--multimodal",
+    "--vf-target-len", "60", "--hidden-dims", "4", "3", "--n-classes", "3",
+    "--beta", "7", "--gamma", "0.5", "--policy-lr", "0.002",
+    "--classifier-lr", "0.003", "--weight-decay", "0.01", "--epochs", "3",
+    "--batch-labeled", "5", "--batch-unlabeled", "6", "--batch-val", "9",
+    "--warmup-steps", "8", "--pseudo-loss-weight", "0.75",
+    "--crop-scale-min", "0.5", "--no-policy-warm-start",
+]
+
+# config.ini as written before the schema was derived from the dataclasses
+# (`grid` last in [dataset]); such files must keep parsing.
+EARLIER_LAYOUT_INI = """\
+[experiment]
+method = self_training
+seeds = 3 4
+output_dir = runs/x
+confidence_threshold = 0.95
+
+[dataset]
+path = data.txt
+n_per_class = 7
+dim = 5
+class_separation = 2.5
+label_fraction = 0.25
+fractions = 0.6 0.2 0.2
+multimodal = true
+vf_target_len = 60
+grid = 2 3
+
+[engine]
+hidden_dims = 4 3
+n_classes = 3
+beta = 7
+gamma = 0.5
+policy_lr = 0.002
+classifier_lr = 0.003
+weight_decay = 0.01
+epochs = 3
+batch_labeled = 5
+batch_unlabeled = 6
+batch_val = 9
+warmup_steps = 8
+pseudo_loss_weight = 0.75
+crop_scale_min = 0.5
+policy_warm_start = false
+"""
+
+
 class TestConfigRoundTrip:
     def test_ini_round_trip(self, tmp_path):
         cfg = small_cfg(tmp_path, method="self_training")
@@ -46,6 +123,54 @@ class TestConfigRoundTrip:
     def test_malformed_config_rejected(self):
         with pytest.raises(ConfigError):
             config_from_ini("[engine]\nbeta = not-a-number\n")
+
+    def test_every_field_has_flag_and_ini_key(self, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", "--help"])
+        flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out))
+        ini = configparser.ConfigParser()
+        ini.read_string(config_to_ini(nondefault_cfg()))
+        for section, cls in (("dataset", DatasetSpec), ("engine", EngineConfig)):
+            for f in dataclasses.fields(cls):
+                if f.name in PER_CELL:
+                    continue
+                flag = "--dataset" if f.name == "path" else "--" + f.name.replace("_", "-")
+                assert flag in flags, flag
+                assert ini.has_option(section, f.name), f.name
+
+    def test_flags_and_ini_reach_same_config(self, tmp_path):
+        cfg = nondefault_cfg()
+        default = ExperimentConfig()
+        for spec, base in ((cfg, default), (cfg.dataset, default.dataset),
+                           (cfg.engine, default.engine)):
+            for f in dataclasses.fields(spec):
+                if f.name not in PER_CELL and not dataclasses.is_dataclass(
+                        getattr(spec, f.name)):
+                    assert getattr(spec, f.name) != getattr(base, f.name), f.name
+        from_flags = _config_from_args(build_parser().parse_args(NONDEFAULT_ARGV))
+        assert from_flags == cfg
+        ini = tmp_path / "c.ini"
+        ini.write_text(config_to_ini(cfg))
+        from_ini = _config_from_args(build_parser().parse_args(
+            ["run", "--config", str(ini)]))
+        assert from_ini == cfg
+
+    def test_bool_flag_negation_overrides_ini(self, tmp_path):
+        ini = tmp_path / "c.ini"
+        ini.write_text("[engine]\npolicy_warm_start = false\n"
+                       "[dataset]\nmultimodal = true\ngrid = 2 2\n")
+        args = build_parser().parse_args(
+            ["run", "--config", str(ini), "--policy-warm-start", "--no-multimodal"])
+        cfg = _config_from_args(args)
+        assert cfg.engine.policy_warm_start is True
+        assert cfg.dataset.multimodal is False
+
+    def test_earlier_config_ini_layout_parses(self):
+        assert config_from_ini(EARLIER_LAYOUT_INI) == nondefault_cfg()
+
+    def test_tuple_length_checked(self):
+        with pytest.raises(ConfigError, match="grid"):
+            config_from_ini("[dataset]\ngrid = 3\n")
 
     def test_validation_names_missing_field(self, tmp_path):
         cfg = small_cfg(tmp_path, method="self_training")
@@ -144,11 +269,22 @@ class TestAblation:
         run_ablation(cfg, [2, 5], [0.0, 0.9])
         with open(os.path.join(cfg.output_dir, "ablation.csv")) as fh:
             rows = fh.read().splitlines()[1:]
-        assert len(rows) == 2 * 2 * 2
+        assert [r.split(",")[:3] for r in rows] == [
+            [b, g, seed] for b in ("2", "5") for g in ("0", "0.90000000000000002")
+            for seed in ("1", "2")]
 
     def test_gamma_out_of_range_rejected(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_ablation(small_cfg(tmp_path), [5], [1.5])
+        with pytest.raises(ConfigError, match="gamma"):
+            run_ablation(small_cfg(tmp_path, method="pseudo_sup"), [5], [1.5])
+
+    def test_other_method_exits_2(self, tmp_path):
+        out = tmp_path / "o"
+        rc = main(["ablate", "--method", "self_training",
+                   "--confidence-threshold", "0.9", "--seeds", "1",
+                   "--beta-grid", "5", "--gamma-grid", "0.9",
+                   "--output-dir", str(out)])
+        assert rc == 2
+        assert not out.exists()
 
 
 class TestCliEntry:
@@ -177,6 +313,17 @@ class TestCliEntry:
         rc = main(["run", "--method", "self_training", "--seeds", "1",
                    "--output-dir", str(tmp_path / "o")])
         assert rc == 2
+
+    @pytest.mark.parametrize("argv", [
+        [cmd, "--seeds", "1", "--epochs", "1", *flags]
+        for cmd in ("run", "compare", "ablate")
+        for flags in (["--multimodal"], ["--confidence-threshold", "1.5"])
+    ] + [["gen-data", "--multimodal"]])
+    def test_bad_config_exits_2_before_any_output(self, tmp_path, argv):
+        out = tmp_path / "o"
+        flag = "--out" if argv[0] == "gen-data" else "--output-dir"
+        assert main(argv + [flag, str(out)]) == 2
+        assert not out.exists()
 
     def test_missing_dataset_file_exits_3(self, tmp_path):
         rc = main(["run", "--dataset", str(tmp_path / "absent.txt"),

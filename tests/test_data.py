@@ -311,6 +311,19 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match="line 1"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("header, lineno", [
+        ("n_features\n", 2),
+        ("n_features two\n", 2),
+        ("n_features 1\ngrid\n", 3),
+        ("n_features 1\ngrid 3\n", 3),
+        ("n_features 1\ngrid 3 x\n", 3),
+    ])
+    def test_malformed_header_names_file_and_line(self, tmp_path, header, lineno):
+        path = tmp_path / "d.txt"
+        path.write_text("gdp-synth v1\n" + header + "test a 0 1.0\n")
+        with pytest.raises(DatasetFormatError, match=f"d.txt: line {lineno}:"):
+            load_dataset(str(path))
+
     def test_unlabeled_test_row_rejected(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("gdp-synth v1\nn_features 1\ntest a ? 1.0\n")
