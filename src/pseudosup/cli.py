@@ -23,6 +23,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import (
+    VF_LOCATIONS,
     DatasetSplits,
     generate_multimodal_gaussians,
     generate_overlapping_gaussians,
@@ -90,6 +91,9 @@ class ExperimentConfig:
             raise ConfigError("confidence_threshold must be in (0.5, 1]")
         if self.dataset.multimodal and self.dataset.grid is None:
             raise ConfigError("multimodal mode requires dataset grid dims")
+        if self.dataset.multimodal and self.dataset.vf_target_len < VF_LOCATIONS:
+            raise ConfigError(f"vf_target_len must be >= {VF_LOCATIONS}, the length "
+                              f"of the secondary modality, got {self.dataset.vf_target_len}")
 
 
 # ---------------------------------------------------------------------------
@@ -254,18 +258,22 @@ def _run_cells(
 ) -> list[tuple[str, list[MetricsReport]]]:
     """Validate `cfg`, write config.ini, then per seed build the splits once
     and train every (method, engine) cell on them, writing each cell under
-    `<output_dir>/<method>/<seed>` if `write_cells`. Returns, per seed, the
-    sha256 of the serialized splits ("" unless `hash_splits`) and one report
-    per cell."""
+    `<output_dir>/<method>/<seed>` if `write_cells`. Splits read from a
+    dataset file do not depend on the seed, so the file is loaded and hashed
+    once. Returns, per seed, the sha256 of the serialized splits ("" unless
+    `hash_splits`) and one report per cell."""
     cfg.validate(method for method, _ in cells)
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
         fh.write(config_to_ini(cfg))
+    per_seed_splits = cfg.dataset.path is None
+    splits = None
     per_seed = []
     for seed in cfg.seeds:
-        splits = build_splits(cfg.dataset, seed)
-        split_hash = (hashlib.sha256(serialize_splits(splits).encode()).hexdigest()
-                      if hash_splits else "")
+        if splits is None or per_seed_splits:
+            splits = build_splits(cfg.dataset, seed)
+            split_hash = (hashlib.sha256(serialize_splits(splits).encode()).hexdigest()
+                          if hash_splits else "")
         reports = []
         for method, engine in cells:
             result = _run_method(method, splits, replace(engine, seed=seed),

@@ -383,6 +383,7 @@ def load_dataset(path: str) -> DatasetSplits:
         break
     if n_features is None:
         raise DatasetFormatError(f"{path}: missing n_features header")
+    first_seen: dict[str, int] = {}
     for lineno, line in enumerate(lines, start=1):
         if body_start is None or lineno < body_start:
             continue
@@ -396,6 +397,12 @@ def load_dataset(path: str) -> DatasetSplits:
         tag, sid, label_tok = tokens[:3]
         if tag not in _SPLIT_TAGS:
             raise DatasetFormatError(f"{path}: line {lineno}: unknown split tag {tag!r}")
+        if sid in first_seen:
+            raise DatasetFormatError(
+                f"{path}: line {lineno}: duplicate id {sid!r} (first on line "
+                f"{first_seen[sid]})"
+            )
+        first_seen[sid] = lineno
         if label_tok == "?":
             label = None
             if tag in ("val", "test"):
@@ -409,11 +416,17 @@ def load_dataset(path: str) -> DatasetSplits:
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: bad label {label_tok!r}"
                 ) from None
+            if label < 0:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: negative label {label}"
+                )
         try:
             feats = np.array([float(x) for x in tokens[3:]])
         except ValueError:
             raise DatasetFormatError(
                 f"{path}: line {lineno}: non-numeric feature value"
             ) from None
+        if not np.isfinite(feats).all():
+            raise DatasetFormatError(f"{path}: line {lineno}: non-finite feature value")
         parts[tag].append(Sample(id=sid, features=feats, label=label, grid_dims=grid))
     return DatasetSplits(parts["trainL"], parts["trainU"], parts["val"], parts["test"])

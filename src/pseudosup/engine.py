@@ -8,6 +8,16 @@ ascends the discounted-return-weighted log-probability surrogate.
 
 Supervised-only and confidence-threshold self-training baselines share the
 same loop machinery so their degeneracy equivalences exercise real code paths.
+
+The loops stack each split into arrays once per call and draw batches as
+index arrays; only weak augmentation goes back to the per-sample path. Both
+updates run one forward/backward pass: the classifier step over the stacked
+[labeled; pseudo] rows with cross-entropy row weights 1/n_l and
+pseudo_loss_weight/n_u, and the policy update over the whole beta-step window
+with row weights G_t/B_t, the returns coming from one reverse accumulation.
+These reorder floating-point sums against a per-batch (per-step) pass, so
+results agree with it to rounding, not bit for bit; the labeled-only step
+(no pseudo batch, or pseudo_loss_weight 0) is unchanged.
 """
 
 from __future__ import annotations
@@ -167,33 +177,37 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# batch helpers
+# batch helpers: each split is stacked once per call; batches are index arrays
 
-def _stack(samples: list[Sample], cfg: EngineConfig,
-           rng_aug: np.random.Generator | None) -> np.ndarray:
-    if cfg.augment:
-        if rng_aug is None:
-            raise ValueError("augmentation requires an RNG")
-        samples = [augment_weak(s, rng_aug, cfg.crop_scale_min) for s in samples]
+def _features(samples: list[Sample]) -> np.ndarray:
     return np.stack([s.features for s in samples])
 
 
 def _labels(samples: list[Sample]) -> np.ndarray:
     labels = [s.label for s in samples]
     if any(l is None for l in labels):
-        raise ValueError("batch contains unlabeled samples")
+        raise ValueError("labeled split contains unlabeled samples")
     return np.array(labels, dtype=np.int64)
 
 
-def _draw(samples: list[Sample], size: int, rng: np.random.Generator) -> list[Sample]:
-    idx = rng.choice(len(samples), size=min(size, len(samples)), replace=False)
-    return [samples[i] for i in idx]
+def _rows(x: np.ndarray, samples: list[Sample], idx: np.ndarray,
+          cfg: EngineConfig, rng_aug: np.random.Generator) -> np.ndarray:
+    """Rows `idx` of the stacked split `x`, weakly augmented per sample (in
+    batch order, from `rng_aug`) when cfg.augment is set."""
+    if cfg.augment:
+        return np.stack([augment_weak(samples[i], rng_aug, cfg.crop_scale_min).features
+                         for i in idx])
+    return x[idx]
 
 
-def _labeled_batches(labeled: list[Sample], batch: int, rng: np.random.Generator):
-    order = rng.permutation(len(labeled))
-    for start in range(0, len(labeled), batch):
-        yield [labeled[i] for i in order[start : start + batch]]
+def _draw(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    return rng.choice(n, size=min(size, n), replace=False)
+
+
+def _labeled_batches(n: int, batch: int, rng: np.random.Generator):
+    order = rng.permutation(n)
+    for start in range(0, n, batch):
+        yield order[start : start + batch]
 
 
 def _rngs(seed: int) -> dict[str, np.random.Generator]:
@@ -222,14 +236,14 @@ def warmup_supervised(
     if optimizer is None:
         optimizer = AdamW(classifier.parameters(), cfg.classifier_lr,
                           weight_decay=cfg.weight_decay)
+    x, y = _features(labeled), _labels(labeled)
     steps_done = 0
     while steps_done < cfg.warmup_steps:
-        for batch in _labeled_batches(labeled, cfg.batch_labeled, rng):
+        for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rng):
             if steps_done >= cfg.warmup_steps:
                 break
-            x = np.stack([s.features for s in batch])
-            logits, cache = mlp_forward(classifier, x)
-            _, grad = softmax_cross_entropy(logits, _labels(batch))
+            logits, cache = mlp_forward(classifier, x[idx])
+            _, grad = softmax_cross_entropy(logits, y[idx])
             optimizer.step(mlp_backward(cache, grad))
             steps_done += 1
     return classifier
@@ -277,18 +291,24 @@ def classifier_step(
     optimizer: AdamW,
     cfg: EngineConfig,
 ) -> None:
-    """One optimizer step on CE(labeled) + pseudo_loss_weight * CE(pseudo)."""
-    if len(labeled_x) == 0 and (pseudo_x is None or len(pseudo_x) == 0):
-        raise ValueError("classifier step needs a non-empty batch")
-    logits, cache = mlp_forward(classifier, labeled_x)
-    _, grad = softmax_cross_entropy(logits, labeled_y)
-    grads = mlp_backward(cache, grad)
-    if pseudo_x is not None and len(pseudo_x) > 0 and cfg.pseudo_loss_weight != 0.0:
-        logits_u, cache_u = mlp_forward(classifier, pseudo_x)
-        _, grad_u = softmax_cross_entropy(logits_u, pseudo_y)
-        grads_u = mlp_backward(cache_u, grad_u)
-        grads = [g + cfg.pseudo_loss_weight * gu for g, gu in zip(grads, grads_u)]
-    optimizer.step(grads)
+    """One optimizer step on CE(labeled) + pseudo_loss_weight * CE(pseudo).
+
+    Both means come from one forward/backward pass over the stacked
+    [labeled; pseudo] rows, weighted 1/n_l and pseudo_loss_weight/n_u. Without
+    a pseudo batch, or at weight 0, the step is the plain labeled-only one."""
+    if len(labeled_x) == 0:
+        raise ValueError("classifier step needs a non-empty labeled batch")
+    w = cfg.pseudo_loss_weight
+    if pseudo_x is None or len(pseudo_x) == 0 or w == 0.0:
+        logits, cache = mlp_forward(classifier, labeled_x)
+        _, grad = softmax_cross_entropy(logits, labeled_y)
+    else:
+        n_l, n_u = len(labeled_x), len(pseudo_x)
+        weights = np.repeat([1.0 / n_l, w / n_u], [n_l, n_u])
+        logits, cache = mlp_forward(classifier, np.concatenate([labeled_x, pseudo_x]))
+        _, grad = softmax_cross_entropy(
+            logits, np.concatenate([labeled_y, pseudo_y]), weights)
+    optimizer.step(mlp_backward(cache, grad))
 
 
 def discounted_return(rewards, gamma: float, t: int) -> float:
@@ -302,27 +322,32 @@ def discounted_return(rewards, gamma: float, t: int) -> float:
     return float(np.sum(tail * gamma ** np.arange(len(tail))))
 
 
+def _returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
+    """Every return-to-go G_t of the window by one reverse accumulation,
+    G_t = r_t + gamma * G_{t+1}; `discounted_return` is its per-t oracle."""
+    out = np.empty(len(rewards))
+    acc = 0.0
+    for t in range(len(rewards) - 1, -1, -1):
+        acc = rewards[t] + gamma * acc
+        out[t] = acc
+    return out
+
+
 def _policy_surrogate_grads(
     policy: MlpModel, trajectory: Trajectory, gamma: float
 ) -> tuple[float, list[np.ndarray]]:
-    """Surrogate J = sum_t G_t * mean_batch log pi(a_t|s_t) and dJ/dparams."""
-    rewards = [s.reward for s in trajectory.steps]
-    surrogate = 0.0
-    total: list[np.ndarray] | None = None
-    for t, step in enumerate(trajectory.steps):
-        g_t = discounted_return(rewards, gamma, t)
-        logits, cache = mlp_forward(policy, step.states)
-        logp = log_softmax(logits)
-        n = len(step.actions)
-        surrogate += g_t * float(logp[np.arange(n), step.actions].mean())
-        # d(mean log pi)/dlogits = (onehot - softmax) / n
-        dlogits = -np.exp(logp)
-        dlogits[np.arange(n), step.actions] += 1.0
-        dlogits *= g_t / n
-        grads = mlp_backward(cache, dlogits)
-        total = grads if total is None else [a + b for a, b in zip(total, grads)]
-    assert total is not None
-    return surrogate, total
+    """Surrogate J = sum_t G_t * mean_batch log pi(a_t|s_t) and dJ/dparams.
+
+    J is minus the cross-entropy of the taken actions with row weights
+    G_t / B_t, so one forward/backward pass over the whole window gives both."""
+    steps = trajectory.steps
+    sizes = [len(s.actions) for s in steps]
+    returns = _returns(np.array([s.reward for s in steps]), gamma)
+    weights = np.repeat(returns / sizes, sizes)
+    logits, cache = mlp_forward(policy, np.concatenate([s.states for s in steps]))
+    loss, grad = softmax_cross_entropy(
+        logits, np.concatenate([s.actions for s in steps]), weights)
+    return -loss, [-g for g in mlp_backward(cache, grad)]
 
 
 def policy_update(
@@ -349,8 +374,7 @@ def policy_update(
 
 def evaluate(classifier: MlpModel, samples: list[Sample],
              positive_class: int = 1) -> MetricsReport:
-    x = np.stack([s.features for s in samples])
-    y = _labels(samples)
+    x, y = _features(samples), _labels(samples)
     logits, _ = mlp_forward(classifier, x)
     preds = logits.argmax(axis=1)
     scores = np.exp(log_softmax(logits))[:, positive_class]
@@ -380,11 +404,15 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     if not splits.labeled_train or not splits.validation or not splits.test:
         raise ValueError("labeled_train, validation and test must be non-empty")
     rngs = _rngs(cfg.seed)
-    input_dim = len(splits.labeled_train[0].features)
+    labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
+    xl_all, yl_all = _features(labeled), _labels(labeled)
+    xv_all, yv_all = _features(splits.validation), _labels(splits.validation)
+    xu_all = _features(unlabeled) if unlabeled else None
+    input_dim = xl_all.shape[1]
     classifier = init_mlp([input_dim, *cfg.hidden_dims, cfg.n_classes], rngs["init"])
     opt_c = AdamW(classifier.parameters(), cfg.classifier_lr,
                   weight_decay=cfg.weight_decay)
-    warmup_supervised(classifier, splits.labeled_train, cfg, rngs["warmup"], opt_c)
+    warmup_supervised(classifier, labeled, cfg, rngs["warmup"], opt_c)
 
     if cfg.policy_warm_start:
         policy = clone_model(classifier)
@@ -394,22 +422,19 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
 
     history = History()
     trajectory = Trajectory(cfg.beta)
-    unlabeled = splits.unlabeled_train
     step = 0
     final_metrics: MetricsReport | None = None
     for epoch in range(1, cfg.epochs + 1):
-        for batch in _labeled_batches(splits.labeled_train, cfg.batch_labeled,
-                                      rngs["data"]):
+        for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
             step += 1
-            xl = _stack(batch, cfg, rngs["aug"])
-            yl = _labels(batch)
+            xl = _rows(xl_all, labeled, idx, cfg, rngs["aug"])
+            yl = yl_all[idx]
             if unlabeled:
-                val_batch = _draw(splits.validation, cfg.batch_val, rngs["val"])
-                xv = np.stack([s.features for s in val_batch])
-                yv = _labels(val_batch)
+                v = _draw(len(xv_all), cfg.batch_val, rngs["val"])
+                xv, yv = xv_all[v], yv_all[v]
                 loss_before = eval_val_loss(classifier, xv, yv)
-                u_batch = _draw(unlabeled, cfg.batch_unlabeled, rngs["policy"])
-                xu = _stack(u_batch, cfg, rngs["aug"])
+                u = _draw(len(unlabeled), cfg.batch_unlabeled, rngs["policy"])
+                xu = _rows(xu_all, unlabeled, u, cfg, rngs["aug"])
                 actions, log_probs = sample_pseudo_labels(policy, xu, rngs["policy"])
                 classifier_step(classifier, xl, yl, xu, actions, opt_c, cfg)
                 loss_after = eval_val_loss(classifier, xv, yv)
@@ -456,52 +481,41 @@ def train_self_training(
     if not splits.labeled_train or not splits.validation or not splits.test:
         raise ValueError("labeled_train, validation and test must be non-empty")
     rngs = _rngs(cfg.seed)
-    input_dim = len(splits.labeled_train[0].features)
+    labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
+    xl_all, yl_all = _features(labeled), _labels(labeled)
+    input_dim = xl_all.shape[1]
     classifier = init_mlp([input_dim, *cfg.hidden_dims, cfg.n_classes], rngs["init"])
     opt_c = AdamW(classifier.parameters(), cfg.classifier_lr,
                   weight_decay=cfg.weight_decay)
-    warmup_supervised(classifier, splits.labeled_train, cfg, rngs["warmup"], opt_c)
+    warmup_supervised(classifier, labeled, cfg, rngs["warmup"], opt_c)
 
     history = History()
     pseudo_acc: list[float] = []
     n_selected: list[int] = []
-    unlabeled = splits.unlabeled_train
+    xu_all = _features(unlabeled) if unlabeled else None
+    # diagnostics only: -1 marks a sample without a hidden label
+    hidden = np.array([-1 if s.hidden_label is None else s.hidden_label
+                       for s in unlabeled], dtype=np.int64)
     step = 0
     final_metrics: MetricsReport | None = None
     for epoch in range(1, cfg.epochs + 1):
-        selected: list[tuple[Sample, int]] = []
+        selected = np.empty(0, dtype=np.intp)
         if unlabeled:
-            xu_all = np.stack([s.features for s in unlabeled])
             logits, _ = mlp_forward(classifier, xu_all)
             probs = np.exp(log_softmax(logits))
-            conf = probs.max(axis=1)
             preds = probs.argmax(axis=1)
-            selected = [
-                (s, int(p))
-                for s, p, c in zip(unlabeled, preds, conf)
-                if c >= confidence_threshold
-            ]
+            selected = np.flatnonzero(probs.max(axis=1) >= confidence_threshold)
         n_selected.append(len(selected))
-        if selected:
-            hits = [int(p == s.hidden_label) for s, p in selected
-                    if s.hidden_label is not None]
-            pseudo_acc.append(float(np.mean(hits)) if hits else float("nan"))
-        else:
-            pseudo_acc.append(float("nan"))
-        for batch in _labeled_batches(splits.labeled_train, cfg.batch_labeled,
-                                      rngs["data"]):
+        known = selected[hidden[selected] >= 0]
+        pseudo_acc.append(float(np.mean(preds[known] == hidden[known]))
+                          if len(known) else float("nan"))
+        for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
             step += 1
-            xl = _stack(batch, cfg, rngs["aug"])
-            yl = _labels(batch)
-            if selected:
-                idx = rngs["policy"].choice(
-                    len(selected),
-                    size=min(cfg.batch_unlabeled, len(selected)),
-                    replace=False,
-                )
-                xs = np.stack([selected[i][0].features for i in idx])
-                ys = np.array([selected[i][1] for i in idx], dtype=np.int64)
-                classifier_step(classifier, xl, yl, xs, ys, opt_c, cfg)
+            xl = _rows(xl_all, labeled, idx, cfg, rngs["aug"])
+            yl = yl_all[idx]
+            if len(selected):
+                pick = selected[_draw(len(selected), cfg.batch_unlabeled, rngs["policy"])]
+                classifier_step(classifier, xl, yl, xu_all[pick], preds[pick], opt_c, cfg)
             else:
                 classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
             history.steps.append(StepRecord(step, epoch, None, None, None, False))

@@ -4,7 +4,6 @@ within-group vs between-group pairwise-correlation density analysis."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 from scipy.stats import rankdata
@@ -92,8 +91,8 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class CorrelationDensity:
-    within_group: list[float]
-    between_group: list[float]
+    within_group: np.ndarray  # float64, in (i, j) pair order, i < j
+    between_group: np.ndarray
     bin_edges: np.ndarray
     within_counts: np.ndarray
     between_counts: np.ndarray
@@ -113,23 +112,43 @@ class CorrelationDensity:
 
 def correlation_density(samples, bins: int = 50) -> CorrelationDensity:
     """Pearson correlation for every unordered sample pair, routed to the
-    within-group or between-group list by label equality."""
+    within-group or between-group array by label equality.
+
+    The rows are centred once and every pair's covariance comes from one Gram
+    product; the upper triangle is then walked one row at a time, so besides
+    the N x N Gram matrix only the kept correlations are held. A pair with a
+    zero-variance member is skipped and counted, as `pearson` would reject it.
+    `pearson` stays the per-pair reference; the sums run in another order, so
+    values agree with it to rounding."""
     labels = [s.label for s in samples]
     if any(l is None for l in labels):
         raise ValueError("correlation_density requires labeled samples")
-    for cls in set(labels):
-        if labels.count(cls) < 2:
-            raise ValueError("need at least 2 samples per class")
-    within: list[float] = []
-    between: list[float] = []
-    skipped = 0
-    for a, b in combinations(samples, 2):
-        try:
-            rho = pearson(a.features, b.features)
-        except ValueError:
-            skipped += 1
-            continue
-        (within if a.label == b.label else between).append(rho)
+    y = np.array(labels)
+    counts = np.unique(y, return_counts=True)[1]
+    if (counts < 2).any():
+        raise ValueError("need at least 2 samples per class")
+    x = np.stack([s.features for s in samples])
+    x -= x.mean(axis=1, keepdims=True)
+    sq = (x * x).sum(axis=1)
+    gram = x @ x.T
+    del x
+    n = len(y)
+    n_pairs = n * (n - 1) // 2
+    n_within = int((counts * (counts - 1) // 2).sum())
+    within, between = np.empty(n_within), np.empty(n_pairs - n_within)
+    n_w = n_b = 0
+    for i in range(n - 1):
+        denom = np.sqrt(sq[i] * sq[i + 1 :])
+        ok = denom != 0.0
+        rho = gram[i, i + 1 :][ok] / denom[ok]
+        same = y[i + 1 :][ok] == y[i]
+        w, b = rho[same], rho[~same]
+        within[n_w : n_w + len(w)] = w
+        between[n_b : n_b + len(b)] = b
+        n_w += len(w)
+        n_b += len(b)
+    skipped = n_pairs - n_w - n_b
+    within, between = within[:n_w], between[:n_b]
     edges = np.linspace(-1.0, 1.0, bins + 1)
     w_counts, _ = np.histogram(within, bins=edges)
     b_counts, _ = np.histogram(between, bins=edges)

@@ -94,8 +94,10 @@ def mlp_forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, Forward
     a = batch
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = a @ w + b
-        a = z if i == last else np.maximum(z, 0.0)
+        a = a @ w
+        a += b  # in place: no temporaries the size of the batch
+        if i != last:
+            np.maximum(a, 0.0, out=a)
         acts.append(a)
     _require_finite(a, "logits")
     return a, ForwardCache(model, acts)
@@ -118,7 +120,8 @@ def mlp_backward(cache: ForwardCache, grad_logits: np.ndarray) -> list[np.ndarra
         grads[2 * layer + 1] = delta.sum(axis=0)
         if layer > 0:
             # ReLU subgradient: 0 at exactly 0
-            delta = (delta @ model.weights[layer].T) * (cache.activations[layer] > 0)
+            delta = delta @ model.weights[layer].T
+            delta *= cache.activations[layer] > 0
     return grads
 
 
@@ -130,9 +133,10 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 
 def softmax_cross_entropy(
-    logits: np.ndarray, labels: np.ndarray
+    logits: np.ndarray, labels: np.ndarray, weights: np.ndarray | None = None
 ) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy over the batch and its gradient wrt the logits."""
+    """Cross-entropy over the batch and its gradient wrt the logits: the mean
+    over rows, or with `weights` the weighted sum sum_i w_i * CE_i."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
@@ -140,11 +144,20 @@ def softmax_cross_entropy(
     n, c = logits.shape
     if labels.min() < 0 or labels.max() >= c:
         raise ValueError(f"labels must be in [0, {c})")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != (n,):
+            raise ValueError("weights must hold one value per row")
     logp = log_softmax(logits)
-    loss = -logp[np.arange(n), labels].mean()
+    picked = logp[np.arange(n), labels]
     grad = np.exp(logp)
     grad[np.arange(n), labels] -= 1.0
-    grad /= n
+    if weights is None:
+        loss = -picked.mean()
+        grad /= n
+    else:
+        loss = -np.dot(weights, picked)
+        grad *= weights[:, None]
     _require_finite(grad, "cross-entropy gradient")
     return float(loss), grad
 

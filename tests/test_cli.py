@@ -1,11 +1,13 @@
 import configparser
 import dataclasses
+import hashlib
 import os
 import re
 
 import numpy as np
 import pytest
 
+from pseudosup import cli
 from pseudosup.cli import (
     PER_CELL,
     ConfigError,
@@ -318,12 +320,48 @@ class TestCliEntry:
         [cmd, "--seeds", "1", "--epochs", "1", *flags]
         for cmd in ("run", "compare", "ablate")
         for flags in (["--multimodal"], ["--confidence-threshold", "1.5"])
-    ] + [["gen-data", "--multimodal"]])
+    ] + [["gen-data", "--multimodal"]] + [
+        # the secondary modality (52 values) cannot be up-scaled to 10
+        [*cmd, "--multimodal", "--grid", "3", "4", "--vf-target-len", "10"]
+        for cmd in (["run", "--seeds", "1"], ["compare", "--seeds", "1"],
+                    ["ablate", "--seeds", "1"], ["gen-data"])
+    ])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, argv):
         out = tmp_path / "o"
         flag = "--out" if argv[0] == "gen-data" else "--output-dir"
         assert main(argv + [flag, str(out)]) == 2
         assert not out.exists()
+
+    def test_dataset_file_loaded_and_hashed_once(self, tmp_path, monkeypatch):
+        ds = str(tmp_path / "ds.txt")
+        main(["gen-data", "--out", ds, "--n-per-class", "20", "--dim", "3"])
+        calls = {"load_dataset": 0, "serialize_splits": 0}
+
+        def counted(name):
+            real = getattr(cli, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return real(*args)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(cli, name, counted(name))
+        flags = ["--dataset", ds, "--seeds", "1", "2", "3", "--epochs", "1",
+                 "--warmup-steps", "2", "--hidden-dims", "4"]
+        assert main(["run", "--method", "supervised", *flags,
+                     "--output-dir", str(tmp_path / "run")]) == 0
+        assert calls == {"load_dataset": 1, "serialize_splits": 0}
+        assert main(["compare", "--methods", "supervised", "pseudo_sup", *flags,
+                     "--output-dir", str(tmp_path / "cmp")]) == 0
+        assert calls == {"load_dataset": 2, "serialize_splits": 1}
+        # the combined hash still covers one digest per seed
+        with open(ds) as fh:
+            digest = hashlib.sha256(fh.read().encode()).hexdigest()
+        with open(tmp_path / "cmp" / "comparison.csv") as fh:
+            rows = fh.read().splitlines()[1:]
+        expected = hashlib.sha256((digest * 3).encode()).hexdigest()
+        assert [r.split(",")[-1] for r in rows] == [expected, expected]
 
     def test_missing_dataset_file_exits_3(self, tmp_path):
         rc = main(["run", "--dataset", str(tmp_path / "absent.txt"),

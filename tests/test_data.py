@@ -324,6 +324,19 @@ class TestDatasetIO:
         with pytest.raises(DatasetFormatError, match=f"d.txt: line {lineno}:"):
             load_dataset(str(path))
 
+    @pytest.mark.parametrize("rows, message", [
+        ("trainL a 0 1.0\ntrainL b 0 nan\n", "line 4: non-finite feature"),
+        ("trainL a 0 1.0\ntest b 0 -inf\n", "line 4: non-finite feature"),
+        ("trainL a 0 1.0\nval b -1 2.0\n", "line 4: negative label -1"),
+        ("trainL a 0 1.0\ntrainU b ? 2.0\ntest a 1 3.0\n",
+         "line 5: duplicate id 'a' \\(first on line 3\\)"),
+    ])
+    def test_bad_row_names_file_and_line(self, tmp_path, rows, message):
+        path = tmp_path / "d.txt"
+        path.write_text("gdp-synth v1\nn_features 1\n" + rows)
+        with pytest.raises(DatasetFormatError, match=f"d.txt: {message}"):
+            load_dataset(str(path))
+
     def test_unlabeled_test_row_rejected(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("gdp-synth v1\nn_features 1\ntest a ? 1.0\n")

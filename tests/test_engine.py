@@ -178,7 +178,28 @@ class TestClassifierStep:
         classifier_step(b, xl, yl, None, None, AdamW(b.parameters(), cfg.classifier_lr),
                         replace(cfg, pseudo_loss_weight=1.0))
         for pa, pb in zip(a.parameters(), b.parameters()):
-            np.testing.assert_allclose(pa, pb, atol=1e-15)
+            np.testing.assert_array_equal(pa, pb)
+
+    def test_one_pass_matches_two_pass_reference(self):
+        rng = np.random.default_rng(15)
+        cfg = fast_cfg(pseudo_loss_weight=0.7)
+        a = init_mlp([3, 6, 4, 2], rng)
+        b = clone_model(a)
+        opt_a = AdamW(a.parameters(), cfg.classifier_lr)
+        opt_b = AdamW(b.parameters(), cfg.classifier_lr)
+        for _ in range(5):
+            xl, yl = rng.normal(size=(6, 3)), rng.integers(0, 2, 6)
+            xu, yu = rng.normal(size=(9, 3)), rng.integers(0, 2, 9)
+            classifier_step(a, xl, yl, xu, yu, opt_a, cfg)
+            # reference: one forward/backward per batch, gradients summed
+            parts = []
+            for x, y in ((xl, yl), (xu, yu)):
+                logits, cache = mlp_forward(b, x)
+                _, g = softmax_cross_entropy(logits, y)
+                parts.append(mlp_backward(cache, g))
+            opt_b.step([gl + 0.7 * gu for gl, gu in zip(*parts)])
+        for pa, pb in zip(a.parameters(), b.parameters()):
+            np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-12)
 
     def test_zero_learning_rate_leaves_params(self):
         rng = np.random.default_rng(10)
@@ -292,6 +313,35 @@ class TestPolicyUpdate:
                 numeric = (hi - lo) / (2 * step)
                 denom = max(abs(numeric), 1e-8)
                 assert abs(a[idx] - numeric) / denom < 1e-4
+
+    def test_one_pass_matches_per_step_loop(self):
+        rng = np.random.default_rng(16)
+        policy = init_mlp([3, 6, 2], rng)
+        for gamma in (0.0, 0.9, 1.0):
+            traj = Trajectory(6)
+            for size in (4, 4, 3, 4, 1, 4):
+                states = rng.normal(size=(size, 3))
+                actions, log_probs = sample_pseudo_labels(policy, states, rng)
+                traj.append(TrajectoryStep(states, actions, log_probs,
+                                           float(rng.uniform(0, 2))))
+            # reference: one forward/backward per step, weighted by its return
+            rewards = [s.reward for s in traj.steps]
+            ref_j = 0.0
+            ref_grads = [np.zeros_like(p) for p in policy.parameters()]
+            for t, step in enumerate(traj.steps):
+                g_t = discounted_return(rewards, gamma, t)
+                logits, cache = mlp_forward(policy, step.states)
+                logp = log_softmax(logits)
+                n = len(step.actions)
+                ref_j += g_t * logp[np.arange(n), step.actions].mean()
+                dlogits = -np.exp(logp)
+                dlogits[np.arange(n), step.actions] += 1.0
+                for acc, g in zip(ref_grads, mlp_backward(cache, dlogits * g_t / n)):
+                    acc += g
+            surrogate, grads = _policy_surrogate_grads(policy, traj, gamma)
+            assert surrogate == pytest.approx(ref_j, rel=0, abs=1e-12)
+            for got, exp in zip(grads, ref_grads):
+                np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
 
     def test_trajectory_cleared_after_update(self):
         rng = np.random.default_rng(14)

@@ -151,7 +151,7 @@ class TestCorrelationDensity:
 
     def test_correlations_bounded(self):
         density = correlation_density(self.samples())
-        for rho in density.within_group + density.between_group:
+        for rho in np.concatenate([density.within_group, density.between_group]):
             assert -1.0 <= rho <= 1.0 + 1e-12
 
     def test_zero_variance_pair_skipped(self):
