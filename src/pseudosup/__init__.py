@@ -11,6 +11,7 @@ from .data import (
     LongitudinalSeries,
     QcRecord,
     Sample,
+    Split,
     augment_weak,
     concat_modalities,
     derive_progression_labels,

@@ -217,15 +217,15 @@ def build_splits(spec: DatasetSpec, seed: int) -> DatasetSplits:
     if spec.path is not None:
         return load_dataset(spec.path)
     if spec.multimodal:
-        samples = generate_multimodal_gaussians(
+        data = generate_multimodal_gaussians(
             spec.n_per_class, spec.grid, spec.class_separation, seed,
             spec.vf_target_len,
         )
     else:
-        samples = generate_overlapping_gaussians(
+        data = generate_overlapping_gaussians(
             spec.n_per_class, spec.dim, spec.class_separation, seed, spec.grid
         )
-    return split_dataset(samples, spec.label_fraction, spec.fractions, seed)
+    return split_dataset(data, spec.label_fraction, spec.fractions, seed, spec.grid)
 
 
 def _run_method(method: str, splits: DatasetSplits, engine: EngineConfig,
@@ -438,8 +438,9 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
 
 def _cmd_analyze_corr(args: argparse.Namespace) -> None:
     splits = load_dataset(args.dataset)
-    labeled = splits.labeled_train + splits.validation + splits.test
-    density = correlation_density(labeled, bins=args.bins)
+    labeled = (splits.labeled_train, splits.validation, splits.test)
+    density = correlation_density(np.concatenate([p.X for p in labeled]),
+                                  np.concatenate([p.y for p in labeled]), bins=args.bins)
     os.makedirs(args.out_dir, exist_ok=True)
     centers = density.bin_centers()
     for group in ("within", "between"):

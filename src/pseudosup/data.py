@@ -3,12 +3,14 @@ multimodal concatenation, weak augmentation, and dataset file I/O."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+import itertools
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 __all__ = [
     "Sample",
+    "Split",
     "DatasetSplits",
     "LongitudinalSeries",
     "QcRecord",
@@ -31,33 +33,39 @@ __all__ = [
 
 @dataclass
 class Sample:
+    """One record as `qc_filter` passes it through."""
     id: str
     features: np.ndarray
     label: int | None = None
-    grid_dims: tuple[int, int] | None = None
-    # ground truth retained on unlabeled samples for diagnostics only;
-    # training code must never read it
-    hidden_label: int | None = None
 
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        if self.grid_dims is not None:
-            h, w = self.grid_dims
-            if h * w > len(self.features):
-                raise ValueError(
-                    f"grid {h}x{w} exceeds feature length {len(self.features)}"
-                )
+
+@dataclass
+class Split:
+    """One partition as arrays: row ids, features (float64, n x d), labels
+    (int64, -1 where hidden) and `hidden`, the ground truth of hidden labels
+    (-1 where unknown). `hidden` is for diagnostics only; training code must
+    never read it."""
+    ids: np.ndarray
+    X: np.ndarray
+    y: np.ndarray
+    hidden: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.y)
+
+    def take(self, rows) -> Split:
+        """The rows selected by `rows`, an index array or a boolean mask."""
+        return Split(self.ids[rows], self.X[rows], self.y[rows], self.hidden[rows])
 
 
 @dataclass
 class DatasetSplits:
-    labeled_train: list[Sample]
-    unlabeled_train: list[Sample]
-    validation: list[Sample]
-    test: list[Sample]
-
-    def all_samples(self) -> list[Sample]:
-        return self.labeled_train + self.unlabeled_train + self.validation + self.test
+    labeled_train: Split
+    unlabeled_train: Split
+    validation: Split
+    test: Split
+    # (h, w) of the grid held by the first h*w features; weak augmentation needs it
+    grid: tuple[int, int] | None = None
 
 
 @dataclass
@@ -127,24 +135,22 @@ def generate_overlapping_gaussians(
     class_separation: float,
     seed: int,
     grid_dims: tuple[int, int] | None = None,
-) -> list[Sample]:
+) -> Split:
     """Two unit-covariance Gaussian classes whose means differ by
-    class_separation along the first feature axis. Balanced, seed-deterministic."""
+    class_separation along the first feature axis. Balanced (rows alternate
+    labels 0, 1), seed-deterministic; `grid_dims`, if given, must tile `dim`."""
     if n_per_class < 1 or dim < 1:
         raise ValueError("n_per_class and dim must be >= 1")
     if class_separation < 0:
         raise ValueError("class_separation must be >= 0")
     if grid_dims is not None and grid_dims[0] * grid_dims[1] != dim:
         raise ValueError("grid_dims must multiply to dim")
-    rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(2 * n_per_class):
-        label = i % 2
-        x = rng.standard_normal(dim)
-        if label == 1:
-            x[0] += class_separation
-        samples.append(Sample(id=f"s{i:05d}", features=x, label=label, grid_dims=grid_dims))
-    return samples
+    n = 2 * n_per_class
+    x = np.random.default_rng(seed).standard_normal((n, dim))
+    y = np.arange(n, dtype=np.int64) % 2
+    x[y == 1, 0] += class_separation
+    ids = np.array([f"s{i:05d}" for i in range(n)])
+    return Split(ids, x, y, np.full(n, -1, dtype=np.int64))
 
 
 def generate_multimodal_gaussians(
@@ -153,38 +159,35 @@ def generate_multimodal_gaussians(
     class_separation: float,
     seed: int,
     vf_target_len: int = VF_LOCATIONS,
-) -> list[Sample]:
+) -> Split:
     """Grid modality plus a correlated 52-length secondary vector, concatenated
     after up-scaling the secondary vector to vf_target_len."""
     dim = grid_dims[0] * grid_dims[1]
     base = generate_overlapping_gaussians(n_per_class, dim, class_separation, seed, grid_dims)
-    rng = np.random.default_rng([seed, 52])
-    out = []
-    for s in base:
-        vf = rng.standard_normal(VF_LOCATIONS)
-        if s.label == 1:
-            vf += class_separation / 2.0
-        out.append(concat_modalities(s, vf, vf_target_len))
-    return out
+    vf = np.random.default_rng([seed, 52]).standard_normal((len(base), VF_LOCATIONS))
+    vf[base.y == 1] += class_separation / 2.0
+    return replace(base, X=concat_modalities(base.X, vf, vf_target_len))
 
 
 def split_dataset(
-    samples: list[Sample],
+    data: Split,
     label_fraction: float,
     fractions: tuple[float, float, float],
     seed: int,
+    grid: tuple[int, int] | None = None,
 ) -> DatasetSplits:
     """Disjoint labeled-train / unlabeled-train / validation / test partitions.
 
-    Within the train portion, label_fraction of samples keep their labels;
-    the rest have labels hidden (retained only as hidden_label diagnostics).
+    Within the train portion, label_fraction of the rows keep their labels;
+    the rest have labels hidden (y = -1, the label kept in `hidden` for
+    diagnostics only). `grid` is carried to the result for augmentation.
     """
     f_train, f_val, f_test = fractions
     if abs(f_train + f_val + f_test - 1.0) > 1e-9:
         raise ValueError("fractions must sum to 1")
     if not 0.0 < label_fraction <= 1.0:
         raise ValueError("label_fraction must be in (0, 1]")
-    n = len(samples)
+    n = len(data)
     rng = np.random.default_rng(seed)
     order = rng.permutation(n)
     n_train = int(round(n * f_train))
@@ -193,17 +196,15 @@ def split_dataset(
     n_labeled = int(round(n_train * label_fraction))
     if min(n_train, n_val, n_test, n_labeled) < 1:
         raise ValueError("a split partition would be empty")
-    train = [samples[i] for i in order[:n_train]]
-    val = [samples[i] for i in order[n_train : n_train + n_val]]
-    test = [samples[i] for i in order[n_train + n_val :]]
-    labeled = train[:n_labeled]
-    unlabeled = [
-        replace(s, label=None, hidden_label=s.label) for s in train[n_labeled:]
-    ]
+    labeled = data.take(order[:n_labeled])
+    unlabeled = data.take(order[n_labeled:n_train])
+    unlabeled.hidden, unlabeled.y = unlabeled.y, np.full(len(unlabeled), -1, dtype=np.int64)
+    val = data.take(order[n_train : n_train + n_val])
+    test = data.take(order[n_train + n_val :])
     for part, name in ((labeled, "labeled_train"), (val, "validation"), (test, "test")):
-        if any(s.label is None for s in part):
+        if (part.y < 0).any():
             raise ValueError(f"{name} must be fully labeled")
-    return DatasetSplits(labeled, unlabeled, val, test)
+    return DatasetSplits(labeled, unlabeled, val, test, grid)
 
 
 def qc_filter(records: list[tuple[Sample, QcRecord]]) -> tuple[list[Sample], QcReport]:
@@ -264,16 +265,17 @@ def derive_progression_labels(series: LongitudinalSeries) -> ProgressionResult:
     )
 
 
-def concat_modalities(sample: Sample, secondary: np.ndarray, target_len: int) -> Sample:
-    """Append a secondary modality, up-scaled to target_len by nearest-neighbor
-    index mapping (output i takes source index floor(i * src_len / target_len))."""
+def concat_modalities(features: np.ndarray, secondary: np.ndarray,
+                      target_len: int) -> np.ndarray:
+    """Append a secondary modality to each row of `features`, up-scaled to
+    target_len by nearest-neighbor index mapping (output i takes source index
+    floor(i * src_len / target_len)). Works on one row or a stack of rows."""
     secondary = np.asarray(secondary, dtype=np.float64)
-    src_len = len(secondary)
+    src_len = secondary.shape[-1]
     if target_len < src_len:
         raise ValueError(f"target_len {target_len} < secondary length {src_len}")
     idx = (np.arange(target_len) * src_len) // target_len
-    upscaled = secondary[idx]
-    return replace(sample, features=np.concatenate([sample.features, upscaled]))
+    return np.concatenate([features, secondary[..., idx]], axis=-1)
 
 
 def apply_crop_flip(
@@ -295,24 +297,23 @@ def apply_crop_flip(
     return crop[np.ix_(rows, cols)]
 
 
-def augment_weak(sample: Sample, rng: np.random.Generator | int,
-                 scale_min: float = 0.8) -> Sample:
-    """Random horizontal flip (p=0.5) plus random crop-and-resize of the grid
-    portion of the features; crop scale per dimension uniform in [scale_min, 1]."""
-    if sample.grid_dims is None:
-        raise ValueError("augment_weak requires grid_dims")
+def augment_weak(features: np.ndarray, grid: tuple[int, int] | None,
+                 rng: np.random.Generator | int, scale_min: float = 0.8) -> np.ndarray:
+    """Random horizontal flip (p=0.5) plus random crop-and-resize of the
+    leading h*w features of one row, viewed as the (h, w) `grid`; crop scale
+    per dimension uniform in [scale_min, 1]. The other features pass through."""
+    if grid is None:
+        raise ValueError("augment_weak requires grid dims")
     if isinstance(rng, (int, np.integer)):
         rng = np.random.default_rng(rng)
-    h, w = sample.grid_dims
-    grid = sample.features[: h * w].reshape(h, w)
-    tail = sample.features[h * w :]
+    h, w = grid
     flip = rng.random() < 0.5
     crop_h = max(1, int(round(rng.uniform(scale_min, 1.0) * h)))
     crop_w = max(1, int(round(rng.uniform(scale_min, 1.0) * w)))
     top = int(rng.integers(0, h - crop_h + 1))
     left = int(rng.integers(0, w - crop_w + 1))
-    out = apply_crop_flip(grid, flip, crop_h, crop_w, top, left)
-    return replace(sample, features=np.concatenate([out.ravel(), tail]))
+    out = apply_crop_flip(features[: h * w].reshape(h, w), flip, crop_h, crop_w, top, left)
+    return np.concatenate([out.ravel(), features[h * w :]])
 
 
 _SPLIT_TAGS = ("trainL", "trainU", "val", "test")
@@ -320,25 +321,20 @@ _SPLIT_TAGS = ("trainL", "trainU", "val", "test")
 
 def serialize_splits(splits: DatasetSplits) -> str:
     """Line-oriented text format: `gdp-synth v1` header, feature count, optional
-    grid dims, then one `<tag> <id> <label-or-?> <features...>` line per sample."""
-    samples = splits.all_samples()
-    if not samples:
+    grid dims, then one `<tag> <id> <label-or-?> <features...>` line per row."""
+    parts = (splits.labeled_train, splits.unlabeled_train, splits.validation, splits.test)
+    if not any(len(part) for part in parts):
         raise ValueError("cannot serialize empty splits")
-    n_features = len(samples[0].features)
-    lines = ["gdp-synth v1", f"n_features {n_features}"]
-    grid = samples[0].grid_dims
-    if grid is not None:
-        lines.append(f"grid {grid[0]} {grid[1]}")
-    for tag, part in zip(
-        _SPLIT_TAGS,
-        (splits.labeled_train, splits.unlabeled_train, splits.validation, splits.test),
-    ):
-        for s in part:
-            if len(s.features) != n_features:
-                raise ValueError("inconsistent feature lengths across samples")
-            label = "?" if s.label is None else str(s.label)
-            feats = " ".join(f"{x:.17g}" for x in s.features)
-            lines.append(f"{tag} {s.id} {label} {feats}")
+    widths = {part.X.shape[1] for part in parts}
+    if len(widths) != 1:
+        raise ValueError("inconsistent feature lengths across splits")
+    lines = ["gdp-synth v1", f"n_features {widths.pop()}"]
+    if splits.grid is not None:
+        lines.append(f"grid {splits.grid[0]} {splits.grid[1]}")
+    for tag, part in zip(_SPLIT_TAGS, parts):
+        for sid, label, row in zip(part.ids.tolist(), part.y.tolist(), part.X.tolist()):
+            feats = " ".join(f"{x:.17g}" for x in row)
+            lines.append(f"{tag} {sid} {'?' if label < 0 else label} {feats}")
     return "\n".join(lines) + "\n"
 
 
@@ -361,72 +357,85 @@ def _header_ints(path: str, lineno: int, tokens: list[str], count: int) -> tuple
 
 
 def load_dataset(path: str) -> DatasetSplits:
-    parts: dict[str, list[Sample]] = {tag: [] for tag in _SPLIT_TAGS}
-    grid: tuple[int, int] | None = None
-    n_features = None
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != "gdp-synth v1":
-        raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
-    body_start = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        tokens = line.split()
-        if not tokens:
-            continue
-        if tokens[0] == "n_features":
-            (n_features,) = _header_ints(path, lineno, tokens, 1)
-            continue
-        if tokens[0] == "grid":
-            grid = _header_ints(path, lineno, tokens, 2)
-            continue
-        body_start = lineno
-        break
-    if n_features is None:
-        raise DatasetFormatError(f"{path}: missing n_features header")
+    """Read a file written by `save_dataset`, streaming it line by line; a
+    malformed header or row raises DatasetFormatError naming the path and line."""
+    rows = {tag: ([], [], []) for tag in _SPLIT_TAGS}  # ids, labels, features
     first_seen: dict[str, int] = {}
-    for lineno, line in enumerate(lines, start=1):
-        if body_start is None or lineno < body_start:
-            continue
-        tokens = line.split()
-        if not tokens:
-            continue
-        if len(tokens) != 3 + n_features:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: expected {3 + n_features} fields, got {len(tokens)}"
-            )
-        tag, sid, label_tok = tokens[:3]
-        if tag not in _SPLIT_TAGS:
-            raise DatasetFormatError(f"{path}: line {lineno}: unknown split tag {tag!r}")
-        if sid in first_seen:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: duplicate id {sid!r} (first on line "
-                f"{first_seen[sid]})"
-            )
-        first_seen[sid] = lineno
-        if label_tok == "?":
-            label = None
-            if tag in ("val", "test"):
+    with open(path) as fh:
+        numbered = enumerate(fh, start=1)
+        if next(numbered, (1, ""))[1].rstrip("\n") != "gdp-synth v1":
+            raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
+        n_features = grid = None
+        body = iter(())
+        for lineno, line in numbered:
+            tokens = line.split()
+            if not tokens:
+                continue
+            if tokens[0] == "n_features":
+                (n_features,) = _header_ints(path, lineno, tokens, 1)
+            elif tokens[0] == "grid":
+                grid, grid_line = _header_ints(path, lineno, tokens, 2), lineno
+            else:
+                body = itertools.chain([(lineno, line)], numbered)
+                break
+        if n_features is None:
+            raise DatasetFormatError(f"{path}: missing n_features header")
+        if grid is not None and grid[0] * grid[1] > n_features:
+            raise DatasetFormatError(f"{path}: line {grid_line}: grid {grid[0]}x{grid[1]} "
+                                     f"exceeds {n_features} features")
+        for lineno, line in body:
+            tokens = line.split()
+            if not tokens:
+                continue
+            if len(tokens) != 3 + n_features:
                 raise DatasetFormatError(
-                    f"{path}: line {lineno}: {tag} samples must be labeled"
+                    f"{path}: line {lineno}: expected {3 + n_features} fields, got {len(tokens)}"
                 )
-        else:
+            tag, sid, label_tok = tokens[:3]
+            if tag not in _SPLIT_TAGS:
+                raise DatasetFormatError(f"{path}: line {lineno}: unknown split tag {tag!r}")
+            if sid in first_seen:
+                raise DatasetFormatError(
+                    f"{path}: line {lineno}: duplicate id {sid!r} (first on line "
+                    f"{first_seen[sid]})"
+                )
+            first_seen[sid] = lineno
+            if label_tok == "?":
+                label = -1
+                if tag in ("val", "test"):
+                    raise DatasetFormatError(
+                        f"{path}: line {lineno}: {tag} samples must be labeled"
+                    )
+            else:
+                try:
+                    label = int(label_tok)
+                except ValueError:
+                    raise DatasetFormatError(
+                        f"{path}: line {lineno}: bad label {label_tok!r}"
+                    ) from None
+                if label < 0:
+                    raise DatasetFormatError(
+                        f"{path}: line {lineno}: negative label {label}"
+                    )
             try:
-                label = int(label_tok)
+                x = np.array(tokens[3:], dtype=np.float64)  # each value as float() parses it
             except ValueError:
                 raise DatasetFormatError(
-                    f"{path}: line {lineno}: bad label {label_tok!r}"
+                    f"{path}: line {lineno}: non-numeric feature value"
                 ) from None
-            if label < 0:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: negative label {label}"
-                )
-        try:
-            feats = np.array([float(x) for x in tokens[3:]])
-        except ValueError:
-            raise DatasetFormatError(
-                f"{path}: line {lineno}: non-numeric feature value"
-            ) from None
-        if not np.isfinite(feats).all():
-            raise DatasetFormatError(f"{path}: line {lineno}: non-finite feature value")
-        parts[tag].append(Sample(id=sid, features=feats, label=label, grid_dims=grid))
-    return DatasetSplits(parts["trainL"], parts["trainU"], parts["val"], parts["test"])
+            if not np.isfinite(x).all():
+                raise DatasetFormatError(f"{path}: line {lineno}: non-finite feature value")
+            ids, labels, xs = rows[tag]
+            ids.append(sid)
+            labels.append(label)
+            xs.append(x)
+    parts = []
+    for tag in _SPLIT_TAGS:
+        ids, labels, xs = rows.pop(tag)
+        if tag != "trainU" and not ids:
+            raise DatasetFormatError(f"{path}: no {tag} rows")
+        n = len(ids)
+        parts.append(Split(np.array(ids, dtype=str),
+                           np.array(xs, dtype=np.float64).reshape(n, n_features),
+                           np.array(labels, dtype=np.int64), np.full(n, -1, dtype=np.int64)))
+    return DatasetSplits(*parts, grid=grid)

@@ -9,25 +9,24 @@ ascends the discounted-return-weighted log-probability surrogate.
 Supervised-only and confidence-threshold self-training baselines share the
 same loop machinery so their degeneracy equivalences exercise real code paths.
 
-The loops stack each split into arrays once per call and draw batches as
-index arrays; only weak augmentation goes back to the per-sample path. Both
-updates run one forward/backward pass: the classifier step over the stacked
-[labeled; pseudo] rows with cross-entropy row weights 1/n_l and
-pseudo_loss_weight/n_u, and the policy update over the whole beta-step window
-with row weights G_t/B_t, the returns coming from one reverse accumulation.
-These reorder floating-point sums against a per-batch (per-step) pass, so
-results agree with it to rounding, not bit for bit; the labeled-only step
-(no pseudo batch, or pseudo_loss_weight 0) is unchanged.
+The loops draw batches as index arrays into each split's arrays; only weak
+augmentation runs row by row. Both updates run one forward/backward pass: the
+classifier step over the stacked [labeled; pseudo] rows with cross-entropy row
+weights 1/n_l and pseudo_loss_weight/n_u, and the policy update over the whole
+beta-step window with row weights G_t/B_t, the returns coming from one reverse
+accumulation. These reorder floating-point sums against a per-batch (per-step)
+pass, so results agree with it to rounding, not bit for bit; the labeled-only
+step (no pseudo batch, or pseudo_loss_weight 0) is unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .data import DatasetSplits, Sample, augment_weak
+from .data import DatasetSplits, Split, augment_weak
 from .metrics import MetricsReport, accuracy, auc_roc, f1_binary
 from .nn_core import (
     AdamW,
@@ -177,25 +176,24 @@ class TrainResult:
 
 
 # ---------------------------------------------------------------------------
-# batch helpers: each split is stacked once per call; batches are index arrays
+# batch helpers: batches are index arrays into a split's arrays
 
-def _features(samples: list[Sample]) -> np.ndarray:
-    return np.stack([s.features for s in samples])
+def _check_labeled(splits: DatasetSplits, cfg: EngineConfig) -> None:
+    """The labeled splits must be non-empty with labels in [0, n_classes)."""
+    for name in ("labeled_train", "validation", "test"):
+        part = getattr(splits, name)
+        if len(part) == 0:
+            raise ValueError(f"{name} must be non-empty")
+        if ((part.y < 0) | (part.y >= cfg.n_classes)).any():
+            raise ValueError(f"{name} has a label outside [0, {cfg.n_classes})")
 
 
-def _labels(samples: list[Sample]) -> np.ndarray:
-    labels = [s.label for s in samples]
-    if any(l is None for l in labels):
-        raise ValueError("labeled split contains unlabeled samples")
-    return np.array(labels, dtype=np.int64)
-
-
-def _rows(x: np.ndarray, samples: list[Sample], idx: np.ndarray,
-          cfg: EngineConfig, rng_aug: np.random.Generator) -> np.ndarray:
-    """Rows `idx` of the stacked split `x`, weakly augmented per sample (in
-    batch order, from `rng_aug`) when cfg.augment is set."""
+def _rows(x: np.ndarray, idx: np.ndarray, cfg: EngineConfig,
+          grid: tuple[int, int] | None, rng_aug: np.random.Generator) -> np.ndarray:
+    """Rows `idx` of `x`, weakly augmented row by row (in batch order, from
+    `rng_aug`) when cfg.augment is set."""
     if cfg.augment:
-        return np.stack([augment_weak(samples[i], rng_aug, cfg.crop_scale_min).features
+        return np.stack([augment_weak(x[i], grid, rng_aug, cfg.crop_scale_min)
                          for i in idx])
     return x[idx]
 
@@ -222,21 +220,21 @@ def _rngs(seed: int) -> dict[str, np.random.Generator]:
 
 def warmup_supervised(
     classifier: MlpModel,
-    labeled: list[Sample],
+    labeled: Split,
     cfg: EngineConfig,
     rng: np.random.Generator | None = None,
     optimizer: AdamW | None = None,
 ) -> MlpModel:
     """Initial supervised-only phase: cfg.warmup_steps cross-entropy
     mini-batch steps on labeled data."""
-    if not labeled:
+    if len(labeled) == 0:
         raise ValueError("warmup requires a non-empty labeled set")
     if rng is None:
         rng = _rngs(cfg.seed)["warmup"]
     if optimizer is None:
         optimizer = AdamW(classifier.parameters(), cfg.classifier_lr,
                           weight_decay=cfg.weight_decay)
-    x, y = _features(labeled), _labels(labeled)
+    x, y = labeled.X, labeled.y
     steps_done = 0
     while steps_done < cfg.warmup_steps:
         for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rng):
@@ -271,8 +269,7 @@ def eval_val_loss(classifier: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     if len(x) == 0:
         raise ValueError("validation batch must be non-empty")
     logits, _ = mlp_forward(classifier, x)
-    loss, _ = softmax_cross_entropy(logits, y)
-    return loss
+    return float(-log_softmax(logits)[np.arange(len(y)), y].mean())
 
 
 def compute_reward(loss_before: float, loss_after: float) -> float:
@@ -372,9 +369,11 @@ def policy_update(
 # ---------------------------------------------------------------------------
 # evaluation
 
-def evaluate(classifier: MlpModel, samples: list[Sample],
+def evaluate(classifier: MlpModel, split: Split,
              positive_class: int = 1) -> MetricsReport:
-    x, y = _features(samples), _labels(samples)
+    x, y = split.X, split.y
+    if (y < 0).any():
+        raise ValueError("evaluate requires a fully labeled split")
     logits, _ = mlp_forward(classifier, x)
     preds = logits.argmax(axis=1)
     scores = np.exp(log_softmax(logits))[:, positive_class]
@@ -382,7 +381,7 @@ def evaluate(classifier: MlpModel, samples: list[Sample],
         accuracy=accuracy(preds, y),
         f1=f1_binary(preds, y, positive_class),
         auc=auc_roc(scores, (y == positive_class).astype(int)),
-        n_samples=len(samples),
+        n_samples=len(y),
         positive_class=positive_class,
     )
 
@@ -401,14 +400,10 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     With an empty unlabeled split the same loop degenerates to supervised
     training (the pseudo branch is simply never entered).
     """
-    if not splits.labeled_train or not splits.validation or not splits.test:
-        raise ValueError("labeled_train, validation and test must be non-empty")
+    _check_labeled(splits, cfg)
     rngs = _rngs(cfg.seed)
-    labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
-    xl_all, yl_all = _features(labeled), _labels(labeled)
-    xv_all, yv_all = _features(splits.validation), _labels(splits.validation)
-    xu_all = _features(unlabeled) if unlabeled else None
-    input_dim = xl_all.shape[1]
+    labeled, unlabeled, val = splits.labeled_train, splits.unlabeled_train, splits.validation
+    input_dim = labeled.X.shape[1]
     classifier = init_mlp([input_dim, *cfg.hidden_dims, cfg.n_classes], rngs["init"])
     opt_c = AdamW(classifier.parameters(), cfg.classifier_lr,
                   weight_decay=cfg.weight_decay)
@@ -427,14 +422,14 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     for epoch in range(1, cfg.epochs + 1):
         for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
             step += 1
-            xl = _rows(xl_all, labeled, idx, cfg, rngs["aug"])
-            yl = yl_all[idx]
-            if unlabeled:
-                v = _draw(len(xv_all), cfg.batch_val, rngs["val"])
-                xv, yv = xv_all[v], yv_all[v]
+            xl = _rows(labeled.X, idx, cfg, splits.grid, rngs["aug"])
+            yl = labeled.y[idx]
+            if len(unlabeled):
+                v = _draw(len(val), cfg.batch_val, rngs["val"])
+                xv, yv = val.X[v], val.y[v]
                 loss_before = eval_val_loss(classifier, xv, yv)
                 u = _draw(len(unlabeled), cfg.batch_unlabeled, rngs["policy"])
-                xu = _rows(xu_all, unlabeled, u, cfg, rngs["aug"])
+                xu = _rows(unlabeled.X, u, cfg, splits.grid, rngs["aug"])
                 actions, log_probs = sample_pseudo_labels(policy, xu, rngs["policy"])
                 classifier_step(classifier, xl, yl, xu, actions, opt_c, cfg)
                 loss_after = eval_val_loss(classifier, xv, yv)
@@ -457,10 +452,7 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
 
 def train_supervised_only(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     """Supervised baseline: the same loop with the unlabeled split stripped."""
-    stripped = DatasetSplits(
-        splits.labeled_train, [], splits.validation, splits.test
-    )
-    result = train(stripped, cfg)
+    result = train(replace(splits, unlabeled_train=splits.unlabeled_train.take([])), cfg)
     return TrainResult(result.classifier, None, result.history, result.final_metrics)
 
 
@@ -478,12 +470,10 @@ def train_self_training(
     as pseudo label."""
     if not 0.5 < confidence_threshold <= 1.0:
         raise ValueError("confidence_threshold must be in (0.5, 1]")
-    if not splits.labeled_train or not splits.validation or not splits.test:
-        raise ValueError("labeled_train, validation and test must be non-empty")
+    _check_labeled(splits, cfg)
     rngs = _rngs(cfg.seed)
     labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
-    xl_all, yl_all = _features(labeled), _labels(labeled)
-    input_dim = xl_all.shape[1]
+    input_dim = labeled.X.shape[1]
     classifier = init_mlp([input_dim, *cfg.hidden_dims, cfg.n_classes], rngs["init"])
     opt_c = AdamW(classifier.parameters(), cfg.classifier_lr,
                   weight_decay=cfg.weight_decay)
@@ -492,30 +482,29 @@ def train_self_training(
     history = History()
     pseudo_acc: list[float] = []
     n_selected: list[int] = []
-    xu_all = _features(unlabeled) if unlabeled else None
-    # diagnostics only: -1 marks a sample without a hidden label
-    hidden = np.array([-1 if s.hidden_label is None else s.hidden_label
-                       for s in unlabeled], dtype=np.int64)
     step = 0
     final_metrics: MetricsReport | None = None
     for epoch in range(1, cfg.epochs + 1):
         selected = np.empty(0, dtype=np.intp)
-        if unlabeled:
-            logits, _ = mlp_forward(classifier, xu_all)
+        acc = float("nan")
+        if len(unlabeled):
+            logits, _ = mlp_forward(classifier, unlabeled.X)
             probs = np.exp(log_softmax(logits))
             preds = probs.argmax(axis=1)
             selected = np.flatnonzero(probs.max(axis=1) >= confidence_threshold)
+            # diagnostics only: hidden is -1 where the ground truth is unknown
+            known = selected[unlabeled.hidden[selected] >= 0]
+            if len(known):
+                acc = float(np.mean(preds[known] == unlabeled.hidden[known]))
         n_selected.append(len(selected))
-        known = selected[hidden[selected] >= 0]
-        pseudo_acc.append(float(np.mean(preds[known] == hidden[known]))
-                          if len(known) else float("nan"))
+        pseudo_acc.append(acc)
         for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
             step += 1
-            xl = _rows(xl_all, labeled, idx, cfg, rngs["aug"])
-            yl = yl_all[idx]
+            xl = _rows(labeled.X, idx, cfg, splits.grid, rngs["aug"])
+            yl = labeled.y[idx]
             if len(selected):
                 pick = selected[_draw(len(selected), cfg.batch_unlabeled, rngs["policy"])]
-                classifier_step(classifier, xl, yl, xu_all[pick], preds[pick], opt_c, cfg)
+                classifier_step(classifier, xl, yl, unlabeled.X[pick], preds[pick], opt_c, cfg)
             else:
                 classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
             history.steps.append(StepRecord(step, epoch, None, None, None, False))

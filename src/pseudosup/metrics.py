@@ -110,9 +110,9 @@ class CorrelationDensity:
         return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2.0
 
 
-def correlation_density(samples, bins: int = 50) -> CorrelationDensity:
-    """Pearson correlation for every unordered sample pair, routed to the
-    within-group or between-group array by label equality.
+def correlation_density(X: np.ndarray, y: np.ndarray, bins: int = 50) -> CorrelationDensity:
+    """Pearson correlation for every unordered pair of rows of `X`, routed to
+    the within-group or between-group array by equality of their labels `y`.
 
     The rows are centred once and every pair's covariance comes from one Gram
     product; the upper triangle is then walked one row at a time, so besides
@@ -120,15 +120,13 @@ def correlation_density(samples, bins: int = 50) -> CorrelationDensity:
     zero-variance member is skipped and counted, as `pearson` would reject it.
     `pearson` stays the per-pair reference; the sums run in another order, so
     values agree with it to rounding."""
-    labels = [s.label for s in samples]
-    if any(l is None for l in labels):
-        raise ValueError("correlation_density requires labeled samples")
-    y = np.array(labels)
+    y = np.asarray(y)
+    if (y < 0).any():
+        raise ValueError("correlation_density requires labeled rows")
     counts = np.unique(y, return_counts=True)[1]
     if (counts < 2).any():
         raise ValueError("need at least 2 samples per class")
-    x = np.stack([s.features for s in samples])
-    x -= x.mean(axis=1, keepdims=True)
+    x = X - X.mean(axis=1, keepdims=True)
     sq = (x * x).sum(axis=1)
     gram = x @ x.T
     del x

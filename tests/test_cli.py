@@ -311,6 +311,34 @@ class TestCliEntry:
         main(["gen-data", "--out", b, "--n-per-class", "20", "--seed", "5"])
         assert open(a).read() == open(b).read()
 
+    # sha256 of gen-data output, recorded before datasets became arrays; pins
+    # every generator and split RNG stream and the file format
+    @pytest.mark.parametrize("flags, digest", [
+        (["--dim", "5", "--seed", "3"],
+         "40409f5629960ab5a219b8becb8e0719ee8d8e94cbcd911d731aba550f2ed339"),
+        (["--dim", "12", "--grid", "3", "4", "--seed", "4"],
+         "b05d14b207f60f5c3506e42ccc44d039da2f2361c1ef5b08a09baa1235eb7990"),
+        (["--grid", "3", "4", "--multimodal", "--vf-target-len", "104", "--seed", "5"],
+         "fecc9c457d134b924033501297b4ae293e24cf52922b84f5507fe2c7838afbc3"),
+    ])
+    def test_gen_data_digest_pinned(self, tmp_path, flags, digest):
+        path = tmp_path / "d.txt"
+        assert main(["gen-data", "--out", str(path), "--n-per-class", "60", *flags]) == 0
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("method", ["supervised", "pseudo_sup", "self_training"])
+    def test_label_out_of_range_exits_3(self, tmp_path, capsys, method):
+        ds = tmp_path / "ds.txt"
+        ds.write_text("gdp-synth v1\nn_features 1\n"
+                      "trainL a 0 1.0\ntrainL b 1 2.0\ntrainU c ? 3.0\n"
+                      "val d 0 1.0\nval e 1 2.0\ntest f 0 1.0\ntest g 2 2.0\n")
+        out = tmp_path / "o"
+        rc = main(["run", "--dataset", str(ds), "--method", method, "--seeds", "1",
+                   "--confidence-threshold", "0.9", "--output-dir", str(out)])
+        assert rc == 3
+        assert "test has a label outside [0, 2)" in capsys.readouterr().err
+        assert not (out / method).exists()
+
     def test_missing_threshold_exits_2(self, tmp_path):
         rc = main(["run", "--method", "self_training", "--seeds", "1",
                    "--output-dir", str(tmp_path / "o")])
@@ -388,7 +416,8 @@ class TestBuildSplits:
         spec = DatasetSpec(n_per_class=20, grid=(3, 4), multimodal=True,
                            vf_target_len=52, class_separation=1.0)
         splits = build_splits(spec, seed=1)
-        assert len(splits.labeled_train[0].features) == 12 + 52
+        assert splits.labeled_train.X.shape[1] == 12 + 52
+        assert splits.grid == (3, 4)
 
     def test_multimodal_requires_grid(self, tmp_path):
         cfg = small_cfg(tmp_path)

@@ -32,23 +32,20 @@ def ols_slope_oracle(t, v):
 class TestGaussians:
     def test_separation_two_bayes_auc(self):
         # Bayes discriminant on the first axis; AUC should approach Phi(2/sqrt(2))
-        samples = generate_overlapping_gaussians(20000, 2, 2.0, seed=11)
-        scores = np.array([s.features[0] for s in samples])
-        labels = np.array([s.label for s in samples])
+        data = generate_overlapping_gaussians(20000, 2, 2.0, seed=11)
+        scores, labels = data.X[:, 0], data.y
         target = 0.5 * (1 + math.erf((2.0 / math.sqrt(2)) / math.sqrt(2)))
         assert auc_roc(scores, labels) == pytest.approx(target, abs=0.02)
 
     def test_same_seed_identical(self):
         a = generate_overlapping_gaussians(10, 4, 1.0, seed=3)
         b = generate_overlapping_gaussians(10, 4, 1.0, seed=3)
-        for sa, sb in zip(a, b):
-            assert sa.id == sb.id and sa.label == sb.label
-            np.testing.assert_array_equal(sa.features, sb.features)
+        for field in ("ids", "X", "y", "hidden"):
+            np.testing.assert_array_equal(getattr(a, field), getattr(b, field))
 
     def test_balanced_labels(self):
-        samples = generate_overlapping_gaussians(25, 3, 0.5, seed=1)
-        labels = [s.label for s in samples]
-        assert labels.count(0) == labels.count(1) == 25
+        data = generate_overlapping_gaussians(25, 3, 0.5, seed=1)
+        assert np.bincount(data.y).tolist() == [25, 25]
 
     def test_invalid_counts_rejected(self):
         with pytest.raises(ValueError):
@@ -57,10 +54,9 @@ class TestGaussians:
             generate_overlapping_gaussians(5, 3, -0.1, seed=1)
 
     def test_multimodal_feature_length(self):
-        samples = generate_multimodal_gaussians(5, (3, 4), 1.0, seed=2,
-                                                vf_target_len=104)
-        assert all(len(s.features) == 12 + 104 for s in samples)
-        assert all(s.grid_dims == (3, 4) for s in samples)
+        data = generate_multimodal_gaussians(5, (3, 4), 1.0, seed=2,
+                                             vf_target_len=104)
+        assert data.X.shape == (10, 12 + 104)
 
 
 class TestSplit:
@@ -75,29 +71,34 @@ class TestSplit:
     def test_full_label_fraction_means_no_unlabeled(self):
         samples = generate_overlapping_gaussians(50, 2, 1.0, seed=0)
         splits = split_dataset(samples, 1.0, (0.7, 0.1, 0.2), seed=0)
-        assert splits.unlabeled_train == []
+        assert len(splits.unlabeled_train) == 0
 
     def test_disjoint_ids_over_many_seeds(self):
         samples = generate_overlapping_gaussians(30, 2, 1.0, seed=0)
         for seed in range(100):
             splits = split_dataset(samples, 0.5, (0.6, 0.2, 0.2), seed=seed)
             parts = [
-                {s.id for s in splits.labeled_train},
-                {s.id for s in splits.unlabeled_train},
-                {s.id for s in splits.validation},
-                {s.id for s in splits.test},
+                set(splits.labeled_train.ids),
+                set(splits.unlabeled_train.ids),
+                set(splits.validation.ids),
+                set(splits.test.ids),
             ]
             for i in range(4):
                 for j in range(i + 1, 4):
                     assert not parts[i] & parts[j]
-            assert set.union(*parts) == {s.id for s in samples}
+            assert set.union(*parts) == set(samples.ids)
 
     def test_unlabeled_hide_but_retain_ground_truth(self):
         samples = generate_overlapping_gaussians(50, 2, 1.0, seed=0)
         splits = split_dataset(samples, 0.5, (0.7, 0.1, 0.2), seed=0)
-        for s in splits.unlabeled_train:
-            assert s.label is None
-            assert s.hidden_label in (0, 1)
+        unlabeled = splits.unlabeled_train
+        assert (unlabeled.y == -1).all()
+        assert np.isin(unlabeled.hidden, (0, 1)).all()
+        by_id = dict(zip(samples.ids, samples.y))
+        assert unlabeled.hidden.tolist() == [by_id[i] for i in unlabeled.ids]
+        for part in (splits.labeled_train, splits.validation, splits.test):
+            assert (part.hidden == -1).all()
+            assert part.y.tolist() == [by_id[i] for i in part.ids]
 
     def test_bad_fractions_rejected(self):
         samples = generate_overlapping_gaussians(10, 2, 1.0, seed=0)
@@ -201,37 +202,37 @@ class TestProgression:
 
 class TestConcatModalities:
     def test_identity_upscale(self):
-        s = Sample(id="a", features=np.arange(4.0), label=0)
         vec = np.arange(52.0)
-        out = concat_modalities(s, vec, 52)
-        np.testing.assert_array_equal(out.features[4:], vec)
+        out = concat_modalities(np.arange(4.0), vec, 52)
+        np.testing.assert_array_equal(out, np.concatenate([np.arange(4.0), vec]))
 
     def test_constant_vector_invariance(self):
-        s = Sample(id="a", features=np.zeros(4), label=0)
-        out = concat_modalities(s, np.full(52, 3.5), 104)
-        np.testing.assert_array_equal(out.features[4:], np.full(104, 3.5))
+        out = concat_modalities(np.zeros(4), np.full(52, 3.5), 104)
+        np.testing.assert_array_equal(out[4:], np.full(104, 3.5))
 
     def test_double_length_replicates_each_element(self):
-        s = Sample(id="a", features=np.zeros(1), label=0)
         vec = np.arange(52.0)
-        out = concat_modalities(s, vec, 104)
-        tail = out.features[1:]
+        tail = concat_modalities(np.zeros(1), vec, 104)[1:]
         for k in range(52):
             assert tail[2 * k] == vec[k]
             assert tail[2 * k + 1] == vec[k]
 
+    def test_rows_match_one_row_at_a_time(self):
+        rng = np.random.default_rng(3)
+        x, vf = rng.normal(size=(5, 4)), rng.normal(size=(5, 52))
+        out = concat_modalities(x, vf, 104)
+        for i in range(5):
+            np.testing.assert_array_equal(out[i], concat_modalities(x[i], vf[i], 104))
+
     def test_target_too_short_rejected(self):
-        s = Sample(id="a", features=np.zeros(4), label=0)
         with pytest.raises(ValueError):
-            concat_modalities(s, np.zeros(52), 51)
+            concat_modalities(np.zeros(4), np.zeros(52), 51)
 
 
 class TestAugmentWeak:
     @staticmethod
-    def grid_sample(h=6, w=8, tail=0):
-        rng = np.random.default_rng(0)
-        feats = rng.normal(size=h * w + tail)
-        return Sample(id="g", features=feats, label=1, grid_dims=(h, w))
+    def grid_row(h=6, w=8, tail=0):
+        return np.random.default_rng(0).normal(size=h * w + tail)
 
     def test_identity_when_forced(self):
         grid = np.arange(48.0).reshape(6, 8)
@@ -245,46 +246,40 @@ class TestAugmentWeak:
         np.testing.assert_array_equal(twice, grid)
 
     def test_constant_grid_stays_constant(self):
-        s = Sample(id="c", features=np.full(48, 2.5), label=0, grid_dims=(6, 8))
         for seed in range(10):
-            out = augment_weak(s, seed)
-            np.testing.assert_array_equal(out.features, np.full(48, 2.5))
+            out = augment_weak(np.full(48, 2.5), (6, 8), seed)
+            np.testing.assert_array_equal(out, np.full(48, 2.5))
 
     def test_label_and_tail_unchanged(self):
-        s = self.grid_sample(tail=10)
-        out = augment_weak(s, 5)
-        assert out.label == s.label
-        np.testing.assert_array_equal(out.features[48:], s.features[48:])
+        row = self.grid_row(tail=10)
+        out = augment_weak(row, (6, 8), 5)
+        assert out.shape == row.shape
+        np.testing.assert_array_equal(out[48:], row[48:])
 
     def test_deterministic_per_seed(self):
-        s = self.grid_sample()
-        a = augment_weak(s, 9)
-        b = augment_weak(s, 9)
-        np.testing.assert_array_equal(a.features, b.features)
+        row = self.grid_row()
+        a = augment_weak(row, (6, 8), 9)
+        b = augment_weak(row, (6, 8), 9)
+        np.testing.assert_array_equal(a, b)
 
     def test_requires_grid_dims(self):
-        s = Sample(id="n", features=np.zeros(4), label=0)
         with pytest.raises(ValueError):
-            augment_weak(s, 0)
+            augment_weak(np.zeros(4), None, 0)
 
 
 class TestDatasetIO:
     def test_round_trip(self, tmp_path):
-        samples = generate_overlapping_gaussians(20, 3, 1.0, seed=4)
-        splits = split_dataset(samples, 0.5, (0.7, 0.1, 0.2), seed=4)
+        samples = generate_overlapping_gaussians(20, 6, 1.0, seed=4, grid_dims=(2, 3))
+        splits = split_dataset(samples, 0.5, (0.7, 0.1, 0.2), seed=4, grid=(2, 3))
         path = str(tmp_path / "data.txt")
         save_dataset(splits, path)
         loaded = load_dataset(path)
-        for orig_part, new_part in zip(
-            (splits.labeled_train, splits.unlabeled_train,
-             splits.validation, splits.test),
-            (loaded.labeled_train, loaded.unlabeled_train,
-             loaded.validation, loaded.test),
-        ):
-            assert len(orig_part) == len(new_part)
-            for a, b in zip(orig_part, new_part):
-                assert a.id == b.id and a.label == b.label
-                np.testing.assert_array_equal(a.features, b.features)
+        assert loaded.grid == (2, 3)
+        for name in ("labeled_train", "unlabeled_train", "validation", "test"):
+            orig, new = getattr(splits, name), getattr(loaded, name)
+            for field in ("ids", "X", "y"):
+                np.testing.assert_array_equal(getattr(orig, field), getattr(new, field))
+            assert new.X.dtype == np.float64 and new.y.dtype == np.int64
 
     def test_unlabeled_row_loads_label_absent(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -294,7 +289,8 @@ class TestDatasetIO:
             "val c 1 0.0 0.0\ntest d 0 1.0 1.0\n"
         )
         splits = load_dataset(str(path))
-        assert splits.unlabeled_train[0].label is None
+        assert splits.unlabeled_train.y.tolist() == [-1]
+        assert splits.unlabeled_train.hidden.tolist() == [-1]
 
     def test_non_numeric_feature_names_line(self, tmp_path):
         path = tmp_path / "d.txt"
@@ -317,6 +313,7 @@ class TestDatasetIO:
         ("n_features 1\ngrid\n", 3),
         ("n_features 1\ngrid 3\n", 3),
         ("n_features 1\ngrid 3 x\n", 3),
+        ("grid 1 2\nn_features 1\n", 2),
     ])
     def test_malformed_header_names_file_and_line(self, tmp_path, header, lineno):
         path = tmp_path / "d.txt"
@@ -330,6 +327,9 @@ class TestDatasetIO:
         ("trainL a 0 1.0\nval b -1 2.0\n", "line 4: negative label -1"),
         ("trainL a 0 1.0\ntrainU b ? 2.0\ntest a 1 3.0\n",
          "line 5: duplicate id 'a' \\(first on line 3\\)"),
+        ("trainU a ? 1.0\nval b 0 2.0\ntest c 1 3.0\n", "no trainL rows"),
+        ("trainL a 0 1.0\ntest b 0 2.0\n", "no val rows"),
+        ("trainL a 0 1.0\nval b 0 2.0\n", "no test rows"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, rows, message):
         path = tmp_path / "d.txt"

@@ -14,6 +14,7 @@ from pseudosup.engine import (
     compute_reward,
     discounted_return,
     eval_val_loss,
+    evaluate,
     policy_update,
     sample_pseudo_labels,
     train,
@@ -148,7 +149,7 @@ class TestEvalValLoss:
         y = rng.integers(0, 2, 5)
         logits, _ = mlp_forward(model, x)
         expected, _ = softmax_cross_entropy(logits, y)
-        assert eval_val_loss(model, x, y) == pytest.approx(expected, abs=1e-12)
+        assert eval_val_loss(model, x, y) == expected
 
     def test_no_parameter_mutation(self):
         rng = np.random.default_rng(7)
@@ -389,10 +390,8 @@ class TestWarmup:
         cfg = fast_cfg(warmup_steps=200)
         model = init_mlp([4, 8, 2], np.random.default_rng(0))
         warmup_supervised(model, splits.labeled_train, cfg)
-        x = np.stack([s.features for s in splits.labeled_train])
-        y = np.array([s.label for s in splits.labeled_train])
-        logits, _ = mlp_forward(model, x)
-        assert np.mean(logits.argmax(axis=1) == y) > 0.95
+        logits, _ = mlp_forward(model, splits.labeled_train.X)
+        assert np.mean(logits.argmax(axis=1) == splits.labeled_train.y) > 0.95
 
     def test_deterministic(self):
         splits = make_splits()
@@ -460,6 +459,60 @@ class TestTrainLoop:
                             splits.test)
         with pytest.raises(ValueError):
             train(bad, fast_cfg())
+
+    @pytest.mark.parametrize("name", ["labeled_train", "validation", "test"])
+    def test_label_out_of_range_rejected(self, name):
+        splits = make_splits()
+        getattr(splits, name).y[0] = 2
+        with pytest.raises(ValueError, match=f"{name} has a label outside"):
+            train(splits, fast_cfg())
+        with pytest.raises(ValueError, match=f"{name} has a label outside"):
+            train_self_training(splits, fast_cfg(), 0.9)
+
+    def test_evaluate_rejects_hidden_labels(self):
+        model = init_mlp([4, 8, 2], np.random.default_rng(0))
+        with pytest.raises(ValueError, match="fully labeled"):
+            evaluate(model, make_splits().unlabeled_train)
+
+
+class TestHiddenLabelLeakGuard:
+    """`hidden` is diagnostics only: permuting it must not move training."""
+
+    @staticmethod
+    def permuted(splits):
+        hidden = splits.unlabeled_train.hidden
+        shuffled = hidden[np.random.default_rng(0).permutation(len(hidden))]
+        assert (shuffled != hidden).any()
+        return replace(splits, unlabeled_train=replace(splits.unlabeled_train,
+                                                       hidden=shuffled))
+
+    @staticmethod
+    def assert_same_models(a, b):
+        for model_a, model_b in ((a.classifier, b.classifier), (a.policy, b.policy)):
+            if model_a is None:
+                assert model_b is None
+                continue
+            for pa, pb in zip(model_a.parameters(), model_b.parameters()):
+                np.testing.assert_array_equal(pa, pb)
+
+    def test_train_never_reads_hidden(self):
+        splits = make_splits()
+        a = train(splits, fast_cfg())
+        b = train(self.permuted(splits), fast_cfg())
+        self.assert_same_models(a, b)
+        assert a.history.to_csv() == b.history.to_csv()
+
+    def test_self_training_reads_hidden_only_for_accuracy(self):
+        splits = make_splits(sep=2.0)
+        cfg = fast_cfg(epochs=3)
+        a = train_self_training(splits, cfg, 0.6)
+        b = train_self_training(self.permuted(splits), cfg, 0.6)
+        self.assert_same_models(a, b)
+        assert a.history.to_csv() == b.history.to_csv()
+        assert a.n_selected == b.n_selected and sum(a.n_selected) > 0
+        assert a.final_metrics == b.final_metrics
+        assert not np.array_equal(a.pseudo_label_accuracy, b.pseudo_label_accuracy,
+                                  equal_nan=True)
 
 
 class TestSupervisedOnly:

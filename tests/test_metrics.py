@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from pseudosup.data import Sample
 from pseudosup.metrics import (
     accuracy,
     auc_roc,
@@ -137,36 +136,34 @@ class TestCorrelationDensity:
     @staticmethod
     def samples():
         rng = np.random.default_rng(40)
-        out = []
-        for i in range(8):
-            out.append(Sample(id=f"s{i}", features=rng.normal(size=10),
-                              label=i % 2))
-        return out
+        return rng.normal(size=(8, 10)), np.arange(8) % 2
 
     def test_pair_routing(self):
-        density = correlation_density(self.samples())
+        x, y = self.samples()
+        before = x.copy()
+        density = correlation_density(x, y)
+        np.testing.assert_array_equal(x, before)
         # 8 samples -> 28 pairs; 4+4 per class -> 6+6 within, 16 between
         assert len(density.within_group) == 12
         assert len(density.between_group) == 16
 
     def test_correlations_bounded(self):
-        density = correlation_density(self.samples())
+        density = correlation_density(*self.samples())
         for rho in np.concatenate([density.within_group, density.between_group]):
             assert -1.0 <= rho <= 1.0 + 1e-12
 
     def test_zero_variance_pair_skipped(self):
-        samples = self.samples()
-        samples.append(Sample(id="flat", features=np.zeros(10), label=0))
-        samples.append(Sample(id="flat2", features=np.ones(10), label=1))
-        density = correlation_density(samples)
+        x, y = self.samples()
+        x = np.vstack([x, np.zeros(10), np.ones(10)])
+        density = correlation_density(x, np.append(y, [0, 1]))
         assert density.skipped_pairs == 2 * 8 + 1
 
     def test_needs_two_per_class(self):
-        samples = self.samples()[:3]
+        x, y = self.samples()
         with pytest.raises(ValueError):
-            correlation_density(samples)
+            correlation_density(x[:3], y[:3])
 
     def test_density_integrates_to_one(self):
-        density = correlation_density(self.samples())
+        density = correlation_density(*self.samples())
         width = density.bin_edges[1] - density.bin_edges[0]
         assert density.density("within").sum() * width == pytest.approx(1.0)
