@@ -38,6 +38,7 @@ from .metrics import MetricsReport, accuracy, auc_roc, correlation_density, f1_b
 from .nn_core import (
     AdamW,
     MlpModel,
+    NonFiniteError,
     init_mlp,
     load_model,
     mlp_backward,

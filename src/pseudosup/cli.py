@@ -256,24 +256,26 @@ def _run_cells(
     cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
     write_cells: bool = True, hash_splits: bool = False,
 ) -> list[tuple[str, list[MetricsReport]]]:
-    """Validate `cfg`, write config.ini, then per seed build the splits once
-    and train every (method, engine) cell on them, writing each cell under
-    `<output_dir>/<method>/<seed>` if `write_cells`. Splits read from a
-    dataset file do not depend on the seed, so the file is loaded and hashed
-    once. Returns, per seed, the sha256 of the serialized splits ("" unless
+    """Validate `cfg` and load its dataset file, if any, write config.ini,
+    then per seed build the splits once and train every (method, engine) cell
+    on them, writing each cell under `<output_dir>/<method>/<seed>` if
+    `write_cells`. Splits read from a dataset file do not depend on the seed,
+    so the file is loaded and hashed once, before anything is written.
+    Returns, per seed, the sha256 of the serialized splits ("" unless
     `hash_splits`) and one report per cell."""
+    def splits_and_hash(seed: int) -> tuple[DatasetSplits, str]:
+        splits = build_splits(cfg.dataset, seed)
+        return splits, (hashlib.sha256(serialize_splits(splits).encode()).hexdigest()
+                        if hash_splits else "")
+
     cfg.validate(method for method, _ in cells)
+    from_file = None if cfg.dataset.path is None else splits_and_hash(cfg.seeds[0])
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
         fh.write(config_to_ini(cfg))
-    per_seed_splits = cfg.dataset.path is None
-    splits = None
     per_seed = []
     for seed in cfg.seeds:
-        if splits is None or per_seed_splits:
-            splits = build_splits(cfg.dataset, seed)
-            split_hash = (hashlib.sha256(serialize_splits(splits).encode()).hexdigest()
-                          if hash_splits else "")
+        splits, split_hash = from_file or splits_and_hash(seed)
         reports = []
         for method, engine in cells:
             result = _run_method(method, splits, replace(engine, seed=seed),

@@ -17,6 +17,12 @@ beta-step window with row weights G_t/B_t, the returns coming from one reverse
 accumulation. These reorder floating-point sums against a per-batch (per-step)
 pass, so results agree with it to rounding, not bit for bit; the labeled-only
 step (no pseudo batch, or pseudo_loss_weight 0) is unchanged.
+
+The training loops reject non-finite features in any split before they start.
+A loss, a sampled log-probability, the logits of a whole-split pass
+(`evaluate`, self-training's selection) or a parameter that goes non-finite
+raises NonFiniteError; the training loops turn it into a ValueError that names
+the seed and the step.
 """
 
 from __future__ import annotations
@@ -31,6 +37,7 @@ from .metrics import MetricsReport, accuracy, auc_roc, f1_binary
 from .nn_core import (
     AdamW,
     MlpModel,
+    NonFiniteError,
     clone_model,
     init_mlp,
     log_softmax,
@@ -178,14 +185,19 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 # batch helpers: batches are index arrays into a split's arrays
 
-def _check_labeled(splits: DatasetSplits, cfg: EngineConfig) -> None:
-    """The labeled splits must be non-empty with labels in [0, n_classes)."""
+def _check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
+    """The labeled splits must be non-empty with labels in [0, n_classes), and
+    every split's features finite."""
     for name in ("labeled_train", "validation", "test"):
         part = getattr(splits, name)
         if len(part) == 0:
             raise ValueError(f"{name} must be non-empty")
         if ((part.y < 0) | (part.y >= cfg.n_classes)).any():
             raise ValueError(f"{name} has a label outside [0, {cfg.n_classes})")
+    for name in ("labeled_train", "unlabeled_train", "validation", "test"):
+        part = getattr(splits, name)
+        if len(part) and not np.isfinite(part.X).all():
+            raise ValueError(f"{name} has non-finite features")
 
 
 def _rows(x: np.ndarray, idx: np.ndarray, cfg: EngineConfig,
@@ -206,6 +218,12 @@ def _labeled_batches(n: int, batch: int, rng: np.random.Generator):
     order = rng.permutation(n)
     for start in range(0, n, batch):
         yield order[start : start + batch]
+
+
+def _diverged(cfg: EngineConfig, where: str, exc: NonFiniteError) -> ValueError:
+    """The error a training loop raises when a NonFiniteError stops it,
+    naming the seed and the step."""
+    return ValueError(f"training diverged at seed {cfg.seed}, {where}: {exc}")
 
 
 def _rngs(seed: int) -> dict[str, np.random.Generator]:
@@ -236,14 +254,17 @@ def warmup_supervised(
                           weight_decay=cfg.weight_decay)
     x, y = labeled.X, labeled.y
     steps_done = 0
-    while steps_done < cfg.warmup_steps:
-        for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rng):
-            if steps_done >= cfg.warmup_steps:
-                break
-            logits, cache = mlp_forward(classifier, x[idx])
-            _, grad = softmax_cross_entropy(logits, y[idx])
-            optimizer.step(mlp_backward(cache, grad))
-            steps_done += 1
+    try:
+        while steps_done < cfg.warmup_steps:
+            for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rng):
+                if steps_done >= cfg.warmup_steps:
+                    break
+                logits, cache = mlp_forward(classifier, x[idx])
+                _, grad = softmax_cross_entropy(logits, y[idx])
+                optimizer.step(mlp_backward(cache, grad))
+                steps_done += 1
+    except NonFiniteError as exc:
+        raise _diverged(cfg, f"warmup step {steps_done + 1}", exc) from exc
     return classifier
 
 
@@ -251,7 +272,8 @@ def sample_pseudo_labels(
     policy: MlpModel, batch: np.ndarray, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Draw one pseudo label per sample from the policy's categorical output;
-    returns the sampled class indices and their log-probabilities."""
+    returns the sampled class indices and their log-probabilities. A policy
+    whose logits overflow raises NonFiniteError."""
     if len(batch) == 0:
         raise ValueError("cannot sample pseudo labels for an empty batch")
     logits, _ = mlp_forward(policy, batch)
@@ -261,6 +283,9 @@ def sample_pseudo_labels(
     actions = (u[:, None] > cum).sum(axis=1)
     actions = np.minimum(actions, logits.shape[1] - 1)
     log_probs = logp[np.arange(len(batch)), actions]
+    # a non-finite logit makes its whole log-softmax row NaN or infinite
+    if not math.isfinite(log_probs.sum()):
+        raise NonFiniteError("policy log-probabilities are non-finite")
     return actions, log_probs
 
 
@@ -269,13 +294,13 @@ def eval_val_loss(classifier: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     if len(x) == 0:
         raise ValueError("validation batch must be non-empty")
     logits, _ = mlp_forward(classifier, x)
-    return float(-log_softmax(logits)[np.arange(len(y)), y].mean())
+    return float(-log_softmax(logits)[np.arange(len(y)), y].sum() / len(y))
 
 
 def compute_reward(loss_before: float, loss_after: float) -> float:
     """r = max(exp(loss_before - loss_after) - 1, 0)."""
     if not (math.isfinite(loss_before) and math.isfinite(loss_after)):
-        raise ValueError("losses must be finite")
+        raise NonFiniteError("losses must be finite")
     return max(math.exp(loss_before - loss_after) - 1.0, 0.0)
 
 
@@ -330,13 +355,11 @@ def _returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     return out
 
 
-def _policy_surrogate_grads(
+def _policy_loss_grads(
     policy: MlpModel, trajectory: Trajectory, gamma: float
 ) -> tuple[float, list[np.ndarray]]:
-    """Surrogate J = sum_t G_t * mean_batch log pi(a_t|s_t) and dJ/dparams.
-
-    J is minus the cross-entropy of the taken actions with row weights
-    G_t / B_t, so one forward/backward pass over the whole window gives both."""
+    """-J, the cross-entropy of the taken actions with row weights G_t / B_t,
+    and its gradients, from one forward/backward pass over the whole window."""
     steps = trajectory.steps
     sizes = [len(s.actions) for s in steps]
     returns = _returns(np.array([s.reward for s in steps]), gamma)
@@ -344,7 +367,15 @@ def _policy_surrogate_grads(
     logits, cache = mlp_forward(policy, np.concatenate([s.states for s in steps]))
     loss, grad = softmax_cross_entropy(
         logits, np.concatenate([s.actions for s in steps]), weights)
-    return -loss, [-g for g in mlp_backward(cache, grad)]
+    return loss, mlp_backward(cache, grad)
+
+
+def _policy_surrogate_grads(
+    policy: MlpModel, trajectory: Trajectory, gamma: float
+) -> tuple[float, list[np.ndarray]]:
+    """Surrogate J = sum_t G_t * mean_batch log pi(a_t|s_t) and dJ/dparams."""
+    loss, grads = _policy_loss_grads(policy, trajectory, gamma)
+    return -loss, [-g for g in grads]
 
 
 def policy_update(
@@ -360,21 +391,30 @@ def policy_update(
     if optimizer is None:
         optimizer = AdamW(policy.parameters(), cfg.policy_lr,
                           weight_decay=cfg.weight_decay)
-    surrogate, grads = _policy_surrogate_grads(policy, trajectory, cfg.gamma)
-    optimizer.step([-g for g in grads])  # optimizer minimizes; ascend J
+    loss, grads = _policy_loss_grads(policy, trajectory, cfg.gamma)
+    optimizer.step(grads)  # descending -J ascends J
     trajectory.steps.clear()
-    return surrogate
+    return -loss
 
 
 # ---------------------------------------------------------------------------
 # evaluation
+
+def _finite_logits(model: MlpModel, x: np.ndarray, what: str) -> np.ndarray:
+    """Logits of a whole-split pass, once per epoch; an overflow raises
+    NonFiniteError instead of turning into NaN scores."""
+    logits, _ = mlp_forward(model, x)
+    if not np.isfinite(logits).all():
+        raise NonFiniteError(f"{what} logits are non-finite")
+    return logits
+
 
 def evaluate(classifier: MlpModel, split: Split,
              positive_class: int = 1) -> MetricsReport:
     x, y = split.X, split.y
     if (y < 0).any():
         raise ValueError("evaluate requires a fully labeled split")
-    logits, _ = mlp_forward(classifier, x)
+    logits = _finite_logits(classifier, x, "evaluated split")
     preds = logits.argmax(axis=1)
     scores = np.exp(log_softmax(logits))[:, positive_class]
     return MetricsReport(
@@ -400,7 +440,7 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     With an empty unlabeled split the same loop degenerates to supervised
     training (the pseudo branch is simply never entered).
     """
-    _check_labeled(splits, cfg)
+    _check_splits(splits, cfg)
     rngs = _rngs(cfg.seed)
     labeled, unlabeled, val = splits.labeled_train, splits.unlabeled_train, splits.validation
     input_dim = labeled.X.shape[1]
@@ -419,34 +459,37 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     trajectory = Trajectory(cfg.beta)
     step = 0
     final_metrics: MetricsReport | None = None
-    for epoch in range(1, cfg.epochs + 1):
-        for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
-            step += 1
-            xl = _rows(labeled.X, idx, cfg, splits.grid, rngs["aug"])
-            yl = labeled.y[idx]
-            if len(unlabeled):
-                v = _draw(len(val), cfg.batch_val, rngs["val"])
-                xv, yv = val.X[v], val.y[v]
-                loss_before = eval_val_loss(classifier, xv, yv)
-                u = _draw(len(unlabeled), cfg.batch_unlabeled, rngs["policy"])
-                xu = _rows(unlabeled.X, u, cfg, splits.grid, rngs["aug"])
-                actions, log_probs = sample_pseudo_labels(policy, xu, rngs["policy"])
-                classifier_step(classifier, xl, yl, xu, actions, opt_c, cfg)
-                loss_after = eval_val_loss(classifier, xv, yv)
-                reward = compute_reward(loss_before, loss_after)
-                trajectory.append(TrajectoryStep(xu, actions, log_probs, reward))
-                updated = False
-                if trajectory.full():
-                    policy_update(policy, trajectory, cfg, opt_p)
-                    updated = True
-                history.steps.append(
-                    StepRecord(step, epoch, loss_before, loss_after, reward, updated)
-                )
-            else:
-                classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
-                history.steps.append(StepRecord(step, epoch, None, None, None, False))
-        final_metrics = evaluate(classifier, splits.test)
-        history.epochs.append(EpochRecord(epoch, final_metrics))
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
+                step += 1
+                xl = _rows(labeled.X, idx, cfg, splits.grid, rngs["aug"])
+                yl = labeled.y[idx]
+                if len(unlabeled):
+                    v = _draw(len(val), cfg.batch_val, rngs["val"])
+                    xv, yv = val.X[v], val.y[v]
+                    loss_before = eval_val_loss(classifier, xv, yv)
+                    u = _draw(len(unlabeled), cfg.batch_unlabeled, rngs["policy"])
+                    xu = _rows(unlabeled.X, u, cfg, splits.grid, rngs["aug"])
+                    actions, log_probs = sample_pseudo_labels(policy, xu, rngs["policy"])
+                    classifier_step(classifier, xl, yl, xu, actions, opt_c, cfg)
+                    loss_after = eval_val_loss(classifier, xv, yv)
+                    reward = compute_reward(loss_before, loss_after)
+                    trajectory.append(TrajectoryStep(xu, actions, log_probs, reward))
+                    updated = False
+                    if trajectory.full():
+                        policy_update(policy, trajectory, cfg, opt_p)
+                        updated = True
+                    history.steps.append(
+                        StepRecord(step, epoch, loss_before, loss_after, reward, updated)
+                    )
+                else:
+                    classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
+                    history.steps.append(StepRecord(step, epoch, None, None, None, False))
+            final_metrics = evaluate(classifier, splits.test)
+            history.epochs.append(EpochRecord(epoch, final_metrics))
+    except NonFiniteError as exc:
+        raise _diverged(cfg, f"step {step}", exc) from exc
     return TrainResult(classifier, policy, history, final_metrics)
 
 
@@ -470,7 +513,7 @@ def train_self_training(
     as pseudo label."""
     if not 0.5 < confidence_threshold <= 1.0:
         raise ValueError("confidence_threshold must be in (0.5, 1]")
-    _check_labeled(splits, cfg)
+    _check_splits(splits, cfg)
     rngs = _rngs(cfg.seed)
     labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
     input_dim = labeled.X.shape[1]
@@ -484,31 +527,35 @@ def train_self_training(
     n_selected: list[int] = []
     step = 0
     final_metrics: MetricsReport | None = None
-    for epoch in range(1, cfg.epochs + 1):
-        selected = np.empty(0, dtype=np.intp)
-        acc = float("nan")
-        if len(unlabeled):
-            logits, _ = mlp_forward(classifier, unlabeled.X)
-            probs = np.exp(log_softmax(logits))
-            preds = probs.argmax(axis=1)
-            selected = np.flatnonzero(probs.max(axis=1) >= confidence_threshold)
-            # diagnostics only: hidden is -1 where the ground truth is unknown
-            known = selected[unlabeled.hidden[selected] >= 0]
-            if len(known):
-                acc = float(np.mean(preds[known] == unlabeled.hidden[known]))
-        n_selected.append(len(selected))
-        pseudo_acc.append(acc)
-        for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
-            step += 1
-            xl = _rows(labeled.X, idx, cfg, splits.grid, rngs["aug"])
-            yl = labeled.y[idx]
-            if len(selected):
-                pick = selected[_draw(len(selected), cfg.batch_unlabeled, rngs["policy"])]
-                classifier_step(classifier, xl, yl, unlabeled.X[pick], preds[pick], opt_c, cfg)
-            else:
-                classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
-            history.steps.append(StepRecord(step, epoch, None, None, None, False))
-        final_metrics = evaluate(classifier, splits.test)
-        history.epochs.append(EpochRecord(epoch, final_metrics))
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            selected = np.empty(0, dtype=np.intp)
+            acc = float("nan")
+            if len(unlabeled):
+                logits = _finite_logits(classifier, unlabeled.X, "unlabeled_train")
+                probs = np.exp(log_softmax(logits))
+                preds = probs.argmax(axis=1)
+                selected = np.flatnonzero(probs.max(axis=1) >= confidence_threshold)
+                # diagnostics only: hidden is -1 where the ground truth is unknown
+                known = selected[unlabeled.hidden[selected] >= 0]
+                if len(known):
+                    acc = float(np.mean(preds[known] == unlabeled.hidden[known]))
+            n_selected.append(len(selected))
+            pseudo_acc.append(acc)
+            for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
+                step += 1
+                xl = _rows(labeled.X, idx, cfg, splits.grid, rngs["aug"])
+                yl = labeled.y[idx]
+                if len(selected):
+                    pick = selected[_draw(len(selected), cfg.batch_unlabeled, rngs["policy"])]
+                    classifier_step(classifier, xl, yl, unlabeled.X[pick], preds[pick],
+                                    opt_c, cfg)
+                else:
+                    classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
+                history.steps.append(StepRecord(step, epoch, None, None, None, False))
+            final_metrics = evaluate(classifier, splits.test)
+            history.epochs.append(EpochRecord(epoch, final_metrics))
+    except NonFiniteError as exc:
+        raise _diverged(cfg, f"step {step}", exc) from exc
     return SelfTrainingResult(classifier, None, history, final_metrics,
                               pseudo_acc, n_selected)

@@ -73,6 +73,14 @@ NONDEFAULT_ARGV = [
     "--crop-scale-min", "0.5", "--no-policy-warm-start",
 ]
 
+# small generated runs: 2 seeds x 14 steps, 2 policy updates per pseudo_sup seed
+TRAIN_FLAGS = [
+    "--seeds", "1", "2", "--epochs", "2", "--warmup-steps", "10",
+    "--n-per-class", "40", "--dim", "4", "--hidden-dims", "8", "--beta", "5",
+    "--batch-labeled", "4", "--batch-unlabeled", "16", "--batch-val", "16",
+    "--classifier-lr", "0.01", "--policy-lr", "0.01",
+]
+
 # config.ini as written before the schema was derived from the dataclasses
 # (`grid` last in [dataset]); such files must keep parsing.
 EARLIER_LAYOUT_INI = """\
@@ -396,6 +404,44 @@ class TestCliEntry:
                    "--method", "supervised", "--seeds", "1",
                    "--output-dir", str(tmp_path / "o")])
         assert rc == 3
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("cmd", [["run", "--method", "supervised"],
+                                     ["compare"], ["ablate"]])
+    def test_rejected_dataset_file_writes_nothing(self, tmp_path, capsys, cmd):
+        ds = tmp_path / "ds.txt"
+        ds.write_text("gdp-synth v1\nn_features 1\n"
+                      "trainL a 0 1.0\ntrainL b 1 2.0\nval c 0 1.0\n")
+        out = tmp_path / "o"
+        assert main([*cmd, "--dataset", str(ds), "--seeds", "1",
+                     "--output-dir", str(out)]) == 3
+        assert "no test rows" in capsys.readouterr().err
+        assert not out.exists()
+
+    # sha256 over each cell's history.csv, metrics.csv and checkpoints,
+    # recorded before the parameters moved into one flat buffer; pins every
+    # training RNG stream and floating-point operation of the four methods
+    @pytest.mark.parametrize("method, flags, digest", [
+        ("pseudo_sup", [],
+         "066d1d8aa8b399a9a9d68c97c8a68f48fe40fb81810640510888af143a626afa"),
+        ("pseudo_sup_aug", ["--grid", "2", "2"],
+         "742b816a35cf73a6408ed992f19bdea0d2d48a778b50f8c70b764b07caa8da1e"),
+        ("supervised", [],
+         "751b24ca68b74d13eb3aa9f90d4a69094fbf714b0ffd4a1f7b488762f70aa1af"),
+        ("self_training", ["--confidence-threshold", "0.6"],
+         "6dfc9e4c5bd9b7f691ec1825cb2ad82e488ba9a76680bdebb04273fdbab19d84"),
+    ])
+    def test_training_digest_pinned(self, tmp_path, method, flags, digest):
+        out = tmp_path / "o"
+        assert main(["run", "--method", method, *TRAIN_FLAGS, *flags,
+                     "--output-dir", str(out)]) == 0
+        files = sorted(p for p in (out / method).rglob("*") if p.is_file())
+        assert len(files) == (8 if method.startswith("pseudo_sup") else 6)
+        h = hashlib.sha256()
+        for path in files:
+            h.update(path.relative_to(out).as_posix().encode())
+            h.update(path.read_bytes())
+        assert h.hexdigest() == digest
 
     def test_analyze_corr(self, tmp_path):
         ds = str(tmp_path / "ds.txt")

@@ -4,7 +4,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from pseudosup.data import DatasetSplits, generate_overlapping_gaussians, split_dataset
+from pseudosup.data import (
+    DatasetSplits,
+    Split,
+    generate_overlapping_gaussians,
+    split_dataset,
+)
 from pseudosup.engine import (
     EngineConfig,
     Trajectory,
@@ -25,6 +30,7 @@ from pseudosup.engine import (
 from pseudosup.nn_core import (
     AdamW,
     MlpModel,
+    NonFiniteError,
     clone_model,
     init_mlp,
     log_softmax,
@@ -469,10 +475,68 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match=f"{name} has a label outside"):
             train_self_training(splits, fast_cfg(), 0.9)
 
+    @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
+    @pytest.mark.parametrize("split", ["labeled_train", "unlabeled_train",
+                                       "validation", "test"])
+    def test_non_finite_feature_rejected(self, trainer, split):
+        splits = make_splits()
+        getattr(splits, split).X[0, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^{split} has non-finite features$"):
+            if trainer == "pseudo_sup":
+                train(splits, fast_cfg())
+            else:
+                train_self_training(splits, fast_cfg(), 0.9)
+
     def test_evaluate_rejects_hidden_labels(self):
         model = init_mlp([4, 8, 2], np.random.default_rng(0))
         with pytest.raises(ValueError, match="fully labeled"):
             evaluate(model, make_splits().unlabeled_train)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+class TestDivergence:
+    """A loss or parameter that goes non-finite stops training with an error
+    naming the seed and the step."""
+
+    def test_absurd_learning_rate_names_seed_and_step(self):
+        # the first step moves every parameter by about 1e308, so the next
+        # loss overflows
+        cfg = fast_cfg(seed=6, classifier_lr=1e308)
+        with pytest.raises(ValueError, match="diverged at seed 6, warmup step 2: "
+                                             "cross-entropy loss is"):
+            train(make_splits(), cfg)
+        with pytest.raises(ValueError, match="diverged at seed 6, step 1: "
+                                             "losses must be finite"):
+            train(make_splits(), replace(cfg, warmup_steps=0))
+        with pytest.raises(ValueError, match="diverged at seed 6, warmup step 2: "
+                                             "cross-entropy loss is"):
+            train_self_training(make_splits(), cfg, 0.9)
+
+    @pytest.mark.parametrize("trainer, split, message", [
+        ("pseudo_sup", "test", "step 3: evaluated split logits are non-finite"),
+        ("self_training", "test", "step 3: evaluated split logits are non-finite"),
+        ("self_training", "unlabeled_train",
+         "step 0: unlabeled_train logits are non-finite"),
+    ])
+    def test_overflowing_whole_split_logits_name_seed_and_step(self, trainer, split,
+                                                               message):
+        # finite features whose logits overflow in the once-per-epoch passes
+        splits = make_splits()
+        x = getattr(splits, split).X
+        x[0], x[1] = np.finfo(float).max, -np.finfo(float).max
+        with pytest.raises(ValueError, match=f"diverged at seed 3, {message}"):
+            if trainer == "pseudo_sup":
+                train(splits, fast_cfg(seed=3))
+            else:
+                train_self_training(splits, fast_cfg(seed=3), 0.9)
+
+    def test_overflowing_logits_in_evaluate_raise(self):
+        # finite features, but the logits overflow to +-inf: the scores would be NaN
+        model = MlpModel([1, 2], [np.array([[1e308, -1e308]])], [np.zeros(2)])
+        split = Split(np.arange(2), np.array([[10.0], [-10.0]]), np.array([0, 1]),
+                      np.array([-1, -1]))
+        with pytest.raises(NonFiniteError, match="evaluated split logits are non-finite"):
+            evaluate(model, split)
 
 
 class TestHiddenLabelLeakGuard:

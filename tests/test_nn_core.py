@@ -6,6 +6,8 @@ import pytest
 from pseudosup.nn_core import (
     AdamW,
     MlpModel,
+    NonFiniteError,
+    clone_model,
     init_mlp,
     load_model,
     log_softmax,
@@ -14,6 +16,37 @@ from pseudosup.nn_core import (
     save_model,
     softmax_cross_entropy,
 )
+
+
+class ReferenceAdamW:
+    """The per-array AdamW loop that the flat-buffer step replaced (no decay)."""
+
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.params, self.lr, self.eps = params, lr, eps
+        self.beta1, self.beta2 = betas
+        self.m = [np.zeros_like(p) for p in params]
+        self.v = [np.zeros_like(p) for p in params]
+        self.t = 0
+
+    def step(self, grads):
+        self.t += 1
+        bc1 = 1.0 - self.beta1**self.t
+        bc2 = 1.0 - self.beta2**self.t
+        for p, g, m, v in zip(self.params, grads, self.m, self.v):
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            v *= self.beta2
+            v += (1.0 - self.beta2) * g * g
+            p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+
+
+def per_value_checkpoint_text(model):
+    """The checkpoint text as the per-layer, per-value writer produced it."""
+    lines = ["mlp " + " ".join(str(d) for d in model.layer_dims)]
+    for w, b in zip(model.weights, model.biases):
+        lines.extend(f"{x:.17g}" for x in w.ravel())
+        lines.extend(f"{x:.17g}" for x in b)
+    return "\n".join(lines) + "\n"
 
 
 def scalar_forward(model, x):
@@ -85,6 +118,52 @@ class TestForward:
         np.testing.assert_array_equal(a, b)
 
 
+class TestFlatBuffer:
+    def test_layout_follows_parameters_order(self):
+        model = init_mlp([3, 4, 2], np.random.default_rng(1))
+        assert model.flat.dtype == np.float64
+        assert model.flat.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+        np.testing.assert_array_equal(
+            model.flat, np.concatenate([p.ravel() for p in model.parameters()]))
+
+    def test_writes_through_views_reach_flat(self):
+        model = init_mlp([3, 4, 2], np.random.default_rng(2))
+        model.parameters()[2][1, 0] = 7.0        # W1[1, 0]
+        assert model.flat[3 * 4 + 4 + 1 * 2 + 0] == 7.0
+        model.weights[0][2, 3] = -5.0
+        assert model.flat[2 * 4 + 3] == -5.0
+        model.biases[1][1] = 9.0
+        assert model.flat[-1] == 9.0
+        model.flat[12] = 3.0                     # b0[0]
+        assert model.biases[0][0] == 3.0 and model.parameters()[1][0] == 3.0
+
+    def test_constructor_copies_and_checks_shapes(self):
+        w = np.ones((2, 3))
+        model = MlpModel([2, 3], [w], [np.zeros(3)])
+        w[0, 0] = 5.0
+        assert model.weights[0][0, 0] == 1.0
+        with pytest.raises(ValueError, match="layer dims"):
+            MlpModel([2, 3], [np.ones((3, 2))], [np.zeros(3)])
+        with pytest.raises(ValueError, match="layer dims"):
+            MlpModel([2, 3, 2], [np.ones((2, 3))], [np.zeros(3)])
+
+    def test_clone_has_independent_buffer(self):
+        model = init_mlp([3, 4, 2], np.random.default_rng(3))
+        copy = clone_model(model)
+        assert not np.shares_memory(copy.flat, model.flat)
+        np.testing.assert_array_equal(copy.flat, model.flat)
+        before = model.flat.copy()
+        copy.weights[0][0, 0] += 1.0
+        copy.flat[-1] = 42.0
+        np.testing.assert_array_equal(model.flat, before)
+        assert copy.layer_dims == model.layer_dims
+        assert copy.layer_dims is not model.layer_dims
+
+    def test_from_flat_checks_size(self):
+        with pytest.raises(ValueError, match="5 parameter values, expected 6"):
+            MlpModel.from_flat([2, 2], np.zeros(5))
+
+
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits_loss_is_ln2(self):
         loss, _ = softmax_cross_entropy(np.array([[0.0, 0.0]]), np.array([1]))
@@ -128,6 +207,15 @@ class TestSoftmaxCrossEntropy:
         rng = np.random.default_rng(13)
         _, grad = softmax_cross_entropy(rng.normal(size=(8, 3)), rng.integers(0, 3, 8))
         np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-9)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_loss_raises(self, bad):
+        logits = np.array([[0.0, 1.0], [bad, 0.0]])
+        with pytest.raises(NonFiniteError, match="cross-entropy loss is nan"):
+            softmax_cross_entropy(logits, np.array([0, 1]))
+        with pytest.raises(NonFiniteError):
+            softmax_cross_entropy(logits, np.array([0, 1]), np.array([0.5, 0.5]))
 
     def test_loss_never_negative(self):
         rng = np.random.default_rng(17)
@@ -197,6 +285,45 @@ class TestAdamW:
         opt.step([np.array([1.0])])
         assert p[0] == pytest.approx(-0.05, rel=1e-6)
 
+    def test_matches_per_array_reference_for_20_steps(self):
+        rng = np.random.default_rng(31)
+        model = init_mlp([4, 6, 5, 3], rng)
+        ref_params = [p.copy() for p in model.parameters()]
+        ref = ReferenceAdamW(ref_params, lr=1e-2)
+        opt = AdamW(model.parameters(), lr=1e-2)
+        for _ in range(20):
+            x = rng.normal(size=(7, 4))
+            labels = rng.integers(0, 3, size=7)
+            logits, cache = mlp_forward(model, x)
+            _, grad = softmax_cross_entropy(logits, labels)
+            grads = mlp_backward(cache, grad)
+            ref.step([g.copy() for g in grads])
+            opt.step(grads)
+            for a, b in zip(model.parameters(), ref_params):
+                np.testing.assert_array_equal(a, b)
+
+    def test_weight_decay_two_steps_by_hand(self):
+        # decay scales the pre-update parameters, then the Adam update applies
+        lr, wd, b1, b2, eps = 0.1, 0.1, 0.9, 0.999, 1e-8
+        p = np.array([2.0, -1.0])
+        opt = AdamW([p], lr=lr, weight_decay=wd)
+        grads = [np.array([0.5, -3.0]), np.array([-1.5, 0.25])]
+        for i in range(2):
+            expected, post_order = [], []
+            for p0, m0, v0, g in zip(p.tolist(), opt.m.tolist(), opt.v.tolist(),
+                                     grads[i].tolist()):
+                m = m0 * b1 + (1 - b1) * g
+                v = v0 * b2 + (1 - b2) * g * g
+                update = lr * (m / (1 - b1 ** (i + 1))) / (
+                    math.sqrt(v / (1 - b2 ** (i + 1))) + eps)
+                expected.append((p0 - lr * wd * p0) - update)
+                post_order.append((p0 - update) - lr * wd * (p0 - update))
+            opt.step([grads[i]])
+            assert p.tolist() == expected
+            assert p.tolist() != post_order
+        # step 1 moves each entry by lr * sign(g); step 2 worked out on paper
+        assert p.tolist() == pytest.approx([1.910619, -0.820509], abs=1e-6)
+
     def test_decoupled_decay_shrinks_params(self):
         p = np.array([2.0])
         opt = AdamW([p], lr=0.1, weight_decay=0.5)
@@ -208,6 +335,44 @@ class TestAdamW:
         with pytest.raises(ValueError):
             opt.step([np.zeros(4)])
 
+    def test_gradient_list_size_and_layout_checked(self):
+        rng = np.random.default_rng(33)
+        model = init_mlp([3, 4, 2], rng)
+        opt = AdamW(model.parameters(), lr=0.1)
+        logits, cache = mlp_forward(model, rng.normal(size=(5, 3)))
+        grads = mlp_backward(cache, rng.normal(size=logits.shape))
+        other = init_mlp([3, 2, 4, 2], rng)
+        _, other_cache = mlp_forward(other, rng.normal(size=(5, 3)))
+        bad_lists = [
+            grads[:-1],                                   # one entry short
+            grads + [np.zeros(2)],                        # one entry too many
+            [grads[1], grads[0], *grads[2:]],             # W0 and b0 swapped
+            mlp_backward(other_cache, np.zeros((5, 2)))[:4],  # another layout
+        ]
+        before = model.flat.copy()
+        for bad in bad_lists:
+            with pytest.raises(ValueError):
+                opt.step(bad)
+        np.testing.assert_array_equal(model.flat, before)
+        assert opt.t == 0
+
+    def test_parameters_must_tile_one_buffer(self):
+        model = init_mlp([3, 4, 2], np.random.default_rng(0))
+        params = model.parameters()
+        for bad in ([p.copy() for p in params], params[::-1], params[:2], params[1:],
+                    [np.zeros((2, 3))[:, 0]], []):
+            with pytest.raises(ValueError, match="tile one contiguous"):
+                AdamW(bad, lr=0.1)
+
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_parameters_raise(self):
+        p = np.array([0.0, 1.0])
+        opt = AdamW([p], lr=1e308)
+        opt.step([np.ones(2)])
+        assert np.isfinite(p).all()
+        with pytest.raises(NonFiniteError, match="non-finite after AdamW step 2"):
+            opt.step([np.ones(2)])
+
     def test_step_counter_increases(self):
         p = np.zeros(2)
         opt = AdamW([p], lr=0.1)
@@ -217,6 +382,15 @@ class TestAdamW:
 
 
 class TestCheckpoint:
+    def test_text_matches_per_value_writer(self, tmp_path):
+        rng = np.random.default_rng(24)
+        model = init_mlp([5, 7, 3], rng)
+        model.biases[0][:] = rng.normal(size=7) * 1e-300   # subnormal values
+        model.biases[1][:] = [-0.0, 1e300, 0.1]
+        path = tmp_path / "model.ckpt"
+        save_model(model, str(path))
+        assert path.read_text() == per_value_checkpoint_text(model)
+
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(23)
         model = init_mlp([5, 7, 3], rng)
@@ -232,3 +406,10 @@ class TestCheckpoint:
         path.write_text("nope 1 2\n")
         with pytest.raises(ValueError):
             load_model(str(path))
+
+    def test_value_count_checked(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        path.write_text("mlp 2 2\n" + "0.5\n" * 5)
+        with pytest.raises(ValueError, match="short.ckpt: 5 parameter values, expected 6"):
+            load_model(str(path))
+
