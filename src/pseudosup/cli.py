@@ -86,14 +86,34 @@ class ExperimentConfig:
                 raise ConfigError("method self_training requires confidence_threshold")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         threshold = self.confidence_threshold
         if threshold is not None and not 0.5 < threshold <= 1.0:
             raise ConfigError("confidence_threshold must be in (0.5, 1]")
-        if self.dataset.multimodal and self.dataset.grid is None:
+        spec = self.dataset
+        if spec.multimodal and spec.grid is None:
             raise ConfigError("multimodal mode requires dataset grid dims")
-        if self.dataset.multimodal and self.dataset.vf_target_len < VF_LOCATIONS:
+        if spec.multimodal and spec.vf_target_len < VF_LOCATIONS:
             raise ConfigError(f"vf_target_len must be >= {VF_LOCATIONS}, the length "
-                              f"of the secondary modality, got {self.dataset.vf_target_len}")
+                              f"of the secondary modality, got {spec.vf_target_len}")
+        if spec.path is None:  # the fields below only shape generated data
+            if spec.n_per_class < 1 or spec.dim < 1:
+                raise ConfigError("n_per_class and dim must be >= 1")
+            if not spec.class_separation >= 0:
+                raise ConfigError("class_separation must be >= 0")
+            if not 0.0 < spec.label_fraction <= 1.0:
+                raise ConfigError("label_fraction must be in (0, 1]")
+            if not (all(f > 0 for f in spec.fractions)
+                    and abs(sum(spec.fractions) - 1.0) <= 1e-9):
+                raise ConfigError(f"fractions must be positive and sum to 1, "
+                                  f"got {spec.fractions}")
+            if spec.grid is not None and min(spec.grid) < 1:
+                raise ConfigError(f"grid dims must be >= 1, got {spec.grid}")
+            if (spec.grid is not None and not spec.multimodal
+                    and spec.grid[0] * spec.grid[1] != spec.dim):
+                raise ConfigError(f"grid {spec.grid[0]}x{spec.grid[1]} must tile "
+                                  f"dim {spec.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -439,6 +459,8 @@ def _cmd_gen_data(args: argparse.Namespace) -> None:
 
 
 def _cmd_analyze_corr(args: argparse.Namespace) -> None:
+    if args.bins < 1:
+        raise ConfigError(f"bins must be >= 1, got {args.bins}")
     splits = load_dataset(args.dataset)
     labeled = (splits.labeled_train, splits.validation, splits.test)
     density = correlation_density(np.concatenate([p.X for p in labeled]),

@@ -3,7 +3,6 @@ multimodal concatenation, weak augmentation, and dataset file I/O."""
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -343,50 +342,44 @@ def save_dataset(splits: DatasetSplits, path: str) -> None:
         fh.write(serialize_splits(splits))
 
 
-def _header_ints(path: str, lineno: int, tokens: list[str], count: int) -> tuple[int, ...]:
-    """The `count` integers after a header keyword, or a DatasetFormatError."""
+def _header_ints(path: str, lineno: int, line: str, key: str, count: int) -> tuple[int, ...]:
+    """The `count` positive integers after `key` on header line `lineno`, or a
+    DatasetFormatError."""
+    tokens = line.split()
     try:
         values = tuple(int(t) for t in tokens[1:])
     except ValueError:
         values = ()
-    if len(values) != count:
+    if tokens[:1] != [key] or len(values) != count or min(values) < 1:
         raise DatasetFormatError(
-            f"{path}: line {lineno}: expected '{tokens[0]}' and {count} integer(s)"
+            f"{path}: line {lineno}: expected '{key}' and {count} positive integer(s)"
         )
     return values
 
 
 def load_dataset(path: str) -> DatasetSplits:
-    """Read a file written by `save_dataset`, streaming it line by line; a
-    malformed header or row raises DatasetFormatError naming the path and line."""
+    """Read a file in the layout `serialize_splits` writes: line 1 `gdp-synth
+    v1`, line 2 `n_features N`, an optional line 3 `grid H W`, then one row per
+    line to the end of the file. Rows are streamed line by line; a malformed
+    header or row (a blank line or a misplaced header among them) raises
+    DatasetFormatError naming the path and line."""
     rows = {tag: ([], [], []) for tag in _SPLIT_TAGS}  # ids, labels, features
     first_seen: dict[str, int] = {}
     with open(path) as fh:
-        numbered = enumerate(fh, start=1)
-        if next(numbered, (1, ""))[1].rstrip("\n") != "gdp-synth v1":
+        if fh.readline().rstrip("\n") != "gdp-synth v1":
             raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
-        n_features = grid = None
-        body = iter(())
-        for lineno, line in numbered:
+        (n_features,) = _header_ints(path, 2, fh.readline(), "n_features", 1)
+        grid, body_start = None, fh.tell()
+        line = fh.readline()
+        if line.split()[:1] == ["grid"]:
+            grid = _header_ints(path, 3, line, "grid", 2)
+            if grid[0] * grid[1] > n_features:
+                raise DatasetFormatError(f"{path}: line 3: grid {grid[0]}x{grid[1]} "
+                                         f"exceeds {n_features} features")
+        else:
+            fh.seek(body_start)
+        for lineno, line in enumerate(fh, start=3 if grid is None else 4):
             tokens = line.split()
-            if not tokens:
-                continue
-            if tokens[0] == "n_features":
-                (n_features,) = _header_ints(path, lineno, tokens, 1)
-            elif tokens[0] == "grid":
-                grid, grid_line = _header_ints(path, lineno, tokens, 2), lineno
-            else:
-                body = itertools.chain([(lineno, line)], numbered)
-                break
-        if n_features is None:
-            raise DatasetFormatError(f"{path}: missing n_features header")
-        if grid is not None and grid[0] * grid[1] > n_features:
-            raise DatasetFormatError(f"{path}: line {grid_line}: grid {grid[0]}x{grid[1]} "
-                                     f"exceeds {n_features} features")
-        for lineno, line in body:
-            tokens = line.split()
-            if not tokens:
-                continue
             if len(tokens) != 3 + n_features:
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: expected {3 + n_features} fields, got {len(tokens)}"
@@ -402,7 +395,7 @@ def load_dataset(path: str) -> DatasetSplits:
             first_seen[sid] = lineno
             if label_tok == "?":
                 label = -1
-                if tag in ("val", "test"):
+                if tag != "trainU":
                     raise DatasetFormatError(
                         f"{path}: line {lineno}: {tag} samples must be labeled"
                     )

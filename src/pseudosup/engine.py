@@ -97,6 +97,16 @@ class EngineConfig:
             raise ValueError("learning rates must be positive")
         if self.epochs < 0 or self.warmup_steps < 0:
             raise ValueError("epochs and warmup_steps must be non-negative")
+        if min(self.batch_labeled, self.batch_unlabeled, self.batch_val) < 1:
+            raise ValueError("batch sizes must be >= 1")
+        if any(d < 1 for d in self.hidden_dims):
+            raise ValueError("hidden dims must be >= 1")
+        if self.n_classes < 2:
+            raise ValueError("n_classes must be >= 2")
+        if not (self.weight_decay >= 0 and self.pseudo_loss_weight >= 0):
+            raise ValueError("weight_decay and pseudo_loss_weight must be non-negative")
+        if not 0.0 < self.crop_scale_min <= 1.0:
+            raise ValueError("crop_scale_min must be in (0, 1]")
 
 
 @dataclass

@@ -294,13 +294,21 @@ def save_model(model: MlpModel, path: str) -> None:
 
 
 def load_model(path: str) -> MlpModel:
+    """Read a `save_model` checkpoint; a malformed one raises a ValueError
+    naming the path (and, for a bad value, the line)."""
+    values = []
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != "mlp":
             raise ValueError(f"{path}: not an mlp checkpoint")
-        dims = [int(d) for d in header[1:]]
-        values = [float(line) for line in fh if line.strip()]
+        for lineno, line in enumerate(fh, start=2):
+            if line.strip():
+                try:
+                    values.append(float(line))
+                except ValueError:
+                    raise ValueError(f"{path}: line {lineno}: non-numeric value "
+                                     f"{line.strip()!r}") from None
     try:
-        return MlpModel.from_flat(dims, np.array(values))
+        return MlpModel.from_flat([int(d) for d in header[1:]], np.array(values))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

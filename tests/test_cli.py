@@ -361,12 +361,61 @@ class TestCliEntry:
         [*cmd, "--multimodal", "--grid", "3", "4", "--vf-target-len", "10"]
         for cmd in (["run", "--seeds", "1"], ["compare", "--seeds", "1"],
                     ["ablate", "--seeds", "1"], ["gen-data"])
+    ] + [
+        # range checks on engine, generated-data and seed values
+        ["run", "--epochs", "1", *flags] for flags in (
+            ["--batch-labeled", "0"],
+            ["--batch-unlabeled", "0"],
+            ["--hidden-dims", "0"],
+            ["--method", "pseudo_sup", "--batch-val", "0"],
+            ["--n-classes", "1"],
+            ["--method", "pseudo_sup_aug", "--grid", "4", "5", "--crop-scale-min", "1.5"],
+            ["--crop-scale-min", "0"],
+            ["--weight-decay", "-1"],
+            ["--pseudo-loss-weight", "-2"],
+            ["--label-fraction", "2"],
+            ["--fractions", "0.5", "0.6", "-0.1"],
+            ["--fractions", "0.5", "0.2", "0.2"],
+            ["--grid", "3", "3"],
+            ["--multimodal", "--grid", "0", "4"],
+            ["--n-per-class", "0"],
+            ["--dim", "0"],
+            ["--class-separation", "-1"],
+            ["--seeds", "1", "1"],
+        )
+    ] + [
+        ["ablate", "--epochs", "1", "--seeds", "2", "2"],
+        ["compare", "--epochs", "1", "--batch-labeled", "0"],
+        ["gen-data", "--label-fraction", "0"],
+        ["gen-data", "--grid", "3", "3"],
+        # checked before the dataset is read, so its absence does not matter
+        ["analyze-corr", "--dataset", "absent.txt", "--bins", "0"],
+        ["analyze-corr", "--dataset", "absent.txt", "--bins", "-3"],
     ])
-    def test_bad_config_exits_2_before_any_output(self, tmp_path, argv):
+    def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
-        flag = "--out" if argv[0] == "gen-data" else "--output-dir"
+        flag = {"gen-data": "--out", "analyze-corr": "--out-dir"}.get(argv[0], "--output-dir")
         assert main(argv + [flag, str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, spec", [
+        (["--dim", "5"], DatasetSpec(n_per_class=30, dim=5)),
+        (["--dim", "12", "--grid", "3", "4"],
+         DatasetSpec(n_per_class=30, dim=12, grid=(3, 4))),
+        (["--grid", "3", "4", "--multimodal", "--vf-target-len", "104"],
+         DatasetSpec(n_per_class=30, grid=(3, 4), multimodal=True, vf_target_len=104)),
+    ])
+    def test_gen_data_round_trip(self, tmp_path, flags, spec):
+        path = str(tmp_path / "d.txt")
+        assert main(["gen-data", "--out", path, "--n-per-class", "30", "--seed", "3",
+                     *flags]) == 0
+        expected, loaded = build_splits(spec, 3), load_dataset(path)
+        assert loaded.grid == expected.grid
+        for name in ("labeled_train", "unlabeled_train", "validation", "test"):
+            for field in ("ids", "X", "y"):
+                np.testing.assert_array_equal(getattr(getattr(loaded, name), field),
+                                              getattr(getattr(expected, name), field))
 
     def test_dataset_file_loaded_and_hashed_once(self, tmp_path, monkeypatch):
         ds = str(tmp_path / "ds.txt")

@@ -314,6 +314,13 @@ class TestDatasetIO:
         ("n_features 1\ngrid 3\n", 3),
         ("n_features 1\ngrid 3 x\n", 3),
         ("grid 1 2\nn_features 1\n", 2),
+        ("n_features 0\n", 2),
+        ("n_features 1\ngrid 0 2\n", 3),
+        ("n_features 6\ngrid -2 -3\n", 3),
+        ("\nn_features 1\n", 2),
+        # a repeated header is read as a row, with too few fields
+        ("n_features 1\nn_features 1\n", 3),
+        ("n_features 1\ngrid 1 1\ngrid 1 1\n", 4),
     ])
     def test_malformed_header_names_file_and_line(self, tmp_path, header, lineno):
         path = tmp_path / "d.txt"
@@ -330,6 +337,11 @@ class TestDatasetIO:
         ("trainU a ? 1.0\nval b 0 2.0\ntest c 1 3.0\n", "no trainL rows"),
         ("trainL a 0 1.0\ntest b 0 2.0\n", "no val rows"),
         ("trainL a 0 1.0\nval b 0 2.0\n", "no test rows"),
+        ("trainL a ? 1.0\n", "line 3: trainL samples must be labeled"),
+        ("trainL a 0 1.0\n\nval b 0 2.0\n", "line 4: expected 4 fields, got 0"),
+        ("trainL a 0 1.0\nval b 0 2.0\ntest c 0 3.0\n\n", "line 6: expected 4 fields, got 0"),
+        ("trainL a 0 1.0\ngrid 1 1\n", "line 4: expected 4 fields, got 3"),
+        ("trainL a 0 1.0\nn_features 1\n", "line 4: expected 4 fields, got 2"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, rows, message):
         path = tmp_path / "d.txt"

@@ -413,3 +413,8 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="short.ckpt: 5 parameter values, expected 6"):
             load_model(str(path))
 
+    def test_non_numeric_value_names_path_and_line(self, tmp_path):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("mlp 2 2\n" + "0.5\n" * 3 + "abc\n" + "0.5\n" * 2)
+        with pytest.raises(ValueError, match="bad.ckpt: line 5: non-numeric value 'abc'"):
+            load_model(str(path))
