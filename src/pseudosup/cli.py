@@ -78,7 +78,9 @@ class ExperimentConfig:
 
     def validate(self, methods: Iterable[str] = ()) -> None:
         """Reject a config before any command writes or trains; `methods`
-        are the methods a command runs in addition to `self.method`."""
+        are the methods a command runs in addition to `self.method`. The
+        fields that only shape generated data are `data`'s to check, when
+        `build_splits` builds the first seed's splits."""
         for method in (self.method, *methods):
             if method not in METHODS:
                 raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -88,6 +90,10 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        if self.engine.epochs < 1:
+            raise ConfigError(f"epochs must be >= 1, got {self.engine.epochs}")
         threshold = self.confidence_threshold
         if threshold is not None and not 0.5 < threshold <= 1.0:
             raise ConfigError("confidence_threshold must be in (0.5, 1]")
@@ -97,23 +103,6 @@ class ExperimentConfig:
         if spec.multimodal and spec.vf_target_len < VF_LOCATIONS:
             raise ConfigError(f"vf_target_len must be >= {VF_LOCATIONS}, the length "
                               f"of the secondary modality, got {spec.vf_target_len}")
-        if spec.path is None:  # the fields below only shape generated data
-            if spec.n_per_class < 1 or spec.dim < 1:
-                raise ConfigError("n_per_class and dim must be >= 1")
-            if not spec.class_separation >= 0:
-                raise ConfigError("class_separation must be >= 0")
-            if not 0.0 < spec.label_fraction <= 1.0:
-                raise ConfigError("label_fraction must be in (0, 1]")
-            if not (all(f > 0 for f in spec.fractions)
-                    and abs(sum(spec.fractions) - 1.0) <= 1e-9):
-                raise ConfigError(f"fractions must be positive and sum to 1, "
-                                  f"got {spec.fractions}")
-            if spec.grid is not None and min(spec.grid) < 1:
-                raise ConfigError(f"grid dims must be >= 1, got {spec.grid}")
-            if (spec.grid is not None and not spec.multimodal
-                    and spec.grid[0] * spec.grid[1] != spec.dim):
-                raise ConfigError(f"grid {spec.grid[0]}x{spec.grid[1]} must tile "
-                                  f"dim {spec.dim}")
 
 
 # ---------------------------------------------------------------------------
@@ -234,18 +223,23 @@ def config_from_ini(text: str) -> ExperimentConfig:
 # experiment execution
 
 def build_splits(spec: DatasetSpec, seed: int) -> DatasetSplits:
+    """The splits read from `spec.path`, or generated for `seed`; a generated
+    data setting that `data` rejects raises ConfigError."""
     if spec.path is not None:
         return load_dataset(spec.path)
-    if spec.multimodal:
-        data = generate_multimodal_gaussians(
-            spec.n_per_class, spec.grid, spec.class_separation, seed,
-            spec.vf_target_len,
-        )
-    else:
-        data = generate_overlapping_gaussians(
-            spec.n_per_class, spec.dim, spec.class_separation, seed, spec.grid
-        )
-    return split_dataset(data, spec.label_fraction, spec.fractions, seed, spec.grid)
+    try:
+        if spec.multimodal:
+            data = generate_multimodal_gaussians(
+                spec.n_per_class, spec.grid, spec.class_separation, seed,
+                spec.vf_target_len,
+            )
+        else:
+            data = generate_overlapping_gaussians(
+                spec.n_per_class, spec.dim, spec.class_separation, seed, spec.grid
+            )
+        return split_dataset(data, spec.label_fraction, spec.fractions, seed, spec.grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
 
 
 def _run_method(method: str, splits: DatasetSplits, engine: EngineConfig,
@@ -276,11 +270,11 @@ def _run_cells(
     cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
     write_cells: bool = True, hash_splits: bool = False,
 ) -> list[tuple[str, list[MetricsReport]]]:
-    """Validate `cfg` and load its dataset file, if any, write config.ini,
-    then per seed build the splits once and train every (method, engine) cell
-    on them, writing each cell under `<output_dir>/<method>/<seed>` if
-    `write_cells`. Splits read from a dataset file do not depend on the seed,
-    so the file is loaded and hashed once, before anything is written.
+    """Validate `cfg`, build the first seed's splits (which checks the dataset
+    settings or file) and only then write config.ini; per seed, build the
+    splits once and train every (method, engine) cell on them, writing each
+    cell under `<output_dir>/<method>/<seed>` if `write_cells`. A dataset
+    file does not depend on the seed, so it is loaded and hashed once.
     Returns, per seed, the sha256 of the serialized splits ("" unless
     `hash_splits`) and one report per cell."""
     def splits_and_hash(seed: int) -> tuple[DatasetSplits, str]:
@@ -289,13 +283,14 @@ def _run_cells(
                         if hash_splits else "")
 
     cfg.validate(method for method, _ in cells)
-    from_file = None if cfg.dataset.path is None else splits_and_hash(cfg.seeds[0])
+    first = splits_and_hash(cfg.seeds[0])
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
         fh.write(config_to_ini(cfg))
     per_seed = []
     for seed in cfg.seeds:
-        splits, split_hash = from_file or splits_and_hash(seed)
+        reuse = seed == cfg.seeds[0] or cfg.dataset.path is not None
+        splits, split_hash = first if reuse else splits_and_hash(seed)
         reports = []
         for method, engine in cells:
             result = _run_method(method, splits, replace(engine, seed=seed),
@@ -452,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> None:
-    cfg = _override(ExperimentConfig(), _given(args, _GEN_SCHEMA))
+    cfg = _override(ExperimentConfig(seeds=(args.seed,)), _given(args, _GEN_SCHEMA))
     cfg.validate()
     save_dataset(build_splits(cfg.dataset, args.seed), args.out)
     print(f"wrote {args.out}")

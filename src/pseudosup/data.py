@@ -138,12 +138,14 @@ def generate_overlapping_gaussians(
     """Two unit-covariance Gaussian classes whose means differ by
     class_separation along the first feature axis. Balanced (rows alternate
     labels 0, 1), seed-deterministic; `grid_dims`, if given, must tile `dim`."""
+    if grid_dims is not None and min(grid_dims) < 1:
+        raise ValueError(f"grid dims must be >= 1, got {grid_dims}")
     if n_per_class < 1 or dim < 1:
         raise ValueError("n_per_class and dim must be >= 1")
-    if class_separation < 0:
-        raise ValueError("class_separation must be >= 0")
+    if not 0 <= class_separation < np.inf:
+        raise ValueError(f"class_separation must be finite and >= 0, got {class_separation}")
     if grid_dims is not None and grid_dims[0] * grid_dims[1] != dim:
-        raise ValueError("grid_dims must multiply to dim")
+        raise ValueError(f"grid {grid_dims[0]}x{grid_dims[1]} must tile dim {dim}")
     n = 2 * n_per_class
     x = np.random.default_rng(seed).standard_normal((n, dim))
     y = np.arange(n, dtype=np.int64) % 2
@@ -182,8 +184,8 @@ def split_dataset(
     diagnostics only). `grid` is carried to the result for augmentation.
     """
     f_train, f_val, f_test = fractions
-    if abs(f_train + f_val + f_test - 1.0) > 1e-9:
-        raise ValueError("fractions must sum to 1")
+    if not (min(fractions) > 0 and abs(f_train + f_val + f_test - 1.0) <= 1e-9):
+        raise ValueError(f"fractions must be positive and sum to 1, got {fractions}")
     if not 0.0 < label_fraction <= 1.0:
         raise ValueError("label_fraction must be in (0, 1]")
     n = len(data)
@@ -194,7 +196,8 @@ def split_dataset(
     n_test = n - n_train - n_val
     n_labeled = int(round(n_train * label_fraction))
     if min(n_train, n_val, n_test, n_labeled) < 1:
-        raise ValueError("a split partition would be empty")
+        raise ValueError(f"a split partition would be empty: {n_labeled} labeled train, "
+                         f"{n_val} validation and {n_test} test of {n} rows")
     labeled = data.take(order[:n_labeled])
     unlabeled = data.take(order[n_labeled:n_train])
     unlabeled.hidden, unlabeled.y = unlabeled.y, np.full(len(unlabeled), -1, dtype=np.int64)

@@ -93,8 +93,8 @@ class EngineConfig:
             raise ValueError("gamma must be in [0, 1]")
         if self.beta < 1:
             raise ValueError("beta must be >= 1")
-        if self.policy_lr <= 0 or self.classifier_lr <= 0:
-            raise ValueError("learning rates must be positive")
+        if not (0 < self.policy_lr < math.inf and 0 < self.classifier_lr < math.inf):
+            raise ValueError("learning rates must be positive and finite")
         if self.epochs < 0 or self.warmup_steps < 0:
             raise ValueError("epochs and warmup_steps must be non-negative")
         if min(self.batch_labeled, self.batch_unlabeled, self.batch_val) < 1:
@@ -103,8 +103,8 @@ class EngineConfig:
             raise ValueError("hidden dims must be >= 1")
         if self.n_classes < 2:
             raise ValueError("n_classes must be >= 2")
-        if not (self.weight_decay >= 0 and self.pseudo_loss_weight >= 0):
-            raise ValueError("weight_decay and pseudo_loss_weight must be non-negative")
+        if not (0 <= self.weight_decay < math.inf and 0 <= self.pseudo_loss_weight < math.inf):
+            raise ValueError("weight_decay and pseudo_loss_weight must be finite and >= 0")
         if not 0.0 < self.crop_scale_min <= 1.0:
             raise ValueError("crop_scale_min must be in (0, 1]")
 
@@ -196,14 +196,16 @@ class TrainResult:
 # batch helpers: batches are index arrays into a split's arrays
 
 def _check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
-    """The labeled splits must be non-empty with labels in [0, n_classes), and
-    every split's features finite."""
+    """The labeled splits must be non-empty with labels in [0, n_classes), the
+    test split must hold class 1 and another (for its AUC), all features finite."""
     for name in ("labeled_train", "validation", "test"):
         part = getattr(splits, name)
         if len(part) == 0:
             raise ValueError(f"{name} must be non-empty")
         if ((part.y < 0) | (part.y >= cfg.n_classes)).any():
             raise ValueError(f"{name} has a label outside [0, {cfg.n_classes})")
+    if np.unique(splits.test.y == 1).size < 2:
+        raise ValueError("test must hold class 1 and another class for the AUC")
     for name in ("labeled_train", "unlabeled_train", "validation", "test"):
         part = getattr(splits, name)
         if len(part) and not np.isfinite(part.X).all():

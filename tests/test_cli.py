@@ -41,6 +41,23 @@ def small_cfg(tmp_path, method="supervised", seeds=(1, 2)):
     )
 
 
+def count_calls(monkeypatch, *names):
+    """Counts of the calls `cli` makes to each of its module-level `names`."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name):
+        real = getattr(cli, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(cli, name, counted(name))
+    return calls
+
+
 def nondefault_cfg():
     """Every flag-settable field away from its default."""
     return ExperimentConfig(
@@ -391,6 +408,27 @@ class TestCliEntry:
         # checked before the dataset is read, so its absence does not matter
         ["analyze-corr", "--dataset", "absent.txt", "--bins", "0"],
         ["analyze-corr", "--dataset", "absent.txt", "--bins", "-3"],
+    ] + [
+        # rules only `data` checks, when the first seed's splits are built:
+        # fractions whose rounding empties a partition, a non-finite
+        # separation, and negative grid dims whose product still tiles dim 20
+        ["run", "--seeds", "1", "--n-per-class", "2", "--fractions", "0.9", "0.05", "0.05"],
+        ["run", "--seeds", "1", "--n-per-class", "10", "--label-fraction", "0.001"],
+        ["run", "--seeds", "1", "--epochs", "1", "--class-separation", "inf"],
+        ["run", "--seeds", "1", "--epochs", "1", "--grid", "-4", "-5"],
+    ] + [
+        ["run", "--seeds", "1", "--epochs", "1", flag, value] for flag, value in (
+            ("--policy-lr", "inf"),
+            ("--classifier-lr", "nan"),
+            ("--weight-decay", "inf"),
+            ("--pseudo-loss-weight", "inf"),
+        )
+    ] + [
+        [cmd, "--seeds", "1", "--epochs", "0"] for cmd in ("run", "compare", "ablate")
+    ] + [
+        ["run", "--epochs", "1", "--seeds", "-1"],
+        ["gen-data", "--seed", "-3"],
+        ["gen-data", "--n-per-class", "2", "--fractions", "0.9", "0.05", "0.05"],
     ])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -398,6 +436,50 @@ class TestCliEntry:
         assert main(argv + [flag, str(out)]) == 2
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["gen-data", "--seed", "-3"], "seeds must be >= 0, got -3"),
+        (["run", "--seeds", "2", "-1"], "seeds must be >= 0, got -1"),
+        (["run", "--epochs", "0"], "epochs must be >= 1, got 0"),
+        (["run", "--seeds", "1", "--n-per-class", "2", "--fractions", "0.9", "0.05", "0.05"],
+         "a split partition would be empty: 2 labeled train, 0 validation and 0 test "
+         "of 4 rows"),
+        (["run", "--fractions", "0.5", "0.6", "-0.1"],
+         "fractions must be positive and sum to 1, got (0.5, 0.6, -0.1)"),
+        (["run", "--grid", "-4", "-5"], "grid dims must be >= 1, got (-4, -5)"),
+        (["run", "--grid", "3", "3"], "grid 3x3 must tile dim 20"),
+        (["run", "--class-separation", "nan"],
+         "class_separation must be finite and >= 0, got nan"),
+        (["run", "--policy-lr", "nan"], "learning rates must be positive and finite"),
+    ])
+    def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
+        flag = "--out" if argv[0] == "gen-data" else "--output-dir"
+        assert main(argv + [flag, str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    def test_generated_splits_built_once_per_seed(self, tmp_path, monkeypatch):
+        # the first seed's splits are built before anything is written and
+        # reused for that seed, not built again
+        calls = count_calls(monkeypatch, "split_dataset", "serialize_splits")
+        assert main(["compare", "--methods", "supervised", "pseudo_sup",
+                     "--seeds", "1", "2", "3", "--n-per-class", "20", "--dim", "3",
+                     "--epochs", "1", "--warmup-steps", "2", "--hidden-dims", "4",
+                     "--output-dir", str(tmp_path / "cmp")]) == 0
+        assert calls == {"split_dataset": 3, "serialize_splits": 3}
+
+    @pytest.mark.parametrize("method", ["supervised", "pseudo_sup", "self_training"])
+    def test_single_class_test_split_exits_3_before_training(self, tmp_path, capsys,
+                                                             method):
+        ds = tmp_path / "ds.txt"
+        ds.write_text("gdp-synth v1\nn_features 1\n"
+                      "trainL a 0 1.0\ntrainL b 1 2.0\ntrainU c ? 3.0\n"
+                      "val d 0 1.0\nval e 1 2.0\ntest f 0 1.0\ntest g 0 2.0\n")
+        out = tmp_path / "o"
+        rc = main(["run", "--dataset", str(ds), "--method", method, "--seeds", "1",
+                   "--confidence-threshold", "0.9", "--output-dir", str(out)])
+        assert rc == 3
+        assert "error: test must hold class 1 and another" in capsys.readouterr().err
+        assert not (out / method).exists()
 
     @pytest.mark.parametrize("flags, spec", [
         (["--dim", "5"], DatasetSpec(n_per_class=30, dim=5)),
@@ -420,18 +502,7 @@ class TestCliEntry:
     def test_dataset_file_loaded_and_hashed_once(self, tmp_path, monkeypatch):
         ds = str(tmp_path / "ds.txt")
         main(["gen-data", "--out", ds, "--n-per-class", "20", "--dim", "3"])
-        calls = {"load_dataset": 0, "serialize_splits": 0}
-
-        def counted(name):
-            real = getattr(cli, name)
-
-            def wrapper(*args):
-                calls[name] += 1
-                return real(*args)
-            return wrapper
-
-        for name in calls:
-            monkeypatch.setattr(cli, name, counted(name))
+        calls = count_calls(monkeypatch, "load_dataset", "serialize_splits")
         flags = ["--dataset", ds, "--seeds", "1", "2", "3", "--epochs", "1",
                  "--warmup-steps", "2", "--hidden-dims", "4"]
         assert main(["run", "--method", "supervised", *flags,

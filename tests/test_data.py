@@ -53,6 +53,17 @@ class TestGaussians:
         with pytest.raises(ValueError):
             generate_overlapping_gaussians(5, 3, -0.1, seed=1)
 
+    @pytest.mark.parametrize("separation, grid_dims, message", [
+        (math.inf, None, "class_separation must be finite and >= 0, got inf"),
+        (math.nan, None, "class_separation must be finite and >= 0, got nan"),
+        # (-4, -5) multiplies to dim 20, so only the sign check rejects it
+        (1.0, (-4, -5), r"grid dims must be >= 1, got \(-4, -5\)"),
+        (1.0, (3, 3), "grid 3x3 must tile dim 20"),
+    ])
+    def test_invalid_shape_settings_rejected(self, separation, grid_dims, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            generate_overlapping_gaussians(5, 20, separation, 1, grid_dims)
+
     def test_multimodal_feature_length(self):
         data = generate_multimodal_gaussians(5, (3, 4), 1.0, seed=2,
                                              vf_target_len=104)
@@ -104,6 +115,10 @@ class TestSplit:
         samples = generate_overlapping_gaussians(10, 2, 1.0, seed=0)
         with pytest.raises(ValueError):
             split_dataset(samples, 0.5, (0.5, 0.2, 0.2), seed=0)
+        with pytest.raises(ValueError, match="fractions must be positive and sum to 1"):
+            split_dataset(samples, 0.5, (0.5, 0.6, -0.1), seed=0)
+        with pytest.raises(ValueError, match="a split partition would be empty"):
+            split_dataset(samples.take(np.arange(4)), 0.5, (0.9, 0.05, 0.05), seed=0)
         with pytest.raises(ValueError):
             split_dataset(samples, 0.0, (0.7, 0.1, 0.2), seed=0)
 

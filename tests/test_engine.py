@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from pseudosup import engine
 from pseudosup.data import (
     DatasetSplits,
     Split,
@@ -476,6 +477,23 @@ class TestTrainLoop:
             train_self_training(splits, fast_cfg(), 0.9)
 
     @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
+    @pytest.mark.parametrize("label", [0, 1])
+    def test_single_class_test_split_rejected_before_warmup(self, monkeypatch,
+                                                            trainer, label):
+        # the AUC needs class 1 and another class in the test split
+        def no_warmup(*args):
+            raise AssertionError("warmup ran")
+
+        monkeypatch.setattr(engine, "warmup_supervised", no_warmup)
+        splits = make_splits()
+        splits.test.y[:] = label
+        with pytest.raises(ValueError, match="^test must hold class 1 and another"):
+            if trainer == "pseudo_sup":
+                train(splits, fast_cfg())
+            else:
+                train_self_training(splits, fast_cfg(), 0.9)
+
+    @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
     @pytest.mark.parametrize("split", ["labeled_train", "unlabeled_train",
                                        "validation", "test"])
     def test_non_finite_feature_rejected(self, trainer, split):
@@ -625,3 +643,12 @@ class TestSelfTraining:
         st = train_self_training(splits, cfg, 0.9)
         accs = [a for a in st.pseudo_label_accuracy if not math.isnan(a)]
         assert accs and min(accs) > 0.95
+
+
+class TestEngineConfig:
+    @pytest.mark.parametrize("name", ["policy_lr", "classifier_lr", "weight_decay",
+                                      "pseudo_loss_weight"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_non_finite_float_rejected(self, name, value):
+        with pytest.raises(ValueError, match="finite"):
+            EngineConfig(**{name: value})
