@@ -23,7 +23,6 @@ from typing import Any, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import (
-    VF_LOCATIONS,
     DatasetSplits,
     generate_multimodal_gaussians,
     generate_overlapping_gaussians,
@@ -79,8 +78,8 @@ class ExperimentConfig:
     def validate(self, methods: Iterable[str] = ()) -> None:
         """Reject a config before any command writes or trains; `methods`
         are the methods a command runs in addition to `self.method`. The
-        fields that only shape generated data are `data`'s to check, when
-        `build_splits` builds the first seed's splits."""
+        dataset fields are `data`'s to check, when `build_splits` builds the
+        first seed's splits."""
         for method in (self.method, *methods):
             if method not in METHODS:
                 raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
@@ -97,12 +96,6 @@ class ExperimentConfig:
         threshold = self.confidence_threshold
         if threshold is not None and not 0.5 < threshold <= 1.0:
             raise ConfigError("confidence_threshold must be in (0.5, 1]")
-        spec = self.dataset
-        if spec.multimodal and spec.grid is None:
-            raise ConfigError("multimodal mode requires dataset grid dims")
-        if spec.multimodal and spec.vf_target_len < VF_LOCATIONS:
-            raise ConfigError(f"vf_target_len must be >= {VF_LOCATIONS}, the length "
-                              f"of the secondary modality, got {spec.vf_target_len}")
 
 
 # ---------------------------------------------------------------------------
@@ -283,14 +276,14 @@ def _run_cells(
                         if hash_splits else "")
 
     cfg.validate(method for method, _ in cells)
-    first = splits_and_hash(cfg.seeds[0])
+    splits, split_hash = splits_and_hash(cfg.seeds[0])
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
         fh.write(config_to_ini(cfg))
     per_seed = []
     for seed in cfg.seeds:
-        reuse = seed == cfg.seeds[0] or cfg.dataset.path is not None
-        splits, split_hash = first if reuse else splits_and_hash(seed)
+        if seed != cfg.seeds[0] and cfg.dataset.path is None:
+            splits, split_hash = splits_and_hash(seed)
         reports = []
         for method, engine in cells:
             result = _run_method(method, splits, replace(engine, seed=seed),
@@ -354,6 +347,9 @@ def run_ablation(cfg: ExperimentConfig, beta_grid: list[int],
     ablation.csv (one row per cell) and ablation_pivot.csv (mean AUC table)."""
     if not beta_grid or not gamma_grid:
         raise ConfigError("ablation grids must be non-empty")
+    for name, values in (("beta", beta_grid), ("gamma", gamma_grid)):
+        if len(set(values)) != len(values):
+            raise ConfigError(f"{name} grid values must be distinct, got {values}")
     if cfg.method != "pseudo_sup":
         raise ConfigError(f"ablate runs method pseudo_sup only, got {cfg.method!r}")
     grid = [(beta, gamma) for beta in beta_grid for gamma in gamma_grid]

@@ -163,6 +163,8 @@ def generate_multimodal_gaussians(
 ) -> Split:
     """Grid modality plus a correlated 52-length secondary vector, concatenated
     after up-scaling the secondary vector to vf_target_len."""
+    if grid_dims is None:
+        raise ValueError("multimodal mode requires dataset grid dims")
     dim = grid_dims[0] * grid_dims[1]
     base = generate_overlapping_gaussians(n_per_class, dim, class_separation, seed, grid_dims)
     vf = np.random.default_rng([seed, 52]).standard_normal((len(base), VF_LOCATIONS))
@@ -275,7 +277,8 @@ def concat_modalities(features: np.ndarray, secondary: np.ndarray,
     secondary = np.asarray(secondary, dtype=np.float64)
     src_len = secondary.shape[-1]
     if target_len < src_len:
-        raise ValueError(f"target_len {target_len} < secondary length {src_len}")
+        raise ValueError(f"vf_target_len must be >= {src_len}, the length of the "
+                         f"secondary modality, got {target_len}")
     idx = (np.arange(target_len) * src_len) // target_len
     return np.concatenate([features, secondary[..., idx]], axis=-1)
 

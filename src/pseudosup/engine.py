@@ -14,9 +14,8 @@ augmentation runs row by row. Both updates run one forward/backward pass: the
 classifier step over the stacked [labeled; pseudo] rows with cross-entropy row
 weights 1/n_l and pseudo_loss_weight/n_u, and the policy update over the whole
 beta-step window with row weights G_t/B_t, the returns coming from one reverse
-accumulation. These reorder floating-point sums against a per-batch (per-step)
-pass, so results agree with it to rounding, not bit for bit; the labeled-only
-step (no pseudo batch, or pseudo_loss_weight 0) is unchanged.
+accumulation. Every classifier update, the supervised warmup's included, goes
+through `classifier_step`.
 
 The training loops reject non-finite features in any split before they start.
 A loss, a sampled log-probability, the logits of a whole-split pass
@@ -271,9 +270,7 @@ def warmup_supervised(
             for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rng):
                 if steps_done >= cfg.warmup_steps:
                     break
-                logits, cache = mlp_forward(classifier, x[idx])
-                _, grad = softmax_cross_entropy(logits, y[idx])
-                optimizer.step(mlp_backward(cache, grad))
+                classifier_step(classifier, x[idx], y[idx], None, None, optimizer, cfg)
                 steps_done += 1
     except NonFiniteError as exc:
         raise _diverged(cfg, f"warmup step {steps_done + 1}", exc) from exc
@@ -441,6 +438,18 @@ def evaluate(classifier: MlpModel, split: Split,
 # ---------------------------------------------------------------------------
 # training loops
 
+def _warm_classifier(splits: DatasetSplits,
+                     cfg: EngineConfig) -> tuple[dict, MlpModel, AdamW]:
+    """Check `splits`; build the seed's RNGs, classifier and AdamW; run the warmup."""
+    _check_splits(splits, cfg)
+    rngs = _rngs(cfg.seed)
+    labeled = splits.labeled_train
+    classifier = init_mlp([labeled.X.shape[1], *cfg.hidden_dims, cfg.n_classes], rngs["init"])
+    opt_c = AdamW(classifier.parameters(), cfg.classifier_lr, weight_decay=cfg.weight_decay)
+    warmup_supervised(classifier, labeled, cfg, rngs["warmup"], opt_c)
+    return rngs, classifier, opt_c
+
+
 def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     """Full pseudo-supervisor loop.
 
@@ -452,19 +461,12 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     With an empty unlabeled split the same loop degenerates to supervised
     training (the pseudo branch is simply never entered).
     """
-    _check_splits(splits, cfg)
-    rngs = _rngs(cfg.seed)
+    rngs, classifier, opt_c = _warm_classifier(splits, cfg)
     labeled, unlabeled, val = splits.labeled_train, splits.unlabeled_train, splits.validation
-    input_dim = labeled.X.shape[1]
-    classifier = init_mlp([input_dim, *cfg.hidden_dims, cfg.n_classes], rngs["init"])
-    opt_c = AdamW(classifier.parameters(), cfg.classifier_lr,
-                  weight_decay=cfg.weight_decay)
-    warmup_supervised(classifier, labeled, cfg, rngs["warmup"], opt_c)
-
     if cfg.policy_warm_start:
         policy = clone_model(classifier)
     else:
-        policy = init_mlp([input_dim, *cfg.hidden_dims, cfg.n_classes], rngs["init"])
+        policy = init_mlp(classifier.layer_dims, rngs["init"])
     opt_p = AdamW(policy.parameters(), cfg.policy_lr, weight_decay=cfg.weight_decay)
 
     history = History()
@@ -508,7 +510,7 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
 def train_supervised_only(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     """Supervised baseline: the same loop with the unlabeled split stripped."""
     result = train(replace(splits, unlabeled_train=splits.unlabeled_train.take([])), cfg)
-    return TrainResult(result.classifier, None, result.history, result.final_metrics)
+    return replace(result, policy=None)
 
 
 @dataclass
@@ -525,15 +527,8 @@ def train_self_training(
     as pseudo label."""
     if not 0.5 < confidence_threshold <= 1.0:
         raise ValueError("confidence_threshold must be in (0.5, 1]")
-    _check_splits(splits, cfg)
-    rngs = _rngs(cfg.seed)
+    rngs, classifier, opt_c = _warm_classifier(splits, cfg)
     labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
-    input_dim = labeled.X.shape[1]
-    classifier = init_mlp([input_dim, *cfg.hidden_dims, cfg.n_classes], rngs["init"])
-    opt_c = AdamW(classifier.parameters(), cfg.classifier_lr,
-                  weight_decay=cfg.weight_decay)
-    warmup_supervised(classifier, labeled, cfg, rngs["warmup"], opt_c)
-
     history = History()
     pseudo_acc: list[float] = []
     n_selected: list[int] = []

@@ -1,8 +1,10 @@
 import configparser
 import dataclasses
+import gc
 import hashlib
 import os
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -429,6 +431,8 @@ class TestCliEntry:
         ["run", "--epochs", "1", "--seeds", "-1"],
         ["gen-data", "--seed", "-3"],
         ["gen-data", "--n-per-class", "2", "--fractions", "0.9", "0.05", "0.05"],
+        ["ablate", "--epochs", "1", "--seeds", "1", "--beta-grid", "5", "5"],
+        ["ablate", "--epochs", "1", "--seeds", "1", "--gamma-grid", "0.9", "0.5", "0.9"],
     ])
     def test_bad_config_exits_2_before_any_output(self, tmp_path, capsys, argv):
         out = tmp_path / "o"
@@ -451,6 +455,13 @@ class TestCliEntry:
         (["run", "--class-separation", "nan"],
          "class_separation must be finite and >= 0, got nan"),
         (["run", "--policy-lr", "nan"], "learning rates must be positive and finite"),
+        (["run", "--multimodal"], "multimodal mode requires dataset grid dims"),
+        (["run", "--multimodal", "--grid", "3", "4", "--vf-target-len", "10"],
+         "vf_target_len must be >= 52, the length of the secondary modality, got 10"),
+        (["ablate", "--beta-grid", "5", "5", "--gamma-grid", "0.9"],
+         "beta grid values must be distinct, got [5, 5]"),
+        (["ablate", "--beta-grid", "5", "--gamma-grid", "0.9", "0.9"],
+         "gamma grid values must be distinct, got [0.9, 0.9]"),
     ])
     def test_config_error_names_the_value(self, tmp_path, capsys, argv, message):
         flag = "--out" if argv[0] == "gen-data" else "--output-dir"
@@ -466,6 +477,30 @@ class TestCliEntry:
                      "--epochs", "1", "--warmup-steps", "2", "--hidden-dims", "4",
                      "--output-dir", str(tmp_path / "cmp")]) == 0
         assert calls == {"split_dataset": 3, "serialize_splits": 3}
+
+    def test_generated_splits_held_for_their_seed_only(self, tmp_path, monkeypatch):
+        built, seed_1_alive = [], []
+        real_build, real_run_method = cli.build_splits, cli._run_method
+
+        def build(spec, seed):
+            splits = real_build(spec, seed)
+            built.append(weakref.ref(splits))
+            return splits
+
+        def run_method(method, splits, engine, threshold):
+            if engine.seed == 3:
+                gc.collect()
+                seed_1_alive.append(built[0]() is not None)
+            return real_run_method(method, splits, engine, threshold)
+
+        monkeypatch.setattr(cli, "build_splits", build)
+        monkeypatch.setattr(cli, "_run_method", run_method)
+        assert main(["run", "--method", "supervised", "--seeds", "1", "2", "3",
+                     "--n-per-class", "20", "--dim", "3", "--epochs", "1",
+                     "--warmup-steps", "2", "--hidden-dims", "4",
+                     "--output-dir", str(tmp_path / "run")]) == 0
+        assert len(built) == 3
+        assert seed_1_alive == [False]
 
     @pytest.mark.parametrize("method", ["supervised", "pseudo_sup", "self_training"])
     def test_single_class_test_split_exits_3_before_training(self, tmp_path, capsys,
@@ -519,6 +554,19 @@ class TestCliEntry:
         expected = hashlib.sha256((digest * 3).encode()).hexdigest()
         assert [r.split(",")[-1] for r in rows] == [expected, expected]
 
+    @pytest.mark.parametrize("flags", [
+        ["--multimodal"],
+        ["--multimodal", "--grid", "3", "4", "--vf-target-len", "10"],
+        ["--n-per-class", "0"],
+        ["--grid", "3", "3"],
+    ])
+    def test_dataset_file_ignores_generation_settings(self, tmp_path, flags):
+        ds = str(tmp_path / "ds.txt")
+        main(["gen-data", "--out", ds, "--n-per-class", "20", "--dim", "3"])
+        assert main(["run", "--method", "supervised", "--dataset", ds, "--seeds", "1",
+                     "--epochs", "1", "--warmup-steps", "2", "--hidden-dims", "4",
+                     *flags, "--output-dir", str(tmp_path / "run")]) == 0
+
     def test_missing_dataset_file_exits_3(self, tmp_path):
         rc = main(["run", "--dataset", str(tmp_path / "absent.txt"),
                    "--method", "supervised", "--seeds", "1",
@@ -550,6 +598,8 @@ class TestCliEntry:
          "751b24ca68b74d13eb3aa9f90d4a69094fbf714b0ffd4a1f7b488762f70aa1af"),
         ("self_training", ["--confidence-threshold", "0.6"],
          "6dfc9e4c5bd9b7f691ec1825cb2ad82e488ba9a76680bdebb04273fdbab19d84"),
+        ("pseudo_sup", ["--no-policy-warm-start"],
+         "2ad48f868074607cca202b515e183cffa1a45fe89347d81727a9d996b3748514"),
     ])
     def test_training_digest_pinned(self, tmp_path, method, flags, digest):
         out = tmp_path / "o"
@@ -589,5 +639,5 @@ class TestBuildSplits:
         cfg = small_cfg(tmp_path)
         cfg.dataset.multimodal = True
         cfg.dataset.grid = None
-        with pytest.raises(ConfigError):
-            cfg.validate()
+        with pytest.raises(ConfigError, match="multimodal mode requires dataset grid dims"):
+            build_splits(cfg.dataset, 1)
