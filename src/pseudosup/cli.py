@@ -53,7 +53,7 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetSpec:
     path: str | None = None
     n_per_class: int = 500
@@ -66,7 +66,7 @@ class DatasetSpec:
     vf_target_len: int = 52
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     method: str = "pseudo_sup"
     seeds: tuple[int, ...] = (1, 2, 3, 4, 5)
@@ -75,24 +75,18 @@ class ExperimentConfig:
     engine: EngineConfig = field(default_factory=EngineConfig)
     confidence_threshold: float | None = None
 
-    def validate(self, methods: Iterable[str] = ()) -> None:
-        """Reject a config before any command writes or trains; `methods`
-        are the methods a command runs in addition to `self.method`. The
-        dataset fields are `data`'s to check, when `build_splits` builds the
-        first seed's splits."""
-        for method in (self.method, *methods):
-            if method not in METHODS:
-                raise ConfigError(f"method must be one of {METHODS}, got {method!r}")
-            if method == "self_training" and self.confidence_threshold is None:
-                raise ConfigError("method self_training requires confidence_threshold")
+    def __post_init__(self):
+        """Method, seed and threshold rules; `data` and EngineConfig own the rest."""
+        if self.method not in METHODS:
+            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
+        if self.method == "self_training" and self.confidence_threshold is None:
+            raise ConfigError("method self_training requires confidence_threshold")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         if min(self.seeds) < 0:
             raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
-        if self.engine.epochs < 1:
-            raise ConfigError(f"epochs must be >= 1, got {self.engine.epochs}")
         threshold = self.confidence_threshold
         if threshold is not None and not 0.5 < threshold <= 1.0:
             raise ConfigError("confidence_threshold must be in (0.5, 1]")
@@ -196,7 +190,8 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def config_from_ini(text: str) -> ExperimentConfig:
+def _ini_values(text: str) -> dict[_Field, Any]:
+    """The value of each schema field that the INI `text` sets."""
     cp = configparser.ConfigParser()
     try:
         cp.read_string(text)
@@ -209,7 +204,11 @@ def config_from_ini(text: str) -> ExperimentConfig:
                 values[f] = f.parse(cp[f.section][f.name])
             except (ValueError, configparser.Error) as exc:
                 raise ConfigError(f"{f.name}: {exc}") from None
-    return _override(ExperimentConfig(), values)
+    return values
+
+
+def config_from_ini(text: str) -> ExperimentConfig:
+    return _override(ExperimentConfig(), _ini_values(text))
 
 
 # ---------------------------------------------------------------------------
@@ -263,19 +262,17 @@ def _run_cells(
     cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
     write_cells: bool = True, hash_splits: bool = False,
 ) -> list[tuple[str, list[MetricsReport]]]:
-    """Validate `cfg`, build the first seed's splits (which checks the dataset
-    settings or file) and only then write config.ini; per seed, build the
-    splits once and train every (method, engine) cell on them, writing each
-    cell under `<output_dir>/<method>/<seed>` if `write_cells`. A dataset
-    file does not depend on the seed, so it is loaded and hashed once.
-    Returns, per seed, the sha256 of the serialized splits ("" unless
-    `hash_splits`) and one report per cell."""
+    """Build the first seed's splits, which checks the dataset settings or
+    file, then write config.ini; per seed, build the splits once and train
+    every (method, engine) cell on them, writing each under
+    `<output_dir>/<method>/<seed>` if `write_cells`; a dataset file is
+    loaded and hashed once. Returns, per seed, the sha256 of the serialized
+    splits ("" unless `hash_splits`) and one report per cell."""
     def splits_and_hash(seed: int) -> tuple[DatasetSplits, str]:
         splits = build_splits(cfg.dataset, seed)
         return splits, (hashlib.sha256(serialize_splits(splits).encode()).hexdigest()
                         if hash_splits else "")
 
-    cfg.validate(method for method, _ in cells)
     splits, split_hash = splits_and_hash(cfg.seeds[0])
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
@@ -330,6 +327,8 @@ def compare_methods(cfg: ExperimentConfig, methods: list[str]) -> str:
     comparison.csv with one mean/std row per method plus the shared split hash."""
     if len(methods) < 2 or len(set(methods)) != len(methods):
         raise ConfigError("compare requires at least 2 distinct methods")
+    for method in methods:  # each must pass ExperimentConfig's method rules
+        replace(cfg, method=method)
     per_seed = _run_cells(cfg, [(m, cfg.engine) for m in methods], hash_splits=True)
     combined = hashlib.sha256("".join(h for h, _ in per_seed).encode()).hexdigest()
     path = os.path.join(cfg.output_dir, "comparison.csv")
@@ -393,14 +392,15 @@ def _given(args: argparse.Namespace, schema: Iterable[_Field]) -> dict[_Field, A
 
 
 def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
-    cfg = ExperimentConfig()
+    """The `--config` file's values with the flags on top, checked as one."""
+    values = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                cfg = config_from_ini(fh.read())
+                values = _ini_values(fh.read())
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
-    return _override(cfg, _given(args, SCHEMA))
+    return _override(ExperimentConfig(), values | _given(args, SCHEMA))
 
 
 # gen-data synthesizes a dataset, so it takes no input-file flag.
@@ -444,7 +444,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_gen_data(args: argparse.Namespace) -> None:
     cfg = _override(ExperimentConfig(seeds=(args.seed,)), _given(args, _GEN_SCHEMA))
-    cfg.validate()
     save_dataset(build_splits(cfg.dataset, args.seed), args.out)
     print(f"wrote {args.out}")
 

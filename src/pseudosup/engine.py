@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(frozen=True)
 class EngineConfig:
     hidden_dims: tuple[int, ...] = (64, 32)
     n_classes: int = 2
@@ -94,8 +94,10 @@ class EngineConfig:
             raise ValueError("beta must be >= 1")
         if not (0 < self.policy_lr < math.inf and 0 < self.classifier_lr < math.inf):
             raise ValueError("learning rates must be positive and finite")
-        if self.epochs < 0 or self.warmup_steps < 0:
-            raise ValueError("epochs and warmup_steps must be non-negative")
+        if self.epochs < 1:
+            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if self.warmup_steps < 0:
+            raise ValueError("warmup_steps must be non-negative")
         if min(self.batch_labeled, self.batch_unlabeled, self.batch_val) < 1:
             raise ValueError("batch sizes must be >= 1")
         if any(d < 1 for d in self.hidden_dims):
@@ -188,15 +190,21 @@ class TrainResult:
     classifier: MlpModel
     policy: MlpModel | None
     history: History
-    final_metrics: MetricsReport | None
+
+    @property
+    def final_metrics(self) -> MetricsReport:
+        """The test metrics after the last epoch."""
+        return self.history.epochs[-1].metrics
 
 
 # ---------------------------------------------------------------------------
 # batch helpers: batches are index arrays into a split's arrays
 
 def _check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
-    """The labeled splits must be non-empty with labels in [0, n_classes), the
-    test split must hold class 1 and another (for its AUC), all features finite."""
+    """Labeled splits non-empty with labels in [0, n_classes), class 1 and another
+    in test (for its AUC), all features finite, and grid dims if cfg.augment."""
+    if cfg.augment and splits.grid is None:
+        raise ValueError("augment requires splits with grid dims")
     for name in ("labeled_train", "validation", "test"):
         part = getattr(splits, name)
         if len(part) == 0:
@@ -472,7 +480,6 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     history = History()
     trajectory = Trajectory(cfg.beta)
     step = 0
-    final_metrics: MetricsReport | None = None
     try:
         for epoch in range(1, cfg.epochs + 1):
             for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
@@ -500,11 +507,10 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
                 else:
                     classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
                     history.steps.append(StepRecord(step, epoch, None, None, None, False))
-            final_metrics = evaluate(classifier, splits.test)
-            history.epochs.append(EpochRecord(epoch, final_metrics))
+            history.epochs.append(EpochRecord(epoch, evaluate(classifier, splits.test)))
     except NonFiniteError as exc:
         raise _diverged(cfg, f"step {step}", exc) from exc
-    return TrainResult(classifier, policy, history, final_metrics)
+    return TrainResult(classifier, policy, history)
 
 
 def train_supervised_only(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
@@ -533,7 +539,6 @@ def train_self_training(
     pseudo_acc: list[float] = []
     n_selected: list[int] = []
     step = 0
-    final_metrics: MetricsReport | None = None
     try:
         for epoch in range(1, cfg.epochs + 1):
             selected = np.empty(0, dtype=np.intp)
@@ -560,9 +565,7 @@ def train_self_training(
                 else:
                     classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
                 history.steps.append(StepRecord(step, epoch, None, None, None, False))
-            final_metrics = evaluate(classifier, splits.test)
-            history.epochs.append(EpochRecord(epoch, final_metrics))
+            history.epochs.append(EpochRecord(epoch, evaluate(classifier, splits.test)))
     except NonFiniteError as exc:
         raise _diverged(cfg, f"step {step}", exc) from exc
-    return SelfTrainingResult(classifier, None, history, final_metrics,
-                              pseudo_acc, n_selected)
+    return SelfTrainingResult(classifier, None, history, pseudo_acc, n_selected)

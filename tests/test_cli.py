@@ -5,6 +5,7 @@ import hashlib
 import os
 import re
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -203,9 +204,62 @@ class TestConfigRoundTrip:
 
     def test_validation_names_missing_field(self, tmp_path):
         cfg = small_cfg(tmp_path, method="self_training")
-        cfg.confidence_threshold = None
         with pytest.raises(ConfigError, match="confidence_threshold"):
-            cfg.validate()
+            dataclasses.replace(cfg, confidence_threshold=None)
+
+
+class TestConfigsCheckedWhenBuilt:
+    @pytest.mark.parametrize("cfg, name, value", [
+        (ExperimentConfig(), "method", "supervised"),
+        (DatasetSpec(), "dim", 5),
+        (EngineConfig(), "gamma", 7.0),
+    ])
+    def test_fields_cannot_be_assigned(self, cfg, name, value):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cfg, name, value)
+
+    def test_replace_is_checked(self):
+        with pytest.raises(ValueError, match="^beta must be >= 1$"):
+            dataclasses.replace(EngineConfig(), beta=0)
+        with pytest.raises(ConfigError, match="^seeds must be distinct"):
+            dataclasses.replace(ExperimentConfig(), seeds=(1, 1))
+
+    def test_ini_alone_is_checked(self):
+        with pytest.raises(ConfigError, match="^beta must be >= 1$"):
+            config_from_ini("[engine]\nbeta = 0\n")
+        with pytest.raises(ConfigError, match="requires confidence_threshold"):
+            config_from_ini("[experiment]\nmethod = self_training\n")
+
+    def test_flag_overrides_ini_value_before_checks(self, tmp_path):
+        ini = tmp_path / "b.ini"
+        ini.write_text("[engine]\nbeta = 0\n")
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(ini), "--beta", "5", "--seeds", "1",
+                     "--n-per-class", "20", "--dim", "3", "--epochs", "1",
+                     "--warmup-steps", "2", "--hidden-dims", "4",
+                     "--output-dir", str(out)]) == 0
+        assert config_from_ini((out / "config.ini").read_text()).engine.beta == 5
+
+    def test_absent_config_file_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(tmp_path / "absent.ini"),
+                     "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("config error: cannot read config: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--method", "bogus"],
+         f"method must be one of {cli.METHODS}, got 'bogus'"),
+        (["compare", "--methods", "supervised", "bogus"],
+         f"method must be one of {cli.METHODS}, got 'bogus'"),
+        (["compare", "--methods", "supervised", "self_training"],
+         "method self_training requires confidence_threshold"),
+    ])
+    def test_bad_method_exits_2_before_any_output(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main(argv + ["--seeds", "1", "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not out.exists()
 
 
 class TestRunExperiment:
@@ -336,7 +390,7 @@ class TestCliEntry:
         b = str(tmp_path / "b.txt")
         main(["gen-data", "--out", a, "--n-per-class", "20", "--seed", "5"])
         main(["gen-data", "--out", b, "--n-per-class", "20", "--seed", "5"])
-        assert open(a).read() == open(b).read()
+        assert Path(a).read_text() == Path(b).read_text()
 
     # sha256 of gen-data output, recorded before datasets became arrays; pins
     # every generator and split RNG stream and the file format
@@ -567,6 +621,14 @@ class TestCliEntry:
                      "--epochs", "1", "--warmup-steps", "2", "--hidden-dims", "4",
                      *flags, "--output-dir", str(tmp_path / "run")]) == 0
 
+    def test_augment_without_grid_exits_3_before_any_cell(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["run", "--method", "pseudo_sup_aug", "--n-per-class", "20",
+                     "--dim", "4", "--seeds", "1", "--epochs", "1",
+                     "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "error: augment requires splits with grid dims\n"
+        assert not (out / "pseudo_sup_aug").exists()
+
     def test_missing_dataset_file_exits_3(self, tmp_path):
         rc = main(["run", "--dataset", str(tmp_path / "absent.txt"),
                    "--method", "supervised", "--seeds", "1",
@@ -636,8 +698,6 @@ class TestBuildSplits:
         assert splits.grid == (3, 4)
 
     def test_multimodal_requires_grid(self, tmp_path):
-        cfg = small_cfg(tmp_path)
-        cfg.dataset.multimodal = True
-        cfg.dataset.grid = None
+        spec = dataclasses.replace(small_cfg(tmp_path).dataset, multimodal=True, grid=None)
         with pytest.raises(ConfigError, match="multimodal mode requires dataset grid dims"):
-            build_splits(cfg.dataset, 1)
+            build_splits(spec, 1)

@@ -336,6 +336,7 @@ class TestDatasetIO:
         # a repeated header is read as a row, with too few fields
         ("n_features 1\nn_features 1\n", 3),
         ("n_features 1\ngrid 1 1\ngrid 1 1\n", 4),
+        ("n_features 1\ngrid 2 2\n", 3),
     ])
     def test_malformed_header_names_file_and_line(self, tmp_path, header, lineno):
         path = tmp_path / "d.txt"
@@ -357,6 +358,8 @@ class TestDatasetIO:
         ("trainL a 0 1.0\nval b 0 2.0\ntest c 0 3.0\n\n", "line 6: expected 4 fields, got 0"),
         ("trainL a 0 1.0\ngrid 1 1\n", "line 4: expected 4 fields, got 3"),
         ("trainL a 0 1.0\nn_features 1\n", "line 4: expected 4 fields, got 2"),
+        ("bogus a 0 1.0\n", "line 3: unknown split tag 'bogus'"),
+        ("trainL a x 1.0\n", "line 3: bad label 'x'"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, rows, message):
         path = tmp_path / "d.txt"

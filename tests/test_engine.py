@@ -142,6 +142,12 @@ class TestSamplePseudoLabels:
         with pytest.raises(ValueError):
             sample_pseudo_labels(model, np.zeros((0, 3)), np.random.default_rng(0))
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_overflowing_policy_raises(self):
+        model = MlpModel([1, 2], [np.array([[1e308, -1e308]])], [np.zeros(2)])
+        with pytest.raises(NonFiniteError, match="policy log-probabilities are non-finite"):
+            sample_pseudo_labels(model, np.array([[10.0]]), np.random.default_rng(0))
+
 
 class TestEvalValLoss:
     def test_zero_parameter_classifier_gives_ln2(self):
@@ -418,12 +424,9 @@ class TestWarmup:
 
 
 class TestTrainLoop:
-    def test_zero_epochs_empty_history(self):
-        splits = make_splits()
-        result = train(splits, fast_cfg(epochs=0))
-        assert result.history.steps == []
-        assert result.history.epochs == []
-        assert result.final_metrics is None
+    def test_zero_epochs_rejected(self):
+        with pytest.raises(ValueError, match="^epochs must be >= 1, got 0$"):
+            fast_cfg(epochs=0)
 
     def test_deterministic_history(self):
         splits = make_splits()
@@ -492,6 +495,20 @@ class TestTrainLoop:
                 train(splits, fast_cfg())
             else:
                 train_self_training(splits, fast_cfg(), 0.9)
+
+    @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
+    def test_augment_without_grid_rejected_before_warmup(self, monkeypatch, trainer):
+        def no_warmup(*args):
+            raise AssertionError("warmup ran")
+
+        monkeypatch.setattr(engine, "warmup_supervised", no_warmup)
+        splits, cfg = make_splits(), fast_cfg(augment=True)
+        assert splits.grid is None
+        with pytest.raises(ValueError, match="^augment requires splits with grid dims$"):
+            if trainer == "pseudo_sup":
+                train(splits, cfg)
+            else:
+                train_self_training(splits, cfg, 0.9)
 
     @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
     @pytest.mark.parametrize("split", ["labeled_train", "unlabeled_train",
