@@ -32,8 +32,10 @@ from .data import (
     split_dataset,
 )
 from .engine import (
+    ConfigError,
     EngineConfig,
     TrainResult,
+    check_splits,
     train,
     train_self_training,
     train_supervised_only,
@@ -47,10 +49,6 @@ METHODS = ("pseudo_sup", "pseudo_sup_aug", "supervised", "self_training")
 PER_CELL = ("seed", "augment")
 # Flags not spelled as their field name with dashes.
 FLAG_NAMES = {"path": "--dataset"}
-
-
-class ConfigError(ValueError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -76,7 +74,8 @@ class ExperimentConfig:
     confidence_threshold: float | None = None
 
     def __post_init__(self):
-        """Method, seed and threshold rules; `data` and EngineConfig own the rest."""
+        """Method, seed list and threshold rules; `data` and EngineConfig own the
+        rest, the seed range included."""
         if self.method not in METHODS:
             raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
         if self.method == "self_training" and self.confidence_threshold is None:
@@ -85,8 +84,8 @@ class ExperimentConfig:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"seeds must be >= 0, got {min(self.seeds)}")
+        for seed in self.seeds:  # each must pass EngineConfig's seed rule
+            replace(self.engine, seed=seed)
         threshold = self.confidence_threshold
         if threshold is not None and not 0.5 < threshold <= 1.0:
             raise ConfigError("confidence_threshold must be in (0.5, 1]")
@@ -160,17 +159,13 @@ SCHEMA = _build_schema()
 
 
 def _override(cfg: ExperimentConfig, values: dict[_Field, Any]) -> ExperimentConfig:
-    """`cfg` with each field in `values` set; a value the dataclasses reject
-    becomes a ConfigError."""
+    """`cfg` with each field in `values` set, checked by the dataclasses."""
     by_section: dict[str, dict[str, Any]] = {}
     for f, value in values.items():
         by_section.setdefault(f.section, {})[f.name] = value
     top = by_section.pop(_TOP, {})
-    try:
-        nested = {s: replace(getattr(cfg, s), **kw) for s, kw in by_section.items()}
-        return replace(cfg, **top, **nested)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    nested = {s: replace(getattr(cfg, s), **kw) for s, kw in by_section.items()}
+    return replace(cfg, **top, **nested)
 
 
 # ---------------------------------------------------------------------------
@@ -234,17 +229,19 @@ def build_splits(spec: DatasetSpec, seed: int) -> DatasetSplits:
         raise ConfigError(str(exc)) from None
 
 
+def _cell(method: str, engine: EngineConfig) -> tuple[str, EngineConfig]:
+    """The (method, engine) cell that trains `method`; pseudo_sup_aug is
+    pseudo_sup with `augment` set."""
+    return method, replace(engine, augment=True) if method == "pseudo_sup_aug" else engine
+
+
 def _run_method(method: str, splits: DatasetSplits, engine: EngineConfig,
                 confidence_threshold: float | None) -> TrainResult:
     if method == "supervised":
         return train_supervised_only(splits, engine)
-    if method == "pseudo_sup":
-        return train(splits, engine)
-    if method == "pseudo_sup_aug":
-        return train(splits, replace(engine, augment=True))
     if method == "self_training":
         return train_self_training(splits, engine, confidence_threshold)
-    raise ConfigError(f"unknown method {method!r}")
+    return train(splits, engine)  # pseudo_sup and pseudo_sup_aug
 
 
 def _write_cell(out_dir: str, seed: int, result: TrainResult) -> None:
@@ -263,7 +260,8 @@ def _run_cells(
     write_cells: bool = True, hash_splits: bool = False,
 ) -> list[tuple[str, list[MetricsReport]]]:
     """Build the first seed's splits, which checks the dataset settings or
-    file, then write config.ini; per seed, build the splits once and train
+    file, and check them against every cell's engine (`check_splits`), then
+    write config.ini; per seed, build the splits once and train
     every (method, engine) cell on them, writing each under
     `<output_dir>/<method>/<seed>` if `write_cells`; a dataset file is
     loaded and hashed once. Returns, per seed, the sha256 of the serialized
@@ -274,6 +272,8 @@ def _run_cells(
                         if hash_splits else "")
 
     splits, split_hash = splits_and_hash(cfg.seeds[0])
+    for _, engine in cells:
+        check_splits(splits, engine)
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
         fh.write(config_to_ini(cfg))
@@ -315,7 +315,7 @@ def _summary_row(method: str, reports: list[MetricsReport]) -> str:
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsReport]:
     """One method over all seeds; per-seed cells plus a root summary.csv."""
-    reports = [r for _, (r,) in _run_cells(cfg, [(cfg.method, cfg.engine)])]
+    reports = [r for _, (r,) in _run_cells(cfg, [_cell(cfg.method, cfg.engine)])]
     with open(os.path.join(cfg.output_dir, "summary.csv"), "w") as fh:
         fh.write(SUMMARY_HEADER + "\n")
         fh.write(_summary_row(cfg.method, reports) + "\n")
@@ -329,7 +329,7 @@ def compare_methods(cfg: ExperimentConfig, methods: list[str]) -> str:
         raise ConfigError("compare requires at least 2 distinct methods")
     for method in methods:  # each must pass ExperimentConfig's method rules
         replace(cfg, method=method)
-    per_seed = _run_cells(cfg, [(m, cfg.engine) for m in methods], hash_splits=True)
+    per_seed = _run_cells(cfg, [_cell(m, cfg.engine) for m in methods], hash_splits=True)
     combined = hashlib.sha256("".join(h for h, _ in per_seed).encode()).hexdigest()
     path = os.path.join(cfg.output_dir, "comparison.csv")
     with open(path, "w") as fh:
@@ -352,10 +352,7 @@ def run_ablation(cfg: ExperimentConfig, beta_grid: list[int],
     if cfg.method != "pseudo_sup":
         raise ConfigError(f"ablate runs method pseudo_sup only, got {cfg.method!r}")
     grid = [(beta, gamma) for beta in beta_grid for gamma in gamma_grid]
-    try:
-        cells = [(cfg.method, replace(cfg.engine, beta=b, gamma=g)) for b, g in grid]
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    cells = [(cfg.method, replace(cfg.engine, beta=b, gamma=g)) for b, g in grid]
     per_seed = _run_cells(cfg, cells, write_cells=False)
     aucs = [[reports[i].auc for _, reports in per_seed] for i in range(len(grid))]
     path = os.path.join(cfg.output_dir, "ablation.csv")

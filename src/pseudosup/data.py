@@ -303,14 +303,12 @@ def apply_crop_flip(
 
 
 def augment_weak(features: np.ndarray, grid: tuple[int, int] | None,
-                 rng: np.random.Generator | int, scale_min: float = 0.8) -> np.ndarray:
+                 rng: np.random.Generator, scale_min: float = 0.8) -> np.ndarray:
     """Random horizontal flip (p=0.5) plus random crop-and-resize of the
     leading h*w features of one row, viewed as the (h, w) `grid`; crop scale
     per dimension uniform in [scale_min, 1]. The other features pass through."""
     if grid is None:
         raise ValueError("augment_weak requires grid dims")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(rng)
     h, w = grid
     flip = rng.random() < 0.5
     crop_h = max(1, int(round(rng.uniform(scale_min, 1.0) * h)))

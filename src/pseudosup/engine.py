@@ -46,6 +46,7 @@ from .nn_core import (
 )
 
 __all__ = [
+    "ConfigError",
     "EngineConfig",
     "TrajectoryStep",
     "Trajectory",
@@ -64,7 +65,12 @@ __all__ = [
     "train_supervised_only",
     "train_self_training",
     "evaluate",
+    "check_splits",
 ]
+
+
+class ConfigError(ValueError):
+    """A config value that breaks a rule of the class holding it."""
 
 
 @dataclass(frozen=True)
@@ -89,25 +95,27 @@ class EngineConfig:
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError("gamma must be in [0, 1]")
+            raise ConfigError("gamma must be in [0, 1]")
         if self.beta < 1:
-            raise ValueError("beta must be >= 1")
+            raise ConfigError("beta must be >= 1")
         if not (0 < self.policy_lr < math.inf and 0 < self.classifier_lr < math.inf):
-            raise ValueError("learning rates must be positive and finite")
+            raise ConfigError("learning rates must be positive and finite")
         if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            raise ConfigError(f"epochs must be >= 1, got {self.epochs}")
         if self.warmup_steps < 0:
-            raise ValueError("warmup_steps must be non-negative")
+            raise ConfigError("warmup_steps must be non-negative")
         if min(self.batch_labeled, self.batch_unlabeled, self.batch_val) < 1:
-            raise ValueError("batch sizes must be >= 1")
+            raise ConfigError("batch sizes must be >= 1")
         if any(d < 1 for d in self.hidden_dims):
-            raise ValueError("hidden dims must be >= 1")
+            raise ConfigError("hidden dims must be >= 1")
         if self.n_classes < 2:
-            raise ValueError("n_classes must be >= 2")
+            raise ConfigError("n_classes must be >= 2")
         if not (0 <= self.weight_decay < math.inf and 0 <= self.pseudo_loss_weight < math.inf):
-            raise ValueError("weight_decay and pseudo_loss_weight must be finite and >= 0")
+            raise ConfigError("weight_decay and pseudo_loss_weight must be finite and >= 0")
         if not 0.0 < self.crop_scale_min <= 1.0:
-            raise ValueError("crop_scale_min must be in (0, 1]")
+            raise ConfigError("crop_scale_min must be in (0, 1]")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass
@@ -200,7 +208,7 @@ class TrainResult:
 # ---------------------------------------------------------------------------
 # batch helpers: batches are index arrays into a split's arrays
 
-def _check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
+def check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
     """Labeled splits non-empty with labels in [0, n_classes), class 1 and another
     in test (for its AUC), all features finite, and grid dims if cfg.augment."""
     if cfg.augment and splits.grid is None:
@@ -426,20 +434,20 @@ def _finite_logits(model: MlpModel, x: np.ndarray, what: str) -> np.ndarray:
     return logits
 
 
-def evaluate(classifier: MlpModel, split: Split,
-             positive_class: int = 1) -> MetricsReport:
+def evaluate(classifier: MlpModel, split: Split) -> MetricsReport:
+    """Metrics on a fully labeled split, with class 1 as the positive class."""
     x, y = split.X, split.y
     if (y < 0).any():
         raise ValueError("evaluate requires a fully labeled split")
     logits = _finite_logits(classifier, x, "evaluated split")
     preds = logits.argmax(axis=1)
-    scores = np.exp(log_softmax(logits))[:, positive_class]
+    scores = np.exp(log_softmax(logits))[:, 1]
     return MetricsReport(
         accuracy=accuracy(preds, y),
-        f1=f1_binary(preds, y, positive_class),
-        auc=auc_roc(scores, (y == positive_class).astype(int)),
+        f1=f1_binary(preds, y, 1),
+        auc=auc_roc(scores, (y == 1).astype(int)),
         n_samples=len(y),
-        positive_class=positive_class,
+        positive_class=1,
     )
 
 
@@ -449,7 +457,7 @@ def evaluate(classifier: MlpModel, split: Split,
 def _warm_classifier(splits: DatasetSplits,
                      cfg: EngineConfig) -> tuple[dict, MlpModel, AdamW]:
     """Check `splits`; build the seed's RNGs, classifier and AdamW; run the warmup."""
-    _check_splits(splits, cfg)
+    check_splits(splits, cfg)
     rngs = _rngs(cfg.seed)
     labeled = splits.labeled_train
     classifier = init_mlp([labeled.X.shape[1], *cfg.hidden_dims, cfg.n_classes], rngs["init"])

@@ -99,10 +99,6 @@ class MlpModel:
     def input_dim(self) -> int:
         return self.layer_dims[0]
 
-    @property
-    def n_classes(self) -> int:
-        return self.layer_dims[-1]
-
     def parameters(self) -> list[np.ndarray]:
         """Parameter list [W0, b0, W1, b1, ...]; arrays are live views of `flat`."""
         return list(self._params)
@@ -231,6 +227,10 @@ def _tiled_buffer(arrays: list[np.ndarray]) -> np.ndarray:
     return owner.reshape(-1)
 
 
+# AdamW's moment decay rates and the epsilon of its update denominator
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
+
+
 class AdamW:
     """Adam with decoupled weight decay, bias-corrected moments.
 
@@ -243,21 +243,12 @@ class AdamW:
     parameters are checked; a NaN or infinity raises NonFiniteError.
     """
 
-    def __init__(
-        self,
-        params: list[np.ndarray],
-        lr: float,
-        betas: tuple[float, float] = (0.9, 0.999),
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, params: list[np.ndarray], lr: float, weight_decay: float = 0.0):
         if lr < 0:
             raise ValueError("learning rate must be non-negative")
         self.params = params
         self.flat = _tiled_buffer(params)
         self.lr = lr
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.weight_decay = weight_decay
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
@@ -273,15 +264,15 @@ class AdamW:
         g = np.concatenate([np.ravel(g) for g in grads])
         p, m, v = self.flat, self.m, self.v
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
-        m *= self.beta1
-        m += (1.0 - self.beta1) * g
-        v *= self.beta2
-        v += (1.0 - self.beta2) * g * g
+        bc1 = 1.0 - _BETA1**self.t
+        bc2 = 1.0 - _BETA2**self.t
+        m *= _BETA1
+        m += (1.0 - _BETA1) * g
+        v *= _BETA2
+        v += (1.0 - _BETA2) * g * g
         if self.weight_decay != 0.0:
             p -= self.lr * self.weight_decay * p  # decays the pre-update parameters
-        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        p -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + _EPS)
         if not np.isfinite(p).all():
             raise NonFiniteError(f"parameters are non-finite after AdamW step {self.t}")
 

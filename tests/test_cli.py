@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudosup import cli
+from pseudosup import cli, engine
 from pseudosup.cli import (
     PER_CELL,
     ConfigError,
@@ -240,6 +240,21 @@ class TestConfigsCheckedWhenBuilt:
                      "--output-dir", str(out)]) == 0
         assert config_from_ini((out / "config.ini").read_text()).engine.beta == 5
 
+    def test_config_error_is_engines(self):
+        assert ConfigError is engine.ConfigError
+
+    @pytest.mark.parametrize("ini, message", [
+        ("beta = 5\n", "malformed config: File contains no section headers."),
+        ("[experiment]\nseeds =\n", "at least one seed is required"),
+        ("[dataset]\nmultimodal = maybe\n", "multimodal: expected a boolean, got 'maybe'"),
+    ])
+    def test_bad_ini_exits_2_before_any_output(self, tmp_path, capsys, ini, message):
+        path, out = tmp_path / "c.ini", tmp_path / "o"
+        path.write_text(ini)
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[0] == f"config error: {message}"
+        assert not out.exists()
+
     def test_absent_config_file_exits_2(self, tmp_path, capsys):
         out = tmp_path / "o"
         assert main(["run", "--config", str(tmp_path / "absent.ini"),
@@ -356,6 +371,13 @@ class TestAblation:
             [b, g, seed] for b in ("2", "5") for g in ("0", "0.90000000000000002")
             for seed in ("1", "2")]
 
+    @pytest.mark.parametrize("betas, gammas", [([], [0.9]), ([5], [])])
+    def test_empty_grid_rejected(self, tmp_path, betas, gammas):
+        cfg = small_cfg(tmp_path, method="pseudo_sup")
+        with pytest.raises(ConfigError, match="^ablation grids must be non-empty$"):
+            run_ablation(cfg, betas, gammas)
+        assert not os.path.exists(cfg.output_dir)
+
     def test_gamma_out_of_range_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="gamma"):
             run_ablation(small_cfg(tmp_path, method="pseudo_sup"), [5], [1.5])
@@ -418,7 +440,7 @@ class TestCliEntry:
                    "--confidence-threshold", "0.9", "--output-dir", str(out)])
         assert rc == 3
         assert "test has a label outside [0, 2)" in capsys.readouterr().err
-        assert not (out / method).exists()
+        assert not out.exists()
 
     def test_missing_threshold_exits_2(self, tmp_path):
         rc = main(["run", "--method", "self_training", "--seeds", "1",
@@ -496,8 +518,8 @@ class TestCliEntry:
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["gen-data", "--seed", "-3"], "seeds must be >= 0, got -3"),
-        (["run", "--seeds", "2", "-1"], "seeds must be >= 0, got -1"),
+        (["gen-data", "--seed", "-3"], "seed must be >= 0, got -3"),
+        (["run", "--seeds", "2", "-1"], "seed must be >= 0, got -1"),
         (["run", "--epochs", "0"], "epochs must be >= 1, got 0"),
         (["run", "--seeds", "1", "--n-per-class", "2", "--fractions", "0.9", "0.05", "0.05"],
          "a split partition would be empty: 2 labeled train, 0 validation and 0 test "
@@ -568,7 +590,7 @@ class TestCliEntry:
                    "--confidence-threshold", "0.9", "--output-dir", str(out)])
         assert rc == 3
         assert "error: test must hold class 1 and another" in capsys.readouterr().err
-        assert not (out / method).exists()
+        assert not out.exists()
 
     @pytest.mark.parametrize("flags, spec", [
         (["--dim", "5"], DatasetSpec(n_per_class=30, dim=5)),
@@ -627,7 +649,15 @@ class TestCliEntry:
                      "--dim", "4", "--seeds", "1", "--epochs", "1",
                      "--output-dir", str(out)]) == 3
         assert capsys.readouterr().err == "error: augment requires splits with grid dims\n"
-        assert not (out / "pseudo_sup_aug").exists()
+        assert not out.exists()
+
+    def test_compare_augment_without_grid_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "o"
+        assert main(["compare", "--methods", "supervised", "pseudo_sup_aug",
+                     "--n-per-class", "20", "--dim", "4", "--seeds", "1", "--epochs", "1",
+                     "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err == "error: augment requires splits with grid dims\n"
+        assert not out.exists()
 
     def test_missing_dataset_file_exits_3(self, tmp_path):
         rc = main(["run", "--dataset", str(tmp_path / "absent.txt"),

@@ -262,19 +262,19 @@ class TestAugmentWeak:
 
     def test_constant_grid_stays_constant(self):
         for seed in range(10):
-            out = augment_weak(np.full(48, 2.5), (6, 8), seed)
+            out = augment_weak(np.full(48, 2.5), (6, 8), np.random.default_rng(seed))
             np.testing.assert_array_equal(out, np.full(48, 2.5))
 
     def test_label_and_tail_unchanged(self):
         row = self.grid_row(tail=10)
-        out = augment_weak(row, (6, 8), 5)
+        out = augment_weak(row, (6, 8), np.random.default_rng(5))
         assert out.shape == row.shape
         np.testing.assert_array_equal(out[48:], row[48:])
 
     def test_deterministic_per_seed(self):
         row = self.grid_row()
-        a = augment_weak(row, (6, 8), 9)
-        b = augment_weak(row, (6, 8), 9)
+        a = augment_weak(row, (6, 8), np.random.default_rng(9))
+        b = augment_weak(row, (6, 8), np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_requires_grid_dims(self):

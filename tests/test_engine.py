@@ -12,6 +12,7 @@ from pseudosup.data import (
     split_dataset,
 )
 from pseudosup.engine import (
+    ConfigError,
     EngineConfig,
     Trajectory,
     TrajectoryStep,
@@ -669,3 +670,23 @@ class TestEngineConfig:
     def test_non_finite_float_rejected(self, name, value):
         with pytest.raises(ValueError, match="finite"):
             EngineConfig(**{name: value})
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"gamma": 1.5}, "gamma must be in [0, 1]"),
+        ({"beta": 0}, "beta must be >= 1"),
+        ({"classifier_lr": 0.0}, "learning rates must be positive and finite"),
+        ({"epochs": 0}, "epochs must be >= 1, got 0"),
+        ({"warmup_steps": -1}, "warmup_steps must be non-negative"),
+        ({"batch_unlabeled": 0}, "batch sizes must be >= 1"),
+        ({"hidden_dims": (4, 0)}, "hidden dims must be >= 1"),
+        ({"n_classes": 1}, "n_classes must be >= 2"),
+        ({"weight_decay": -0.5},
+         "weight_decay and pseudo_loss_weight must be finite and >= 0"),
+        ({"crop_scale_min": 0.0}, "crop_scale_min must be in (0, 1]"),
+        ({"seed": -1}, "seed must be >= 0, got -1"),
+    ])
+    def test_each_rule_raises_config_error(self, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            EngineConfig(**kwargs)
+        assert str(info.value) == message
+        assert isinstance(info.value, ValueError)
