@@ -277,8 +277,7 @@ def warmup_supervised(
     if rng is None:
         rng = _rngs(cfg.seed)["warmup"]
     if optimizer is None:
-        optimizer = AdamW(classifier.parameters(), cfg.classifier_lr,
-                          weight_decay=cfg.weight_decay)
+        optimizer = AdamW(classifier.flat, cfg.classifier_lr, weight_decay=cfg.weight_decay)
     x, y = labeled.X, labeled.y
     steps_done = 0
     try:
@@ -382,9 +381,10 @@ def _returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
 
 def _policy_loss_grads(
     policy: MlpModel, trajectory: Trajectory, gamma: float
-) -> tuple[float, list[np.ndarray]]:
+) -> tuple[float, np.ndarray]:
     """-J, the cross-entropy of the taken actions with row weights G_t / B_t,
-    and its gradients, from one forward/backward pass over the whole window."""
+    and its gradient in `policy.flat`'s layout, from one forward/backward pass
+    over the whole window, where J = sum_t G_t * mean_batch log pi(a_t|s_t)."""
     steps = trajectory.steps
     sizes = [len(s.actions) for s in steps]
     returns = _returns(np.array([s.reward for s in steps]), gamma)
@@ -393,14 +393,6 @@ def _policy_loss_grads(
     loss, grad = softmax_cross_entropy(
         logits, np.concatenate([s.actions for s in steps]), weights)
     return loss, mlp_backward(cache, grad)
-
-
-def _policy_surrogate_grads(
-    policy: MlpModel, trajectory: Trajectory, gamma: float
-) -> tuple[float, list[np.ndarray]]:
-    """Surrogate J = sum_t G_t * mean_batch log pi(a_t|s_t) and dJ/dparams."""
-    loss, grads = _policy_loss_grads(policy, trajectory, gamma)
-    return -loss, [-g for g in grads]
 
 
 def policy_update(
@@ -414,10 +406,9 @@ def policy_update(
     if len(trajectory) == 0:
         raise ValueError("policy update requires a non-empty trajectory")
     if optimizer is None:
-        optimizer = AdamW(policy.parameters(), cfg.policy_lr,
-                          weight_decay=cfg.weight_decay)
-    loss, grads = _policy_loss_grads(policy, trajectory, cfg.gamma)
-    optimizer.step(grads)  # descending -J ascends J
+        optimizer = AdamW(policy.flat, cfg.policy_lr, weight_decay=cfg.weight_decay)
+    loss, grad = _policy_loss_grads(policy, trajectory, cfg.gamma)
+    optimizer.step(grad)  # descending -J ascends J
     trajectory.steps.clear()
     return -loss
 
@@ -444,7 +435,7 @@ def evaluate(classifier: MlpModel, split: Split) -> MetricsReport:
     scores = np.exp(log_softmax(logits))[:, 1]
     return MetricsReport(
         accuracy=accuracy(preds, y),
-        f1=f1_binary(preds, y, 1),
+        f1=f1_binary(preds, y),
         auc=auc_roc(scores, (y == 1).astype(int)),
         n_samples=len(y),
         positive_class=1,
@@ -461,7 +452,7 @@ def _warm_classifier(splits: DatasetSplits,
     rngs = _rngs(cfg.seed)
     labeled = splits.labeled_train
     classifier = init_mlp([labeled.X.shape[1], *cfg.hidden_dims, cfg.n_classes], rngs["init"])
-    opt_c = AdamW(classifier.parameters(), cfg.classifier_lr, weight_decay=cfg.weight_decay)
+    opt_c = AdamW(classifier.flat, cfg.classifier_lr, weight_decay=cfg.weight_decay)
     warmup_supervised(classifier, labeled, cfg, rngs["warmup"], opt_c)
     return rngs, classifier, opt_c
 
@@ -483,7 +474,7 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
         policy = clone_model(classifier)
     else:
         policy = init_mlp(classifier.layer_dims, rngs["init"])
-    opt_p = AdamW(policy.parameters(), cfg.policy_lr, weight_decay=cfg.weight_decay)
+    opt_p = AdamW(policy.flat, cfg.policy_lr, weight_decay=cfg.weight_decay)
 
     history = History()
     trajectory = Trajectory(cfg.beta)

@@ -49,12 +49,12 @@ def accuracy(predictions, labels) -> float:
     return float(np.mean(predictions == labels))
 
 
-def f1_binary(predictions, labels, positive_class: int = 1) -> float:
-    """2 P R / (P + R). Degenerate convention: 0 unless there are neither
-    predicted nor actual positives, in which case 1."""
+def f1_binary(predictions, labels) -> float:
+    """2 P R / (P + R) with class 1 positive. Degenerate convention: 0 unless
+    there are neither predicted nor actual positives, in which case 1."""
     predictions, labels = _check_lengths(predictions, labels)
-    pred_pos = predictions == positive_class
-    true_pos = labels == positive_class
+    pred_pos = predictions == 1
+    true_pos = labels == 1
     tp = int(np.sum(pred_pos & true_pos))
     if not pred_pos.any() and not true_pos.any():
         return 1.0

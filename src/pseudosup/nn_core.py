@@ -5,8 +5,8 @@ they can be checked against finite differences.
 
 Each model keeps all its parameters in one buffer, `MlpModel.flat`, laid out
 in `parameters()` order: W0 (row-major), b0, W1, b1, ... `weights`, `biases`
-and `parameters()` are views into it. `AdamW` concatenates the per-parameter
-gradients of `mlp_backward` into the same layout and updates a model in one
+and `parameters()` are views into it. `mlp_backward` returns the gradient as
+one array in the same layout, and `AdamW` steps the buffer with it in one
 elementwise pass; cloning or checkpointing a model is one copy, write or read
 of the buffer.
 
@@ -49,7 +49,10 @@ class NonFiniteError(ValueError):
 
 def _layout(layer_dims: list[int]) -> list[tuple[int, int, tuple[int, ...]]]:
     """(start, stop, shape) of each parameter in the flat buffer, in
-    parameters() order: W0 (fan_in, fan_out), b0 (fan_out,), W1, b1, ..."""
+    parameters() order: W0 (fan_in, fan_out), b0 (fan_out,), W1, b1, ...
+    A network needs at least two layer dims, each at least 1."""
+    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
+        raise ValueError(f"invalid layer dims {layer_dims}")
     layout = []
     pos = 0
     for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
@@ -86,14 +89,17 @@ class MlpModel:
     def _bind(self, layer_dims: list[int], flat: np.ndarray) -> None:
         self.layer_dims = list(layer_dims)
         self._layout = _layout(self.layer_dims)
-        size = self._layout[-1][1] if self._layout else 0
+        size = self._layout[-1][1]
         if flat.shape != (size,):
             raise ValueError(f"{flat.size} parameter values, expected {size}")
         self.flat = flat
-        self._params = [flat[start:stop].reshape(shape)
-                        for start, stop, shape in self._layout]
+        self._params = self.views(flat)
         self.weights = self._params[0::2]
         self.biases = self._params[1::2]
+
+    def views(self, buf: np.ndarray) -> list[np.ndarray]:
+        """[W0, b0, W1, b1, ...] as views into `buf`, a buffer in `flat`'s layout."""
+        return [buf[start:stop].reshape(shape) for start, stop, shape in self._layout]
 
     @property
     def input_dim(self) -> int:
@@ -106,15 +112,11 @@ class MlpModel:
 
 def init_mlp(layer_dims: list[int], rng: np.random.Generator) -> MlpModel:
     """Seeded init: W ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), b = 0."""
-    if len(layer_dims) < 2 or any(d < 1 for d in layer_dims):
-        raise ValueError(f"invalid layer dims {layer_dims}")
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(layer_dims[:-1], layer_dims[1:]):
-        scale = 1.0 / np.sqrt(fan_in)
-        weights.append(rng.uniform(-scale, scale, size=(fan_in, fan_out)))
-        biases.append(np.zeros(fan_out))
-    return MlpModel(list(layer_dims), weights, biases)
+    model = MlpModel.from_flat(layer_dims, np.zeros(_layout(layer_dims)[-1][1]))
+    for w in model.weights:
+        scale = 1.0 / np.sqrt(w.shape[0])
+        w[...] = rng.uniform(-scale, scale, size=w.shape)
+    return model
 
 
 def clone_model(model: MlpModel) -> MlpModel:
@@ -146,8 +148,8 @@ def mlp_forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, Forward
     return a, ForwardCache(model, acts)
 
 
-def mlp_backward(cache: ForwardCache, grad_logits: np.ndarray) -> list[np.ndarray]:
-    """Exact gradients wrt parameters, in model.parameters() order."""
+def mlp_backward(cache: ForwardCache, grad_logits: np.ndarray) -> np.ndarray:
+    """Exact gradient wrt the parameters, one array in `model.flat`'s layout."""
     grad_logits = np.asarray(grad_logits, dtype=np.float64)
     if grad_logits.shape != cache.activations[-1].shape:
         raise ValueError(
@@ -155,17 +157,17 @@ def mlp_backward(cache: ForwardCache, grad_logits: np.ndarray) -> list[np.ndarra
             f"logits shape {cache.activations[-1].shape}"
         )
     model = cache.model
-    grads: list[np.ndarray] = [np.empty(0)] * (2 * len(model.weights))
+    out = np.empty_like(model.flat)
+    grads = model.views(out)
     delta = grad_logits
     for layer in range(len(model.weights) - 1, -1, -1):
-        a_in = cache.activations[layer]
-        grads[2 * layer] = a_in.T @ delta
-        grads[2 * layer + 1] = delta.sum(axis=0)
+        np.matmul(cache.activations[layer].T, delta, out=grads[2 * layer])
+        delta.sum(axis=0, out=grads[2 * layer + 1])
         if layer > 0:
             # ReLU subgradient: 0 at exactly 0
             delta = delta @ model.weights[layer].T
             delta *= cache.activations[layer] > 0
-    return grads
+    return out
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -208,25 +210,6 @@ def softmax_cross_entropy(
     return loss, grad
 
 
-def _tiled_buffer(arrays: list[np.ndarray]) -> np.ndarray:
-    """The float64 buffer that `arrays` tile front to back, in order."""
-    error = ValueError("AdamW parameters must tile one contiguous float64 buffer")
-    if not arrays:
-        raise error
-    owner = arrays[0] if arrays[0].base is None else arrays[0].base
-    if not isinstance(owner, np.ndarray) or not owner.flags.c_contiguous:
-        raise error
-    start = pos = owner.__array_interface__["data"][0]
-    for a in arrays:
-        if ((a is not owner and a.base is not owner) or a.dtype != np.float64
-                or not a.flags.c_contiguous or a.__array_interface__["data"][0] != pos):
-            raise error
-        pos += a.nbytes
-    if pos != start + owner.nbytes:
-        raise error
-    return owner.reshape(-1)
-
-
 # AdamW's moment decay rates and the epsilon of its update denominator
 _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
@@ -234,34 +217,30 @@ _BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 class AdamW:
     """Adam with decoupled weight decay, bias-corrected moments.
 
-    `params` must tile one float64 buffer front to back, in order: the list
-    from `MlpModel.parameters()`, or a single contiguous array. Each step is
-    one elementwise pass over that buffer. The weight decay scales the
-    pre-update parameters, p <- p - lr * weight_decay * p, and then the Adam
-    update is applied (Algorithm 2 of arXiv 1711.05101, with the decay
-    multiplied by lr as in common implementations). After each step the
-    parameters are checked; a NaN or infinity raises NonFiniteError.
+    It steps one float64 buffer, `flat`: a model's `MlpModel.flat`, whose
+    layout `mlp_backward`'s gradients share. Each step is one elementwise pass
+    over that buffer. The weight decay scales the pre-update parameters,
+    p <- p - lr * weight_decay * p, and then the Adam update is applied
+    (Algorithm 2 of arXiv 1711.05101, with the decay multiplied by lr as in
+    common implementations). After each step the parameters are checked; a
+    NaN or infinity raises NonFiniteError.
     """
 
-    def __init__(self, params: list[np.ndarray], lr: float, weight_decay: float = 0.0):
+    def __init__(self, flat: np.ndarray, lr: float, weight_decay: float = 0.0):
         if lr < 0:
             raise ValueError("learning rate must be non-negative")
-        self.params = params
-        self.flat = _tiled_buffer(params)
+        self.flat = flat
         self.lr = lr
         self.weight_decay = weight_decay
-        self.m = np.zeros_like(self.flat)
-        self.v = np.zeros_like(self.flat)
+        self.m = np.zeros_like(flat)
+        self.v = np.zeros_like(flat)
         self.t = 0
 
-    def step(self, grads: list[np.ndarray]) -> None:
-        """One update; `grads` pairs one array with each parameter, in order."""
-        if len(grads) != len(self.params):
-            raise ValueError("gradient list length mismatch")
-        for p, g in zip(self.params, grads):
-            if p.shape != np.shape(g):
-                raise ValueError(f"gradient shape {np.shape(g)} != parameter shape {p.shape}")
-        g = np.concatenate([np.ravel(g) for g in grads])
+    def step(self, g: np.ndarray) -> None:
+        """One update from `g`, a gradient shaped like `flat`."""
+        if np.shape(g) != self.flat.shape:
+            raise ValueError(f"gradient shape {np.shape(g)} != parameter buffer "
+                             f"shape {self.flat.shape}")
         p, m, v = self.flat, self.m, self.v
         self.t += 1
         bc1 = 1.0 - _BETA1**self.t

@@ -33,7 +33,7 @@ from pseudosup.engine import (
     EngineConfig,
     Trajectory,
     TrajectoryStep,
-    _policy_surrogate_grads,
+    _policy_loss_grads,
     compute_reward,
     discounted_return,
     policy_update,
@@ -78,7 +78,7 @@ def test_criterion_1_gradient_oracle():
             _, grad_logits = softmax_cross_entropy(logits, labels)
             analytic = mlp_backward(cache, grad_logits)
             step = 1e-5
-            for p, a in zip(model.parameters(), analytic):
+            for p, a in zip(model.parameters(), model.views(analytic)):
                 it = np.nditer(p, flags=["multi_index"])
                 for _ in it:
                     idx = it.multi_index
@@ -159,9 +159,9 @@ def test_criterion_4_policy_ascent():
                                     step.actions].mean()
             return total
 
-        _, analytic = _policy_surrogate_grads(policy, traj, 0.9)
+        _, grad = _policy_loss_grads(policy, traj, 0.9)
         h = 1e-5
-        for p, a in zip(policy.parameters(), analytic):
+        for p, a in zip(policy.parameters(), policy.views(-grad)):
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -183,7 +183,7 @@ def test_criterion_5_bandit_convergence():
             rng = np.random.default_rng(seed)
             policy = init_mlp([4, 8, 2], rng)
             cfg = EngineConfig(policy_lr=5e-3, beta=1, gamma=0.9)
-            opt = AdamW(policy.parameters(), cfg.policy_lr)
+            opt = AdamW(policy.flat, cfg.policy_lr)
             state = rng.standard_normal((1, 4))
             converged = False
             for _ in range(5000):

@@ -16,7 +16,7 @@ from pseudosup.engine import (
     EngineConfig,
     Trajectory,
     TrajectoryStep,
-    _policy_surrogate_grads,
+    _policy_loss_grads,
     classifier_step,
     compute_reward,
     discounted_return,
@@ -189,8 +189,8 @@ class TestClassifierStep:
         yl = rng.integers(0, 2, 4)
         xu = rng.normal(size=(4, 3))
         yu = rng.integers(0, 2, 4)
-        classifier_step(a, xl, yl, xu, yu, AdamW(a.parameters(), cfg.classifier_lr), cfg)
-        classifier_step(b, xl, yl, None, None, AdamW(b.parameters(), cfg.classifier_lr),
+        classifier_step(a, xl, yl, xu, yu, AdamW(a.flat, cfg.classifier_lr), cfg)
+        classifier_step(b, xl, yl, None, None, AdamW(b.flat, cfg.classifier_lr),
                         replace(cfg, pseudo_loss_weight=1.0))
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
@@ -200,8 +200,8 @@ class TestClassifierStep:
         cfg = fast_cfg(pseudo_loss_weight=0.7)
         a = init_mlp([3, 6, 4, 2], rng)
         b = clone_model(a)
-        opt_a = AdamW(a.parameters(), cfg.classifier_lr)
-        opt_b = AdamW(b.parameters(), cfg.classifier_lr)
+        opt_a = AdamW(a.flat, cfg.classifier_lr)
+        opt_b = AdamW(b.flat, cfg.classifier_lr)
         for _ in range(5):
             xl, yl = rng.normal(size=(6, 3)), rng.integers(0, 2, 6)
             xu, yu = rng.normal(size=(9, 3)), rng.integers(0, 2, 9)
@@ -212,7 +212,7 @@ class TestClassifierStep:
                 logits, cache = mlp_forward(b, x)
                 _, g = softmax_cross_entropy(logits, y)
                 parts.append(mlp_backward(cache, g))
-            opt_b.step([gl + 0.7 * gu for gl, gu in zip(*parts)])
+            opt_b.step(parts[0] + 0.7 * parts[1])
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-12)
 
@@ -222,7 +222,7 @@ class TestClassifierStep:
         model = init_mlp([3, 4, 2], rng)
         before = [p.copy() for p in model.parameters()]
         classifier_step(model, rng.normal(size=(4, 3)), rng.integers(0, 2, 4),
-                        None, None, AdamW(model.parameters(), 0.0), cfg)
+                        None, None, AdamW(model.flat, 0.0), cfg)
         for a, b in zip(before, model.parameters()):
             np.testing.assert_array_equal(a, b)
 
@@ -240,24 +240,21 @@ class TestClassifierStep:
 
         gl = grads_for(xl, yl)
         gu = grads_for(xu, yu)
-        expected = [a + 0.7 * b for a, b in zip(gl, gu)]
-
         captured = []
 
         class SpyOpt:
-            def step(self, grads):
-                captured.extend(grads)
+            def step(self, grad):
+                captured.append(grad)
 
         classifier_step(model, xl, yl, xu, yu, SpyOpt(), cfg)
-        for got, exp in zip(captured, expected):
-            np.testing.assert_allclose(got, exp, atol=1e-12)
+        np.testing.assert_allclose(captured[0], gl + 0.7 * gu, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         model = init_mlp([3, 2], np.random.default_rng(0))
         cfg = fast_cfg()
         with pytest.raises(ValueError):
             classifier_step(model, np.zeros((0, 3)), np.zeros(0, dtype=int),
-                            None, None, AdamW(model.parameters(), 0.1), cfg)
+                            None, None, AdamW(model.flat, 0.1), cfg)
 
 
 class TestPolicyUpdate:
@@ -313,9 +310,9 @@ class TestPolicyUpdate:
                 total += g_t * logp[np.arange(len(step.actions)), step.actions].mean()
             return total
 
-        _, analytic = _policy_surrogate_grads(policy, traj, cfg.gamma)
+        _, grad = _policy_loss_grads(policy, traj, cfg.gamma)
         step = 1e-5
-        for p, a in zip(policy.parameters(), analytic):
+        for p, a in zip(policy.parameters(), policy.views(-grad)):
             it = np.nditer(p, flags=["multi_index"])
             for _ in it:
                 idx = it.multi_index
@@ -342,7 +339,7 @@ class TestPolicyUpdate:
             # reference: one forward/backward per step, weighted by its return
             rewards = [s.reward for s in traj.steps]
             ref_j = 0.0
-            ref_grads = [np.zeros_like(p) for p in policy.parameters()]
+            ref_grad = np.zeros_like(policy.flat)
             for t, step in enumerate(traj.steps):
                 g_t = discounted_return(rewards, gamma, t)
                 logits, cache = mlp_forward(policy, step.states)
@@ -351,12 +348,10 @@ class TestPolicyUpdate:
                 ref_j += g_t * logp[np.arange(n), step.actions].mean()
                 dlogits = -np.exp(logp)
                 dlogits[np.arange(n), step.actions] += 1.0
-                for acc, g in zip(ref_grads, mlp_backward(cache, dlogits * g_t / n)):
-                    acc += g
-            surrogate, grads = _policy_surrogate_grads(policy, traj, gamma)
-            assert surrogate == pytest.approx(ref_j, rel=0, abs=1e-12)
-            for got, exp in zip(grads, ref_grads):
-                np.testing.assert_allclose(got, exp, rtol=0, atol=1e-12)
+                ref_grad += mlp_backward(cache, dlogits * g_t / n)
+            loss, grad = _policy_loss_grads(policy, traj, gamma)
+            assert -loss == pytest.approx(ref_j, rel=0, abs=1e-12)
+            np.testing.assert_allclose(-grad, ref_grad, rtol=0, atol=1e-12)
 
     def test_trajectory_cleared_after_update(self):
         rng = np.random.default_rng(14)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,9 @@ class TestFlatBuffer:
         assert model.flat[-1] == 9.0
         model.flat[12] = 3.0                     # b0[0]
         assert model.biases[0][0] == 3.0 and model.parameters()[1][0] == 3.0
+        buf = np.zeros_like(model.flat)
+        model.views(buf)[2][1, 0] = 4.0          # W1[1, 0] of another buffer
+        assert buf[3 * 4 + 4 + 1 * 2 + 0] == 4.0 and model.flat[3 * 4 + 4 + 1 * 2] == 7.0
 
     def test_constructor_copies_and_checks_shapes(self):
         w = np.ones((2, 3))
@@ -162,6 +166,11 @@ class TestFlatBuffer:
     def test_from_flat_checks_size(self):
         with pytest.raises(ValueError, match="5 parameter values, expected 6"):
             MlpModel.from_flat([2, 2], np.zeros(5))
+        for dims in ([], [5], [2, 0], [2, -1]):
+            with pytest.raises(ValueError, match="invalid layer dims"):
+                MlpModel.from_flat(dims, np.zeros(0))
+            with pytest.raises(ValueError, match="invalid layer dims"):
+                init_mlp(dims, np.random.default_rng(0))
 
 
 class TestSoftmaxCrossEntropy:
@@ -229,9 +238,9 @@ class TestBackward:
     def test_zero_grad_logits(self):
         model = init_mlp([3, 4, 2], np.random.default_rng(0))
         _, cache = mlp_forward(model, np.ones((2, 3)))
-        grads = mlp_backward(cache, np.zeros((2, 2)))
-        for g in grads:
-            assert np.all(g == 0.0)
+        grad = mlp_backward(cache, np.zeros((2, 2)))
+        assert grad.shape == model.flat.shape
+        assert np.all(grad == 0.0)
 
     def test_single_linear_layer_closed_form(self):
         model = MlpModel([3, 2], [np.random.default_rng(1).normal(size=(3, 2))],
@@ -239,7 +248,7 @@ class TestBackward:
         x = np.array([[1.0, -2.0, 0.5]])
         _, cache = mlp_forward(model, x)
         g = np.array([[0.3, -0.7]])
-        grads = mlp_backward(cache, g)
+        grads = model.views(mlp_backward(cache, g))
         np.testing.assert_array_equal(grads[0], x.T @ g)
         np.testing.assert_array_equal(grads[1], g[0])
 
@@ -265,7 +274,7 @@ class TestBackward:
             _, grad_logits = softmax_cross_entropy(logits, labels)
             analytic = mlp_backward(cache, grad_logits)
             numeric = numeric_gradient(loss_fn, model.parameters())
-            for a, n in zip(analytic, numeric):
+            for a, n in zip(model.views(analytic), numeric):
                 denom = np.maximum(np.abs(n), 1e-8)
                 assert np.max(np.abs(a - n) / denom) < 1e-4
 
@@ -273,16 +282,16 @@ class TestBackward:
 class TestAdamW:
     def test_zero_gradients_leave_params_unchanged(self):
         p = np.array([1.0, -2.0, 3.0])
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW(p, lr=0.1)
         before = p.copy()
-        opt.step([np.zeros(3)])
+        opt.step(np.zeros(3))
         np.testing.assert_array_equal(p, before)
 
     def test_single_step_magnitude_equals_lr(self):
         # bias-corrected m/sqrt(v) = 1 for the first step with g = 1
         p = np.array([0.0])
-        opt = AdamW([p], lr=0.05)
-        opt.step([np.array([1.0])])
+        opt = AdamW(p, lr=0.05)
+        opt.step(np.array([1.0]))
         assert p[0] == pytest.approx(-0.05, rel=1e-6)
 
     def test_matches_per_array_reference_for_20_steps(self):
@@ -290,15 +299,15 @@ class TestAdamW:
         model = init_mlp([4, 6, 5, 3], rng)
         ref_params = [p.copy() for p in model.parameters()]
         ref = ReferenceAdamW(ref_params, lr=1e-2)
-        opt = AdamW(model.parameters(), lr=1e-2)
+        opt = AdamW(model.flat, lr=1e-2)
         for _ in range(20):
             x = rng.normal(size=(7, 4))
             labels = rng.integers(0, 3, size=7)
             logits, cache = mlp_forward(model, x)
             _, grad = softmax_cross_entropy(logits, labels)
-            grads = mlp_backward(cache, grad)
-            ref.step([g.copy() for g in grads])
-            opt.step(grads)
+            flat_grad = mlp_backward(cache, grad)
+            ref.step([g.copy() for g in model.views(flat_grad)])
+            opt.step(flat_grad)
             for a, b in zip(model.parameters(), ref_params):
                 np.testing.assert_array_equal(a, b)
 
@@ -306,7 +315,7 @@ class TestAdamW:
         # decay scales the pre-update parameters, then the Adam update applies
         lr, wd, b1, b2, eps = 0.1, 0.1, 0.9, 0.999, 1e-8
         p = np.array([2.0, -1.0])
-        opt = AdamW([p], lr=lr, weight_decay=wd)
+        opt = AdamW(p, lr=lr, weight_decay=wd)
         grads = [np.array([0.5, -3.0]), np.array([-1.5, 0.25])]
         for i in range(2):
             expected, post_order = [], []
@@ -318,7 +327,7 @@ class TestAdamW:
                     math.sqrt(v / (1 - b2 ** (i + 1))) + eps)
                 expected.append((p0 - lr * wd * p0) - update)
                 post_order.append((p0 - update) - lr * wd * (p0 - update))
-            opt.step([grads[i]])
+            opt.step(grads[i])
             assert p.tolist() == expected
             assert p.tolist() != post_order
         # step 1 moves each entry by lr * sign(g); step 2 worked out on paper
@@ -326,58 +335,50 @@ class TestAdamW:
 
     def test_decoupled_decay_shrinks_params(self):
         p = np.array([2.0])
-        opt = AdamW([p], lr=0.1, weight_decay=0.5)
-        opt.step([np.array([0.0])])
+        opt = AdamW(p, lr=0.1, weight_decay=0.5)
+        opt.step(np.array([0.0]))
         assert p[0] == pytest.approx(2.0 * (1 - 0.1 * 0.5), rel=1e-12)
 
     def test_shape_mismatch_rejected(self):
-        opt = AdamW([np.zeros(3)], lr=0.1)
+        opt = AdamW(np.zeros(3), lr=0.1)
         with pytest.raises(ValueError):
-            opt.step([np.zeros(4)])
+            opt.step(np.zeros(4))
 
-    def test_gradient_list_size_and_layout_checked(self):
+    def test_gradient_size_and_layout_checked(self):
         rng = np.random.default_rng(33)
         model = init_mlp([3, 4, 2], rng)
-        opt = AdamW(model.parameters(), lr=0.1)
+        opt = AdamW(model.flat, lr=0.1)
         logits, cache = mlp_forward(model, rng.normal(size=(5, 3)))
-        grads = mlp_backward(cache, rng.normal(size=logits.shape))
+        grad = mlp_backward(cache, rng.normal(size=logits.shape))
         other = init_mlp([3, 2, 4, 2], rng)
         _, other_cache = mlp_forward(other, rng.normal(size=(5, 3)))
-        bad_lists = [
-            grads[:-1],                                   # one entry short
-            grads + [np.zeros(2)],                        # one entry too many
-            [grads[1], grads[0], *grads[2:]],             # W0 and b0 swapped
-            mlp_backward(other_cache, np.zeros((5, 2)))[:4],  # another layout
+        bad_grads = [
+            grad[:-1],                                    # one value short
+            np.append(grad, 0.0),                         # one value too many
+            grad.reshape(2, -1),                          # right size, not flat
+            mlp_backward(other_cache, np.zeros((5, 2))),  # another layout
         ]
         before = model.flat.copy()
-        for bad in bad_lists:
-            with pytest.raises(ValueError):
+        for bad in bad_grads:
+            with pytest.raises(ValueError, match="gradient shape"):
                 opt.step(bad)
         np.testing.assert_array_equal(model.flat, before)
         assert opt.t == 0
 
-    def test_parameters_must_tile_one_buffer(self):
-        model = init_mlp([3, 4, 2], np.random.default_rng(0))
-        params = model.parameters()
-        for bad in ([p.copy() for p in params], params[::-1], params[:2], params[1:],
-                    [np.zeros((2, 3))[:, 0]], []):
-            with pytest.raises(ValueError, match="tile one contiguous"):
-                AdamW(bad, lr=0.1)
-
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_parameters_raise(self):
         p = np.array([0.0, 1.0])
-        opt = AdamW([p], lr=1e308)
-        opt.step([np.ones(2)])
+        opt = AdamW(p, lr=1e308)
+        opt.step(np.ones(2))
         assert np.isfinite(p).all()
         with pytest.raises(NonFiniteError, match="non-finite after AdamW step 2"):
-            opt.step([np.ones(2)])
+            opt.step(np.ones(2))
 
     def test_step_counter_increases(self):
         p = np.zeros(2)
-        opt = AdamW([p], lr=0.1)
+        opt = AdamW(p, lr=0.1)
         for expected in (1, 2, 3):
-            opt.step([np.ones(2)])
+            opt.step(np.ones(2))
             assert opt.t == expected
 
 
@@ -403,9 +404,14 @@ class TestCheckpoint:
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
-        path.write_text("nope 1 2\n")
-        with pytest.raises(ValueError):
-            load_model(str(path))
+        for header, message in [("nope 1 2", "not an mlp checkpoint"),
+                                ("mlp", "invalid layer dims []"),
+                                ("mlp 5", "invalid layer dims [5]"),
+                                ("mlp 2 0", "invalid layer dims [2, 0]"),
+                                ("mlp 2 -1", "invalid layer dims [2, -1]")]:
+            path.write_text(header + "\n")
+            with pytest.raises(ValueError, match=re.escape(f"bad.ckpt: {message}")):
+                load_model(str(path))
 
     def test_value_count_checked(self, tmp_path):
         path = tmp_path / "short.ckpt"
