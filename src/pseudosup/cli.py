@@ -28,8 +28,8 @@ from .data import (
     generate_overlapping_gaussians,
     load_dataset,
     save_dataset,
-    serialize_splits,
     split_dataset,
+    splits_digest,
 )
 from .engine import (
     ConfigError,
@@ -172,7 +172,7 @@ def _override(cfg: ExperimentConfig, values: dict[_Field, Any]) -> ExperimentCon
 # config file I/O
 
 def config_to_ini(cfg: ExperimentConfig) -> str:
-    cp = configparser.ConfigParser()
+    cp = configparser.ConfigParser(interpolation=None)
     for f in SCHEMA:
         if not cp.has_section(f.section):
             cp.add_section(f.section)
@@ -186,18 +186,24 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 
 
 def _ini_values(text: str) -> dict[_Field, Any]:
-    """The value of each schema field that the INI `text` sets."""
-    cp = configparser.ConfigParser()
+    """The value of each schema field that the INI `text` sets, read as written
+    (`%` is plain). Any other key is a ConfigError, one under [DEFAULT] too: no
+    header can name the default section "", so [DEFAULT] is an ordinary one."""
+    cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
+    fields = {(f.section, f.name): f for f in SCHEMA}
     values = {}
-    for f in SCHEMA:
-        if cp.has_option(f.section, f.name):
+    for section in cp.sections():
+        for key, raw in cp.items(section):
+            f = fields.get((section, key))
+            if f is None:
+                raise ConfigError(f"unknown key {section}.{key}")
             try:
-                values[f] = f.parse(cp[f.section][f.name])
-            except (ValueError, configparser.Error) as exc:
+                values[f] = f.parse(raw)
+            except ValueError as exc:
                 raise ConfigError(f"{f.name}: {exc}") from None
     return values
 
@@ -255,32 +261,27 @@ def _write_cell(out_dir: str, seed: int, result: TrainResult) -> None:
         save_model(result.policy, os.path.join(out_dir, "policy.ckpt"))
 
 
-def _run_cells(
-    cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
-    write_cells: bool = True, hash_splits: bool = False,
-) -> list[tuple[str, list[MetricsReport]]]:
+def _run_cells(cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
+               write_cells: bool = True) -> list[tuple[str, list[MetricsReport]]]:
     """Build the first seed's splits, which checks the dataset settings or
     file, and check them against every cell's engine (`check_splits`), then
-    write config.ini; per seed, build the splits once and train
-    every (method, engine) cell on them, writing each under
-    `<output_dir>/<method>/<seed>` if `write_cells`; a dataset file is
-    loaded and hashed once. Returns, per seed, the sha256 of the serialized
-    splits ("" unless `hash_splits`) and one report per cell."""
-    def splits_and_hash(seed: int) -> tuple[DatasetSplits, str]:
-        splits = build_splits(cfg.dataset, seed)
-        return splits, (hashlib.sha256(serialize_splits(splits).encode()).hexdigest()
-                        if hash_splits else "")
-
-    splits, split_hash = splits_and_hash(cfg.seeds[0])
+    write config.ini; per seed, build and digest the splits once (a dataset
+    file: once in all) and train every (method, engine) cell on them, writing
+    each under `<output_dir>/<method>/<seed>` if `write_cells`. Returns, per
+    seed, the `splits_digest` of its splits and one report per cell."""
+    splits = build_splits(cfg.dataset, cfg.seeds[0])
     for _, engine in cells:
         check_splits(splits, engine)
+    ini = config_to_ini(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
-        fh.write(config_to_ini(cfg))
+        fh.write(ini)
+    split_hash = splits_digest(splits)
     per_seed = []
     for seed in cfg.seeds:
         if seed != cfg.seeds[0] and cfg.dataset.path is None:
-            splits, split_hash = splits_and_hash(seed)
+            splits = build_splits(cfg.dataset, seed)
+            split_hash = splits_digest(splits)
         reports = []
         for method, engine in cells:
             result = _run_method(method, splits, replace(engine, seed=seed),
@@ -298,19 +299,12 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
-SUMMARY_HEADER = (
-    "method,n_seeds,accuracy_mean,accuracy_std,f1_mean,f1_std,auc_mean,auc_std"
-)
+SUMMARY_HEADER = "method,n_seeds,accuracy_mean,accuracy_std,f1_mean,f1_std,auc_mean,auc_std"
 
 
 def _summary_row(method: str, reports: list[MetricsReport]) -> str:
-    acc = _mean_std([r.accuracy for r in reports])
-    f1 = _mean_std([r.f1 for r in reports])
-    auc = _mean_std([r.auc for r in reports])
-    return (
-        f"{method},{len(reports)},{acc[0]:.17g},{acc[1]:.17g},"
-        f"{f1[0]:.17g},{f1[1]:.17g},{auc[0]:.17g},{auc[1]:.17g}"
-    )
+    stats = (_mean_std([getattr(r, m) for r in reports]) for m in ("accuracy", "f1", "auc"))
+    return ",".join([method, str(len(reports))] + [f"{v:.17g}" for pair in stats for v in pair])
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsReport]:
@@ -329,7 +323,7 @@ def compare_methods(cfg: ExperimentConfig, methods: list[str]) -> str:
         raise ConfigError("compare requires at least 2 distinct methods")
     for method in methods:  # each must pass ExperimentConfig's method rules
         replace(cfg, method=method)
-    per_seed = _run_cells(cfg, [_cell(m, cfg.engine) for m in methods], hash_splits=True)
+    per_seed = _run_cells(cfg, [_cell(m, cfg.engine) for m in methods])
     combined = hashlib.sha256("".join(h for h, _ in per_seed).encode()).hexdigest()
     path = os.path.join(cfg.output_dir, "comparison.csv")
     with open(path, "w") as fh:

@@ -3,6 +3,7 @@ multimodal concatenation, weak augmentation, and dataset file I/O."""
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -24,7 +25,7 @@ __all__ = [
     "concat_modalities",
     "augment_weak",
     "apply_crop_flip",
-    "serialize_splits",
+    "splits_digest",
     "save_dataset",
     "load_dataset",
 ]
@@ -322,9 +323,21 @@ def augment_weak(features: np.ndarray, grid: tuple[int, int] | None,
 _SPLIT_TAGS = ("trainL", "trainU", "val", "test")
 
 
-def serialize_splits(splits: DatasetSplits) -> str:
-    """Line-oriented text format: `gdp-synth v1` header, feature count, optional
-    grid dims, then one `<tag> <id> <label-or-?> <features...>` line per row."""
+def splits_digest(splits: DatasetSplits) -> str:
+    """sha256 over the grid and, per split in file order, its shape, its ids
+    joined by newlines, `y` as `<i8` and `X` as C-order `<f8`. `hidden` is left
+    out, so a loaded dataset file digests as the splits it was written from."""
+    h = hashlib.sha256(b"grid none\n" if splits.grid is None else b"grid %d %d\n" % splits.grid)
+    for part in (splits.labeled_train, splits.unlabeled_train, splits.validation, splits.test):
+        h.update(b"%d %d\n" % part.X.shape + "\n".join(part.ids.tolist()).encode() + b"\n")
+        h.update(np.ascontiguousarray(part.y, dtype="<i8"))
+        h.update(np.ascontiguousarray(part.X, dtype="<f8"))
+    return h.hexdigest()
+
+
+def save_dataset(splits: DatasetSplits, path: str) -> None:
+    """Write the text format: `gdp-synth v1` header, feature count, optional grid
+    dims, then one `<tag> <id> <label-or-?> <17-digit features...>` line per row."""
     parts = (splits.labeled_train, splits.unlabeled_train, splits.validation, splits.test)
     if not any(len(part) for part in parts):
         raise ValueError("cannot serialize empty splits")
@@ -338,12 +351,8 @@ def serialize_splits(splits: DatasetSplits) -> str:
         for sid, label, row in zip(part.ids.tolist(), part.y.tolist(), part.X.tolist()):
             feats = " ".join(f"{x:.17g}" for x in row)
             lines.append(f"{tag} {sid} {'?' if label < 0 else label} {feats}")
-    return "\n".join(lines) + "\n"
-
-
-def save_dataset(splits: DatasetSplits, path: str) -> None:
     with open(path, "w") as fh:
-        fh.write(serialize_splits(splits))
+        fh.write("\n".join(lines) + "\n")
 
 
 def _header_ints(path: str, lineno: int, line: str, key: str, count: int) -> tuple[int, ...]:
@@ -362,7 +371,7 @@ def _header_ints(path: str, lineno: int, line: str, key: str, count: int) -> tup
 
 
 def load_dataset(path: str) -> DatasetSplits:
-    """Read a file in the layout `serialize_splits` writes: line 1 `gdp-synth
+    """Read a file in the layout `save_dataset` writes: line 1 `gdp-synth
     v1`, line 2 `n_features N`, an optional line 3 `grid H W`, then one row per
     line to the end of the file. Rows are streamed line by line; a malformed
     header or row (a blank line or a misplaced header among them) raises

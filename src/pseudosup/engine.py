@@ -54,6 +54,7 @@ __all__ = [
     "EpochRecord",
     "History",
     "TrainResult",
+    "SelfTrainingResult",
     "warmup_supervised",
     "sample_pseudo_labels",
     "eval_val_loss",
@@ -433,13 +434,8 @@ def evaluate(classifier: MlpModel, split: Split) -> MetricsReport:
     logits = _finite_logits(classifier, x, "evaluated split")
     preds = logits.argmax(axis=1)
     scores = np.exp(log_softmax(logits))[:, 1]
-    return MetricsReport(
-        accuracy=accuracy(preds, y),
-        f1=f1_binary(preds, y),
-        auc=auc_roc(scores, (y == 1).astype(int)),
-        n_samples=len(y),
-        positive_class=1,
-    )
+    return MetricsReport(accuracy=accuracy(preds, y), f1=f1_binary(preds, y),
+                         auc=auc_roc(scores, (y == 1).astype(int)), n_samples=len(y))
 
 
 # ---------------------------------------------------------------------------

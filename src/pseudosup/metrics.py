@@ -25,15 +25,11 @@ class MetricsReport:
     f1: float
     auc: float
     n_samples: int
-    positive_class: int = 1
 
-    CSV_HEADER = "accuracy,f1,auc,n_samples,positive_class"
+    CSV_HEADER = "accuracy,f1,auc,n_samples"
 
     def to_csv_row(self) -> str:
-        return (
-            f"{self.accuracy:.17g},{self.f1:.17g},{self.auc:.17g},"
-            f"{self.n_samples},{self.positive_class}"
-        )
+        return f"{self.accuracy:.17g},{self.f1:.17g},{self.auc:.17g},{self.n_samples}"
 
 
 def _check_lengths(predictions, labels):

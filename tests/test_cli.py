@@ -26,7 +26,7 @@ from pseudosup.cli import (
     run_ablation,
     run_experiment,
 )
-from pseudosup.data import load_dataset
+from pseudosup.data import load_dataset, splits_digest
 from pseudosup.engine import EngineConfig
 
 
@@ -198,6 +198,20 @@ class TestConfigRoundTrip:
     def test_earlier_config_ini_layout_parses(self):
         assert config_from_ini(EARLIER_LAYOUT_INI) == nondefault_cfg()
 
+    def test_percent_read_as_written(self):
+        assert config_from_ini("[experiment]\noutput_dir = o%%3\n").output_dir == "o%%3"
+
+    def test_percent_in_paths_round_trips(self, tmp_path):
+        ds, out = tmp_path / "d%1.txt", tmp_path / "o%2"
+        assert main(["gen-data", "--out", str(ds), "--n-per-class", "20", "--dim", "3"]) == 0
+        argv = ["run", "--method", "supervised", "--dataset", str(ds), "--seeds", "1",
+                "--epochs", "1", "--warmup-steps", "2", "--hidden-dims", "4",
+                "--output-dir", str(out)]
+        assert main(argv) == 0
+        written = config_from_ini((out / "config.ini").read_text())
+        assert written == _config_from_args(build_parser().parse_args(argv))
+        assert (written.dataset.path, written.output_dir) == (str(ds), str(out))
+
     def test_tuple_length_checked(self):
         with pytest.raises(ConfigError, match="grid"):
             config_from_ini("[dataset]\ngrid = 3\n")
@@ -247,6 +261,13 @@ class TestConfigsCheckedWhenBuilt:
         ("beta = 5\n", "malformed config: File contains no section headers."),
         ("[experiment]\nseeds =\n", "at least one seed is required"),
         ("[dataset]\nmultimodal = maybe\n", "multimodal: expected a boolean, got 'maybe'"),
+        ("[engine]\nepoch = 1\n", "unknown key engine.epoch"),
+        ("[engine]\nseed = 7\n", "unknown key engine.seed"),
+        ("[engine]\naugment = true\n", "unknown key engine.augment"),
+        ("[experimnt]\nmethod = bogus\n", "unknown key experimnt.method"),
+        ("[DEFAULT]\nepochs = 1\n", "unknown key DEFAULT.epochs"),
+        ("[engine]\nepoch = 1\nseed = 7\n[experimnt]\nmethod = bogus\n",
+         "unknown key engine.epoch"),
     ])
     def test_bad_ini_exits_2_before_any_output(self, tmp_path, capsys, ini, message):
         path, out = tmp_path / "c.ini", tmp_path / "o"
@@ -547,12 +568,12 @@ class TestCliEntry:
     def test_generated_splits_built_once_per_seed(self, tmp_path, monkeypatch):
         # the first seed's splits are built before anything is written and
         # reused for that seed, not built again
-        calls = count_calls(monkeypatch, "split_dataset", "serialize_splits")
+        calls = count_calls(monkeypatch, "split_dataset", "splits_digest")
         assert main(["compare", "--methods", "supervised", "pseudo_sup",
                      "--seeds", "1", "2", "3", "--n-per-class", "20", "--dim", "3",
                      "--epochs", "1", "--warmup-steps", "2", "--hidden-dims", "4",
                      "--output-dir", str(tmp_path / "cmp")]) == 0
-        assert calls == {"split_dataset": 3, "serialize_splits": 3}
+        assert calls == {"split_dataset": 3, "splits_digest": 3}
 
     def test_generated_splits_held_for_their_seed_only(self, tmp_path, monkeypatch):
         built, seed_1_alive = [], []
@@ -613,22 +634,40 @@ class TestCliEntry:
     def test_dataset_file_loaded_and_hashed_once(self, tmp_path, monkeypatch):
         ds = str(tmp_path / "ds.txt")
         main(["gen-data", "--out", ds, "--n-per-class", "20", "--dim", "3"])
-        calls = count_calls(monkeypatch, "load_dataset", "serialize_splits")
+        calls = count_calls(monkeypatch, "load_dataset", "splits_digest")
         flags = ["--dataset", ds, "--seeds", "1", "2", "3", "--epochs", "1",
                  "--warmup-steps", "2", "--hidden-dims", "4"]
         assert main(["run", "--method", "supervised", *flags,
                      "--output-dir", str(tmp_path / "run")]) == 0
-        assert calls == {"load_dataset": 1, "serialize_splits": 0}
+        assert calls == {"load_dataset": 1, "splits_digest": 1}
         assert main(["compare", "--methods", "supervised", "pseudo_sup", *flags,
                      "--output-dir", str(tmp_path / "cmp")]) == 0
-        assert calls == {"load_dataset": 2, "serialize_splits": 1}
+        assert calls == {"load_dataset": 2, "splits_digest": 2}
         # the combined hash still covers one digest per seed
-        with open(ds) as fh:
-            digest = hashlib.sha256(fh.read().encode()).hexdigest()
+        digest = splits_digest(load_dataset(ds))
         with open(tmp_path / "cmp" / "comparison.csv") as fh:
             rows = fh.read().splitlines()[1:]
         expected = hashlib.sha256((digest * 3).encode()).hexdigest()
         assert [r.split(",")[-1] for r in rows] == [expected, expected]
+
+    @pytest.mark.parametrize("shape", [["--dim", "3"], ["--grid", "2", "2", "--multimodal"]])
+    def test_dataset_file_split_hash_equals_generated(self, tmp_path, shape):
+        # hidden labels are not in the file, and not in the hash
+        ds = str(tmp_path / "ds.txt")
+        spec = ["--n-per-class", "20", *shape]
+        assert main(["gen-data", "--out", ds, "--seed", "4", *spec]) == 0
+
+        def split_hashes(name, *flags):
+            out = tmp_path / name
+            assert main(["compare", "--methods", "supervised", "pseudo_sup", "--seeds", "4",
+                         "--epochs", "1", "--warmup-steps", "2", "--hidden-dims", "4",
+                         *flags, "--output-dir", str(out)]) == 0
+            rows = (out / "comparison.csv").read_text().splitlines()[1:]
+            return {row.rsplit(",", 1)[1] for row in rows}
+
+        from_file = split_hashes("file", "--dataset", ds)
+        assert len(from_file) == 1
+        assert from_file == split_hashes("generated", *spec)
 
     @pytest.mark.parametrize("flags", [
         ["--multimodal"],
@@ -678,20 +717,22 @@ class TestCliEntry:
         assert "no test rows" in capsys.readouterr().err
         assert not out.exists()
 
-    # sha256 over each cell's history.csv, metrics.csv and checkpoints,
-    # recorded before the parameters moved into one flat buffer; pins every
-    # training RNG stream and floating-point operation of the four methods
+    # sha256 over each cell's history.csv, metrics.csv and checkpoints; pins
+    # every training RNG stream and floating-point operation of the four
+    # methods. Last re-recorded when metrics.csv lost its constant
+    # positive_class column; the files written before, with that column
+    # stripped, give these same digests.
     @pytest.mark.parametrize("method, flags, digest", [
         ("pseudo_sup", [],
-         "066d1d8aa8b399a9a9d68c97c8a68f48fe40fb81810640510888af143a626afa"),
+         "de4f853ea1b169969009b235d597d053c947bc20cf63de33dd6f0b513e533f30"),
         ("pseudo_sup_aug", ["--grid", "2", "2"],
-         "742b816a35cf73a6408ed992f19bdea0d2d48a778b50f8c70b764b07caa8da1e"),
+         "95de9b384502d58a4137c97abfe0af3a0ba1e36bd161e45376ec0497aa9a15a7"),
         ("supervised", [],
-         "751b24ca68b74d13eb3aa9f90d4a69094fbf714b0ffd4a1f7b488762f70aa1af"),
+         "b2950aea8f9dd65a6ec1df4ba99e2f51c7765939033cdbf976e7f0426f75427b"),
         ("self_training", ["--confidence-threshold", "0.6"],
-         "6dfc9e4c5bd9b7f691ec1825cb2ad82e488ba9a76680bdebb04273fdbab19d84"),
+         "f48022589c7d04a4b22cc322d53ec1e8018ba70b0575e13e84dfd973714a94c6"),
         ("pseudo_sup", ["--no-policy-warm-start"],
-         "2ad48f868074607cca202b515e183cffa1a45fe89347d81727a9d996b3748514"),
+         "d8a085018a35aed8ebf956b7cd83b524535c2ccf0ad63971baefc410e9c9d555"),
     ])
     def test_training_digest_pinned(self, tmp_path, method, flags, digest):
         out = tmp_path / "o"

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from pseudosup.data import (
     qc_filter,
     save_dataset,
     split_dataset,
+    splits_digest,
 )
 from pseudosup.metrics import auc_roc
 
@@ -372,3 +374,43 @@ class TestDatasetIO:
         path.write_text("gdp-synth v1\nn_features 1\ntest a ? 1.0\n")
         with pytest.raises(DatasetFormatError):
             load_dataset(str(path))
+
+
+class TestSplitsDigest:
+    @staticmethod
+    def splits(grid=(2, 3)):
+        samples = generate_overlapping_gaussians(20, 6, 1.0, seed=4, grid_dims=(2, 3))
+        return split_dataset(samples, 0.5, (0.7, 0.1, 0.2), seed=4, grid=grid)
+
+    @pytest.mark.parametrize("grid", [(2, 3), None])
+    def test_loaded_file_digests_as_its_source(self, tmp_path, grid):
+        splits = self.splits(grid)
+        path = str(tmp_path / "d.txt")
+        save_dataset(splits, path)
+        assert splits_digest(load_dataset(path)) == splits_digest(splits)
+
+    def test_hidden_labels_and_id_width_left_out(self):
+        splits = self.splits()
+        before = splits_digest(splits)
+        unlabeled = splits.unlabeled_train
+        permuted = unlabeled.hidden[::-1].copy()
+        assert (permuted != unlabeled.hidden).any()
+        unlabeled.hidden = permuted
+        splits.test.ids = splits.test.ids.astype("<U20")
+        assert splits_digest(splits) == before
+
+    def test_each_trained_value_changes_it(self):
+        before = splits_digest(self.splits())
+        edited = [replace(self.splits(), grid=(3, 2)), replace(self.splits(), grid=None)]
+        s = self.splits()
+        s.test.ids[0] = "x"
+        edited.append(s)
+        s = self.splits()
+        s.validation.y[0] = 1 - s.validation.y[0]
+        edited.append(s)
+        s = self.splits()
+        x = s.unlabeled_train.X
+        x[0, 5] = np.nextafter(x[0, 5], np.inf)
+        edited.append(s)
+        digests = [splits_digest(s) for s in edited]
+        assert before not in digests and len(set(digests)) == len(digests)
