@@ -187,16 +187,20 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
 
 def _ini_values(text: str) -> dict[_Field, Any]:
     """The value of each schema field that the INI `text` sets, read as written
-    (`%` is plain). Any other key is a ConfigError, one under [DEFAULT] too: no
-    header can name the default section "", so [DEFAULT] is an ordinary one."""
+    (`%` is plain). Any other section, even an empty one, or key is a
+    ConfigError, [DEFAULT] too: no header can name the default section "", so
+    [DEFAULT] is an ordinary one."""
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
         cp.read_string(text)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     fields = {(f.section, f.name): f for f in SCHEMA}
+    known_sections = {f.section for f in SCHEMA}
     values = {}
     for section in cp.sections():
+        if section not in known_sections:
+            raise ConfigError(f"unknown section {section}")
         for key, raw in cp.items(section):
             f = fields.get((section, key))
             if f is None:
@@ -252,7 +256,8 @@ def _run_method(method: str, splits: DatasetSplits, engine: EngineConfig,
 
 def _write_cell(out_dir: str, seed: int, result: TrainResult) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    result.history.save(os.path.join(out_dir, "history.csv"))
+    with open(os.path.join(out_dir, "history.csv"), "w") as fh:
+        fh.write(result.history.to_csv())
     with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
         fh.write("seed," + MetricsReport.CSV_HEADER + "\n")
         fh.write(f"{seed},{result.final_metrics.to_csv_row()}\n")

@@ -306,8 +306,10 @@ def apply_crop_flip(
 def augment_weak(features: np.ndarray, grid: tuple[int, int] | None,
                  rng: np.random.Generator, scale_min: float = 0.8) -> np.ndarray:
     """Random horizontal flip (p=0.5) plus random crop-and-resize of the
-    leading h*w features of one row, viewed as the (h, w) `grid`; crop scale
-    per dimension uniform in [scale_min, 1]. The other features pass through."""
+    leading h*w features of one row, viewed as the (h, w) `grid`. The crop is
+    max(1, round(u*h)) x max(1, round(u'*w)) with u, u' ~ U[scale_min, 1], so
+    at the default 0.8 a side of 2 or less is never cropped (only flipped).
+    The other features pass through."""
     if grid is None:
         raise ValueError("augment_weak requires grid dims")
     h, w = grid

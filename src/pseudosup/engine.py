@@ -189,10 +189,6 @@ class History:
             )
         return "\n".join(lines) + "\n"
 
-    def save(self, path: str) -> None:
-        with open(path, "w") as fh:
-            fh.write(self.to_csv())
-
 
 @dataclass
 class TrainResult:

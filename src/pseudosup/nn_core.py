@@ -66,44 +66,25 @@ def _layout(layer_dims: list[int]) -> list[tuple[int, int, tuple[int, ...]]]:
 class MlpModel:
     """Fully connected network: ReLU hidden layers, raw logits out.
 
-    The parameters live in one float64 buffer `flat`; `weights`, `biases` and
-    `parameters()` are views into it. The constructor copies the given arrays
-    into a new buffer."""
+    `MlpModel(layer_dims, flat)` is the one constructor: it copies `flat` into
+    a new float64 buffer, laid out in parameters() order, and checks its size
+    against `layer_dims`. `weights`, `biases` and `parameters()` are views
+    into that buffer."""
 
-    def __init__(self, layer_dims: list[int], weights: list[np.ndarray],
-                 biases: list[np.ndarray]):
-        arrays = [a for pair in zip(weights, biases) for a in pair]
-        shapes = [shape for _, _, shape in _layout(list(layer_dims))]
-        if len(weights) != len(biases) or [np.shape(a) for a in arrays] != shapes:
-            raise ValueError(f"parameter shapes do not match layer dims {list(layer_dims)}")
-        flat = np.concatenate([np.ravel(a) for a in arrays], dtype=np.float64)
-        self._bind(layer_dims, flat)
-
-    @classmethod
-    def from_flat(cls, layer_dims: list[int], flat: np.ndarray) -> MlpModel:
-        """A model over a copy of `flat`, laid out in parameters() order."""
-        model = cls.__new__(cls)
-        model._bind(layer_dims, np.array(flat, dtype=np.float64))
-        return model
-
-    def _bind(self, layer_dims: list[int], flat: np.ndarray) -> None:
+    def __init__(self, layer_dims: list[int], flat: np.ndarray):
         self.layer_dims = list(layer_dims)
         self._layout = _layout(self.layer_dims)
         size = self._layout[-1][1]
-        if flat.shape != (size,):
-            raise ValueError(f"{flat.size} parameter values, expected {size}")
-        self.flat = flat
-        self._params = self.views(flat)
+        self.flat = np.array(flat, dtype=np.float64)
+        if self.flat.shape != (size,):
+            raise ValueError(f"{self.flat.size} parameter values, expected {size}")
+        self._params = self.views(self.flat)
         self.weights = self._params[0::2]
         self.biases = self._params[1::2]
 
     def views(self, buf: np.ndarray) -> list[np.ndarray]:
         """[W0, b0, W1, b1, ...] as views into `buf`, a buffer in `flat`'s layout."""
         return [buf[start:stop].reshape(shape) for start, stop, shape in self._layout]
-
-    @property
-    def input_dim(self) -> int:
-        return self.layer_dims[0]
 
     def parameters(self) -> list[np.ndarray]:
         """Parameter list [W0, b0, W1, b1, ...]; arrays are live views of `flat`."""
@@ -112,7 +93,7 @@ class MlpModel:
 
 def init_mlp(layer_dims: list[int], rng: np.random.Generator) -> MlpModel:
     """Seeded init: W ~ U(-1/sqrt(fan_in), 1/sqrt(fan_in)), b = 0."""
-    model = MlpModel.from_flat(layer_dims, np.zeros(_layout(layer_dims)[-1][1]))
+    model = MlpModel(layer_dims, np.zeros(_layout(layer_dims)[-1][1]))
     for w in model.weights:
         scale = 1.0 / np.sqrt(w.shape[0])
         w[...] = rng.uniform(-scale, scale, size=w.shape)
@@ -120,7 +101,7 @@ def init_mlp(layer_dims: list[int], rng: np.random.Generator) -> MlpModel:
 
 
 def clone_model(model: MlpModel) -> MlpModel:
-    return MlpModel.from_flat(model.layer_dims, model.flat)
+    return MlpModel(model.layer_dims, model.flat)
 
 
 @dataclass
@@ -132,9 +113,9 @@ class ForwardCache:
 def mlp_forward(model: MlpModel, batch: np.ndarray) -> tuple[np.ndarray, ForwardCache]:
     """Forward pass; returns logits [B x C] and the cache needed for backward."""
     batch = np.asarray(batch, dtype=np.float64)
-    if batch.ndim != 2 or batch.shape[1] != model.input_dim:
+    if batch.ndim != 2 or batch.shape[1] != model.layer_dims[0]:
         raise ValueError(
-            f"batch shape {batch.shape} incompatible with input dim {model.input_dim}"
+            f"batch shape {batch.shape} incompatible with input dim {model.layer_dims[0]}"
         )
     acts = [batch]
     a = batch
@@ -265,20 +246,24 @@ def save_model(model: MlpModel, path: str) -> None:
 
 def load_model(path: str) -> MlpModel:
     """Read a `save_model` checkpoint; a malformed one raises a ValueError
-    naming the path (and, for a bad value, the line)."""
+    naming the path (and, for a blank line or a bad value, the line)."""
     values = []
     with open(path) as fh:
         header = fh.readline().split()
         if not header or header[0] != "mlp":
             raise ValueError(f"{path}: not an mlp checkpoint")
         for lineno, line in enumerate(fh, start=2):
-            if line.strip():
-                try:
-                    values.append(float(line))
-                except ValueError:
-                    raise ValueError(f"{path}: line {lineno}: non-numeric value "
-                                     f"{line.strip()!r}") from None
+            if not line.strip():
+                raise ValueError(f"{path}: line {lineno}: blank line")
+            try:
+                value = float(line)
+            except ValueError:
+                raise ValueError(f"{path}: line {lineno}: non-numeric value "
+                                 f"{line.strip()!r}") from None
+            if not math.isfinite(value):
+                raise ValueError(f"{path}: line {lineno}: non-finite value {value}")
+            values.append(value)
     try:
-        return MlpModel.from_flat([int(d) for d in header[1:]], np.array(values))
+        return MlpModel([int(d) for d in header[1:]], np.array(values))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -264,10 +264,14 @@ class TestConfigsCheckedWhenBuilt:
         ("[engine]\nepoch = 1\n", "unknown key engine.epoch"),
         ("[engine]\nseed = 7\n", "unknown key engine.seed"),
         ("[engine]\naugment = true\n", "unknown key engine.augment"),
-        ("[experimnt]\nmethod = bogus\n", "unknown key experimnt.method"),
-        ("[DEFAULT]\nepochs = 1\n", "unknown key DEFAULT.epochs"),
+        ("[experimnt]\nmethod = bogus\n", "unknown section experimnt"),
+        ("[DEFAULT]\nepochs = 1\n", "unknown section DEFAULT"),
         ("[engine]\nepoch = 1\nseed = 7\n[experimnt]\nmethod = bogus\n",
          "unknown key engine.epoch"),
+        ("[experimnt]\n", "unknown section experimnt"),
+        ("[Engine]\n", "unknown section Engine"),
+        ("[DEFAULT]\n", "unknown section DEFAULT"),
+        ("[engine]\nbeta = 5\n[extra]\n", "unknown section extra"),
     ])
     def test_bad_ini_exits_2_before_any_output(self, tmp_path, capsys, ini, message):
         path, out = tmp_path / "c.ini", tmp_path / "o"
@@ -733,6 +737,10 @@ class TestCliEntry:
          "f48022589c7d04a4b22cc322d53ec1e8018ba70b0575e13e84dfd973714a94c6"),
         ("pseudo_sup", ["--no-policy-warm-start"],
          "d8a085018a35aed8ebf956b7cd83b524535c2ccf0ad63971baefc410e9c9d555"),
+        # sides of 4 and 5 can be cropped at the default crop_scale_min 0.8;
+        # sides of 2, as in the row above, only ever flip
+        ("pseudo_sup_aug", ["--dim", "20", "--grid", "4", "5"],
+         "f8b79bb5448133b0d5f37d6b013a52d73f9b303b65a245547bd94173248d09e9"),
     ])
     def test_training_digest_pinned(self, tmp_path, method, flags, digest):
         out = tmp_path / "o"

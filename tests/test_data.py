@@ -262,6 +262,30 @@ class TestAugmentWeak:
         twice = apply_crop_flip(once, True, 6, 8, 0, 0)
         np.testing.assert_array_equal(twice, grid)
 
+    def test_crop_resize_known_answer(self):
+        grid = np.arange(16.0).reshape(4, 4)
+        # the 2x2 crop at (1, 1) is [[5, 6], [9, 10]]; each cell doubles
+        np.testing.assert_array_equal(
+            apply_crop_flip(grid, False, 2, 2, 1, 1),
+            [[5, 5, 6, 6], [5, 5, 6, 6], [9, 9, 10, 10], [9, 9, 10, 10]])
+        # flipped first: the crop is [[6, 5], [10, 9]]
+        np.testing.assert_array_equal(
+            apply_crop_flip(grid, True, 2, 2, 1, 1),
+            [[6, 6, 5, 5], [6, 6, 5, 5], [10, 10, 9, 9], [10, 10, 9, 9]])
+        # 3 output columns from 2 crop columns take crop columns 0, 0, 1
+        np.testing.assert_array_equal(
+            apply_crop_flip(np.arange(9.0).reshape(3, 3), False, 3, 2, 0, 1),
+            [[1, 1, 2], [4, 4, 5], [7, 7, 8]])
+
+    def test_sides_of_two_only_flip_at_default_scale(self):
+        row = np.arange(4.0)
+        outputs = {tuple(augment_weak(row, (2, 2), np.random.default_rng(seed)))
+                   for seed in range(200)}
+        assert outputs == {(0, 1, 2, 3), (1, 0, 3, 2)}
+        cropped = {tuple(augment_weak(np.arange(16.0), (4, 4), np.random.default_rng(seed)))
+                   for seed in range(200)}
+        assert len(cropped) > 2
+
     def test_constant_grid_stays_constant(self):
         for seed in range(10):
             out = augment_weak(np.full(48, 2.5), (6, 8), np.random.default_rng(seed))

@@ -115,14 +115,14 @@ class TestDiscountedReturn:
 
 class TestSamplePseudoLabels:
     def test_near_deterministic_distribution(self):
-        model = MlpModel([1, 2], [np.array([[0.0, 0.0]])], [np.array([20.0, -20.0])])
+        model = MlpModel([1, 2], np.array([0.0, 0.0, 20.0, -20.0]))
         rng = np.random.default_rng(3)
         batch = np.zeros((10000, 1))
         actions, _ = sample_pseudo_labels(model, batch, rng)
         assert np.mean(actions == 0) > 0.999
 
     def test_uniform_logits_fair_coin(self):
-        model = MlpModel([1, 2], [np.zeros((1, 2))], [np.zeros(2)])
+        model = MlpModel([1, 2], np.zeros(4))
         rng = np.random.default_rng(4)
         actions, _ = sample_pseudo_labels(model, np.zeros((10000, 1)), rng)
         assert np.mean(actions == 0) == pytest.approx(0.5, abs=0.02)
@@ -145,14 +145,14 @@ class TestSamplePseudoLabels:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_overflowing_policy_raises(self):
-        model = MlpModel([1, 2], [np.array([[1e308, -1e308]])], [np.zeros(2)])
+        model = MlpModel([1, 2], np.array([1e308, -1e308, 0.0, 0.0]))
         with pytest.raises(NonFiniteError, match="policy log-probabilities are non-finite"):
             sample_pseudo_labels(model, np.array([[10.0]]), np.random.default_rng(0))
 
 
 class TestEvalValLoss:
     def test_zero_parameter_classifier_gives_ln2(self):
-        model = MlpModel([2, 2], [np.zeros((2, 2))], [np.zeros(2)])
+        model = MlpModel([2, 2], np.zeros(6))
         loss = eval_val_loss(model, np.ones((4, 2)), np.array([0, 1, 0, 1]))
         assert loss == pytest.approx(math.log(2), abs=1e-12)
 
@@ -260,7 +260,7 @@ class TestClassifierStep:
 class TestPolicyUpdate:
     @staticmethod
     def single_step_trajectory(policy, rng, reward=1.0, batch=1):
-        states = rng.normal(size=(batch, policy.input_dim))
+        states = rng.normal(size=(batch, policy.layer_dims[0]))
         actions, log_probs = sample_pseudo_labels(policy, states, rng)
         traj = Trajectory(5)
         traj.append(TrajectoryStep(states, actions, log_probs, reward))
@@ -563,7 +563,7 @@ class TestDivergence:
 
     def test_overflowing_logits_in_evaluate_raise(self):
         # finite features, but the logits overflow to +-inf: the scores would be NaN
-        model = MlpModel([1, 2], [np.array([[1e308, -1e308]])], [np.zeros(2)])
+        model = MlpModel([1, 2], np.array([1e308, -1e308, 0.0, 0.0]))
         split = Split(np.arange(2), np.array([[10.0], [-10.0]]), np.array([0, 1]),
                       np.array([-1, -1]))
         with pytest.raises(NonFiniteError, match="evaluated split logits are non-finite"):

@@ -86,13 +86,12 @@ def numeric_gradient(loss_fn, params, step=1e-5):
 
 class TestForward:
     def test_zero_weights_give_zero_logits(self):
-        model = MlpModel([3, 4, 2], [np.zeros((3, 4)), np.zeros((4, 2))],
-                         [np.zeros(4), np.zeros(2)])
+        model = MlpModel([3, 4, 2], np.zeros(3 * 4 + 4 + 4 * 2 + 2))
         logits, _ = mlp_forward(model, np.random.default_rng(0).normal(size=(5, 3)))
         assert np.all(logits == 0.0)
 
     def test_identity_single_layer(self):
-        model = MlpModel([3, 3], [np.eye(3)], [np.zeros(3)])
+        model = MlpModel([3, 3], np.concatenate([np.eye(3).ravel(), np.zeros(3)]))
         v = np.array([[1.5, -2.0, 0.25]])
         logits, _ = mlp_forward(model, v)
         np.testing.assert_array_equal(logits, v)
@@ -141,15 +140,17 @@ class TestFlatBuffer:
         model.views(buf)[2][1, 0] = 4.0          # W1[1, 0] of another buffer
         assert buf[3 * 4 + 4 + 1 * 2 + 0] == 4.0 and model.flat[3 * 4 + 4 + 1 * 2] == 7.0
 
-    def test_constructor_copies_and_checks_shapes(self):
-        w = np.ones((2, 3))
-        model = MlpModel([2, 3], [w], [np.zeros(3)])
-        w[0, 0] = 5.0
-        assert model.weights[0][0, 0] == 1.0
-        with pytest.raises(ValueError, match="layer dims"):
-            MlpModel([2, 3], [np.ones((3, 2))], [np.zeros(3)])
-        with pytest.raises(ValueError, match="layer dims"):
-            MlpModel([2, 3, 2], [np.ones((2, 3))], [np.zeros(3)])
+    def test_constructor_copies_flat(self):
+        flat = np.arange(9)                      # integers: stored as float64
+        model = MlpModel([2, 3], flat)
+        assert model.flat.dtype == np.float64
+        assert not np.shares_memory(model.flat, flat)
+        flat[0] = 50
+        assert model.weights[0][0, 0] == 0.0
+        np.testing.assert_array_equal(model.weights[0], [[0, 1, 2], [3, 4, 5]])
+        np.testing.assert_array_equal(model.biases[0], [6, 7, 8])
+        buf = np.zeros(9)
+        assert not np.shares_memory(MlpModel([2, 3], buf).flat, buf)
 
     def test_clone_has_independent_buffer(self):
         model = init_mlp([3, 4, 2], np.random.default_rng(3))
@@ -163,12 +164,14 @@ class TestFlatBuffer:
         assert copy.layer_dims == model.layer_dims
         assert copy.layer_dims is not model.layer_dims
 
-    def test_from_flat_checks_size(self):
+    def test_constructor_checks_size(self):
         with pytest.raises(ValueError, match="5 parameter values, expected 6"):
-            MlpModel.from_flat([2, 2], np.zeros(5))
+            MlpModel([2, 2], np.zeros(5))
+        with pytest.raises(ValueError, match="7 parameter values, expected 6"):
+            MlpModel([2, 2], np.zeros(7))
         for dims in ([], [5], [2, 0], [2, -1]):
             with pytest.raises(ValueError, match="invalid layer dims"):
-                MlpModel.from_flat(dims, np.zeros(0))
+                MlpModel(dims, np.zeros(0))
             with pytest.raises(ValueError, match="invalid layer dims"):
                 init_mlp(dims, np.random.default_rng(0))
 
@@ -243,8 +246,8 @@ class TestBackward:
         assert np.all(grad == 0.0)
 
     def test_single_linear_layer_closed_form(self):
-        model = MlpModel([3, 2], [np.random.default_rng(1).normal(size=(3, 2))],
-                         [np.zeros(2)])
+        model = MlpModel([3, 2], np.concatenate([np.random.default_rng(1).normal(size=6),
+                                                 np.zeros(2)]))
         x = np.array([[1.0, -2.0, 0.5]])
         _, cache = mlp_forward(model, x)
         g = np.array([[0.3, -0.7]])
@@ -395,12 +398,14 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         rng = np.random.default_rng(23)
         model = init_mlp([5, 7, 3], rng)
-        path = str(tmp_path / "model.ckpt")
-        save_model(model, path)
-        loaded = load_model(path)
+        model.biases[0][:3] = [-0.0, 5e-324, -1e300]      # signed zero, subnormal, huge
+        path, again = tmp_path / "model.ckpt", tmp_path / "again.ckpt"
+        save_model(model, str(path))
+        loaded = load_model(str(path))
         assert loaded.layer_dims == model.layer_dims
-        for a, b in zip(model.parameters(), loaded.parameters()):
-            np.testing.assert_array_equal(a, b)
+        assert loaded.flat.tobytes() == model.flat.tobytes()
+        save_model(loaded, str(again))
+        assert again.read_text() == path.read_text()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
@@ -423,4 +428,22 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_text("mlp 2 2\n" + "0.5\n" * 3 + "abc\n" + "0.5\n" * 2)
         with pytest.raises(ValueError, match="bad.ckpt: line 5: non-numeric value 'abc'"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    def test_non_finite_value_names_path_and_line(self, tmp_path, value):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("mlp 2 2\n" + "0.5\n" * 2 + value + "\n" + "0.5\n" * 3)
+        with pytest.raises(ValueError, match="bad.ckpt: line 4: non-finite value"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("body, lineno", [
+        ("\n" + "0.5\n" * 6, 2),                     # first line
+        ("0.5\n" * 3 + "  \n" + "0.5\n" * 3, 5),      # among the values
+        ("0.5\n" * 6 + "\n", 8),                      # after the last value
+    ])
+    def test_blank_line_names_path_and_line(self, tmp_path, body, lineno):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("mlp 2 2\n" + body)
+        with pytest.raises(ValueError, match=f"bad.ckpt: line {lineno}: blank line"):
             load_model(str(path))
