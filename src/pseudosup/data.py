@@ -284,42 +284,43 @@ def concat_modalities(features: np.ndarray, secondary: np.ndarray,
     return np.concatenate([features, secondary[..., idx]], axis=-1)
 
 
-def apply_crop_flip(
-    grid: np.ndarray,
-    flip: bool,
-    crop_h: int,
-    crop_w: int,
-    top: int,
-    left: int,
-) -> np.ndarray:
+def apply_crop_flip(grid: np.ndarray, flip, crop_h, crop_w, top, left) -> np.ndarray:
     """Deterministic core of the weak augmentation: optional horizontal flip,
-    then crop and nearest-neighbor resize back to the original grid shape."""
-    h, w = grid.shape
-    if flip:
-        grid = grid[:, ::-1]
-    crop = grid[top : top + crop_h, left : left + crop_w]
-    rows = (np.arange(h) * crop_h) // h
-    cols = (np.arange(w) * crop_w) // w
-    return crop[np.ix_(rows, cols)]
+    then crop and nearest-neighbor resize back to the original grid shape.
+    `grid` is one (h, w) grid with scalar parameters, or an (n, h, w) stack
+    with one value of each per grid; row- and column-index maps (the column
+    map reversed for a flip) gather the whole stack in one fancy index."""
+    h, w = grid.shape[-2:]
+    flip, crop_h, crop_w, top, left = np.asarray([flip, crop_h, crop_w, top, left])[..., None]
+    rows = top + (np.arange(h) * crop_h) // h
+    cols = left + (np.arange(w) * crop_w) // w
+    cols = np.where(flip, w - 1 - cols, cols)
+    which = np.arange(grid.size // (h * w)).reshape(grid.shape[:-2] + (1, 1))
+    return grid.reshape(-1, h, w)[which, rows[..., :, None], cols[..., None, :]]
 
 
-def augment_weak(features: np.ndarray, grid: tuple[int, int] | None,
+def augment_weak(x: np.ndarray, grid: tuple[int, int] | None,
                  rng: np.random.Generator, scale_min: float = 0.8) -> np.ndarray:
     """Random horizontal flip (p=0.5) plus random crop-and-resize of the
-    leading h*w features of one row, viewed as the (h, w) `grid`. The crop is
-    max(1, round(u*h)) x max(1, round(u'*w)) with u, u' ~ U[scale_min, 1], so
-    at the default 0.8 a side of 2 or less is never cropped (only flipped).
-    The other features pass through."""
+    leading h*w features of each row of the (n, d) batch `x`, viewed as the
+    (h, w) `grid`. The crop is max(1, round(u*h)) x max(1, round(u'*w)) with
+    u, u' ~ U[scale_min, 1], so at the default 0.8 a side of 2 or less is
+    never cropped (only flipped). Row after row, `rng` draws flip, crop_h,
+    crop_w, top and left in that order, as if each row were augmented alone;
+    then one `apply_crop_flip` gathers the batch. The other features pass through."""
     if grid is None:
         raise ValueError("augment_weak requires grid dims")
     h, w = grid
-    flip = rng.random() < 0.5
-    crop_h = max(1, int(round(rng.uniform(scale_min, 1.0) * h)))
-    crop_w = max(1, int(round(rng.uniform(scale_min, 1.0) * w)))
-    top = int(rng.integers(0, h - crop_h + 1))
-    left = int(rng.integers(0, w - crop_w + 1))
-    out = apply_crop_flip(features[: h * w].reshape(h, w), flip, crop_h, crop_w, top, left)
-    return np.concatenate([out.ravel(), features[h * w :]])
+    draws = []
+    for _ in range(len(x)):
+        flip = rng.random() < 0.5
+        crop_h = max(1, round(rng.uniform(scale_min, 1.0) * h))
+        crop_w = max(1, round(rng.uniform(scale_min, 1.0) * w))
+        draws.append((flip, crop_h, crop_w, rng.integers(0, h - crop_h + 1),
+                      rng.integers(0, w - crop_w + 1)))
+    params = np.array(draws, dtype=np.int64).reshape(len(x), 5).T
+    out = apply_crop_flip(x[:, : h * w].reshape(-1, h, w), *params)
+    return np.concatenate([out.reshape(len(x), h * w), x[:, h * w :]], axis=1)
 
 
 _SPLIT_TAGS = ("trainL", "trainU", "val", "test")

@@ -9,13 +9,12 @@ ascends the discounted-return-weighted log-probability surrogate.
 Supervised-only and confidence-threshold self-training baselines share the
 same loop machinery so their degeneracy equivalences exercise real code paths.
 
-The loops draw batches as index arrays into each split's arrays; only weak
-augmentation runs row by row. Both updates run one forward/backward pass: the
-classifier step over the stacked [labeled; pseudo] rows with cross-entropy row
-weights 1/n_l and pseudo_loss_weight/n_u, and the policy update over the whole
-beta-step window with row weights G_t/B_t, the returns coming from one reverse
-accumulation. Every classifier update, the supervised warmup's included, goes
-through `classifier_step`.
+The loops draw batches as index arrays into each split's arrays. Both updates
+run one forward/backward pass: the classifier step over the stacked [labeled;
+pseudo] rows with cross-entropy row weights 1/n_l and pseudo_loss_weight/n_u,
+and the policy update over the whole beta-step window with row weights
+G_t/B_t, the returns coming from one reverse accumulation. Every classifier
+update, the supervised warmup's included, goes through `classifier_step`.
 
 The training loops reject non-finite features in any split before they start.
 A loss, a sampled log-probability, the logits of a whole-split pass
@@ -226,11 +225,10 @@ def check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
 
 def _rows(x: np.ndarray, idx: np.ndarray, cfg: EngineConfig,
           grid: tuple[int, int] | None, rng_aug: np.random.Generator) -> np.ndarray:
-    """Rows `idx` of `x`, weakly augmented row by row (in batch order, from
-    `rng_aug`) when cfg.augment is set."""
+    """Rows `idx` of `x`, weakly augmented as one batch (each row's draws from
+    `rng_aug` in batch order) when cfg.augment is set."""
     if cfg.augment:
-        return np.stack([augment_weak(x[i], grid, rng_aug, cfg.crop_scale_min)
-                         for i in idx])
+        return augment_weak(x[idx], grid, rng_aug, cfg.crop_scale_min)
     return x[idx]
 
 
@@ -264,17 +262,13 @@ def warmup_supervised(
     classifier: MlpModel,
     labeled: Split,
     cfg: EngineConfig,
-    rng: np.random.Generator | None = None,
-    optimizer: AdamW | None = None,
+    rng: np.random.Generator,
+    optimizer: AdamW,
 ) -> MlpModel:
-    """Initial supervised-only phase: cfg.warmup_steps cross-entropy
-    mini-batch steps on labeled data."""
+    """Initial supervised-only phase: cfg.warmup_steps cross-entropy mini-batch
+    steps on labeled data, batches drawn from `rng`, steps taken by `optimizer`."""
     if len(labeled) == 0:
         raise ValueError("warmup requires a non-empty labeled set")
-    if rng is None:
-        rng = _rngs(cfg.seed)["warmup"]
-    if optimizer is None:
-        optimizer = AdamW(classifier.flat, cfg.classifier_lr, weight_decay=cfg.weight_decay)
     x, y = labeled.X, labeled.y
     steps_done = 0
     try:

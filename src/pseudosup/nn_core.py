@@ -76,7 +76,9 @@ class MlpModel:
         self._layout = _layout(self.layer_dims)
         size = self._layout[-1][1]
         self.flat = np.array(flat, dtype=np.float64)
-        if self.flat.shape != (size,):
+        if self.flat.ndim != 1:
+            raise ValueError(f"parameter buffer of shape {self.flat.shape}, expected ({size},)")
+        if self.flat.size != size:
             raise ValueError(f"{self.flat.size} parameter values, expected {size}")
         self._params = self.views(self.flat)
         self.weights = self._params[0::2]

@@ -278,34 +278,91 @@ class TestAugmentWeak:
             [[1, 1, 2], [4, 4, 5], [7, 7, 8]])
 
     def test_sides_of_two_only_flip_at_default_scale(self):
-        row = np.arange(4.0)
-        outputs = {tuple(augment_weak(row, (2, 2), np.random.default_rng(seed)))
+        row = np.arange(4.0)[None]
+        outputs = {tuple(augment_weak(row, (2, 2), np.random.default_rng(seed))[0])
                    for seed in range(200)}
         assert outputs == {(0, 1, 2, 3), (1, 0, 3, 2)}
-        cropped = {tuple(augment_weak(np.arange(16.0), (4, 4), np.random.default_rng(seed)))
+        cropped = {tuple(augment_weak(np.arange(16.0)[None], (4, 4),
+                                      np.random.default_rng(seed))[0])
                    for seed in range(200)}
         assert len(cropped) > 2
 
     def test_constant_grid_stays_constant(self):
         for seed in range(10):
-            out = augment_weak(np.full(48, 2.5), (6, 8), np.random.default_rng(seed))
-            np.testing.assert_array_equal(out, np.full(48, 2.5))
+            out = augment_weak(np.full((1, 48), 2.5), (6, 8), np.random.default_rng(seed))
+            np.testing.assert_array_equal(out, np.full((1, 48), 2.5))
 
     def test_label_and_tail_unchanged(self):
-        row = self.grid_row(tail=10)
+        row = self.grid_row(tail=10)[None]
         out = augment_weak(row, (6, 8), np.random.default_rng(5))
         assert out.shape == row.shape
-        np.testing.assert_array_equal(out[48:], row[48:])
+        np.testing.assert_array_equal(out[:, 48:], row[:, 48:])
 
     def test_deterministic_per_seed(self):
-        row = self.grid_row()
+        row = self.grid_row()[None]
         a = augment_weak(row, (6, 8), np.random.default_rng(9))
         b = augment_weak(row, (6, 8), np.random.default_rng(9))
         np.testing.assert_array_equal(a, b)
 
     def test_requires_grid_dims(self):
         with pytest.raises(ValueError):
-            augment_weak(np.zeros(4), None, 0)
+            augment_weak(np.zeros((1, 4)), None, np.random.default_rng(0))
+
+
+def crop_flip_reference(grid, flip, crop_h, crop_w, top, left):
+    """One (h, w) grid augmented by slicing: flip, crop, nearest-neighbor resize."""
+    h, w = grid.shape
+    if flip:
+        grid = grid[:, ::-1]
+    crop = grid[top : top + crop_h, left : left + crop_w]
+    rows = (np.arange(h) * crop_h) // h
+    cols = (np.arange(w) * crop_w) // w
+    return crop[np.ix_(rows, cols)]
+
+
+class TestBatchedCropFlip:
+    @staticmethod
+    def random_params(rng, n, h, w, scale_min):
+        flip = rng.random(n) < 0.5
+        crop_h = np.maximum(1, np.round(rng.uniform(scale_min, 1.0, n) * h)).astype(np.int64)
+        crop_w = np.maximum(1, np.round(rng.uniform(scale_min, 1.0, n) * w)).astype(np.int64)
+        top = rng.integers(0, h - crop_h + 1)
+        left = rng.integers(0, w - crop_w + 1)
+        return flip, crop_h, crop_w, top, left
+
+    @pytest.mark.parametrize("h, w, scale_min", [
+        (1, 1, 0.05), (1, 7, 0.05), (6, 1, 0.3), (4, 5, 0.8), (7, 3, 0.05), (8, 8, 1.0)])
+    def test_stack_matches_reference_and_scalar_calls(self, h, w, scale_min):
+        rng = np.random.default_rng([h, w])
+        n = 25
+        stack = rng.standard_normal((n, h, w))
+        params = self.random_params(rng, n, h, w, scale_min)
+        out = apply_crop_flip(stack, *params)
+        assert out.shape == stack.shape
+        for i, p in enumerate(zip(*params)):
+            expected = crop_flip_reference(stack[i], *p)
+            assert out[i].tobytes() == expected.tobytes()
+            assert apply_crop_flip(stack[i], *p).tobytes() == expected.tobytes()
+
+    def test_stack_covers_flips_and_full_size_crops(self):
+        stack = np.arange(3 * 4 * 5.0).reshape(3, 4, 5)
+        out = apply_crop_flip(stack, [False, True, True], [4, 4, 1], [5, 5, 1],
+                              [0, 0, 3], [0, 0, 4])
+        np.testing.assert_array_equal(out[0], stack[0])
+        np.testing.assert_array_equal(out[1], stack[1, :, ::-1])
+        # a 1x1 crop of the flipped grid at (3, 4) is cell (3, 0) of the grid
+        np.testing.assert_array_equal(out[2], np.full((4, 5), stack[2, 3, 0]))
+
+    @pytest.mark.parametrize("h, w, scale_min", [(1, 1, 0.05), (2, 2, 0.8), (4, 5, 0.8),
+                                                 (3, 8, 0.05), (5, 1, 0.5)])
+    def test_batch_matches_rows_augmented_in_turn(self, h, w, scale_min):
+        x = np.random.default_rng([h, w, 1]).standard_normal((31, h * w + 3))
+        batch = augment_weak(x, (h, w), np.random.default_rng(4), scale_min)
+        rng = np.random.default_rng(4)
+        rows = [augment_weak(row[None], (h, w), rng, scale_min) for row in x]
+        assert batch.tobytes() == np.concatenate(rows).tobytes()
+        assert batch.shape == x.shape
+        assert augment_weak(x[:0], (h, w), rng, scale_min).shape == (0, x.shape[1])
 
 
 class TestDatasetIO:

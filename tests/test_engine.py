@@ -384,13 +384,19 @@ class TestTrajectoryDiscipline:
         assert updates == total_steps // cfg.beta
 
 
+def warmup_args(model, cfg):
+    """The seeded generator and AdamW that `_warm_classifier` passes."""
+    return (np.random.default_rng([cfg.seed, 1]),
+            AdamW(model.flat, cfg.classifier_lr, weight_decay=cfg.weight_decay))
+
+
 class TestWarmup:
     def test_zero_steps_unchanged(self):
         splits = make_splits()
         cfg = fast_cfg(warmup_steps=0)
         model = init_mlp([4, 8, 2], np.random.default_rng(0))
         before = [p.copy() for p in model.parameters()]
-        warmup_supervised(model, splits.labeled_train, cfg)
+        warmup_supervised(model, splits.labeled_train, cfg, *warmup_args(model, cfg))
         for a, b in zip(before, model.parameters()):
             np.testing.assert_array_equal(a, b)
 
@@ -398,7 +404,7 @@ class TestWarmup:
         splits = make_splits(sep=6.0, n_per_class=100)
         cfg = fast_cfg(warmup_steps=200)
         model = init_mlp([4, 8, 2], np.random.default_rng(0))
-        warmup_supervised(model, splits.labeled_train, cfg)
+        warmup_supervised(model, splits.labeled_train, cfg, *warmup_args(model, cfg))
         logits, _ = mlp_forward(model, splits.labeled_train.X)
         assert np.mean(logits.argmax(axis=1) == splits.labeled_train.y) > 0.95
 
@@ -408,15 +414,15 @@ class TestWarmup:
         models = []
         for _ in range(2):
             m = init_mlp([4, 8, 2], np.random.default_rng(5))
-            warmup_supervised(m, splits.labeled_train, cfg)
+            warmup_supervised(m, splits.labeled_train, cfg, *warmup_args(m, cfg))
             models.append(m)
         for a, b in zip(models[0].parameters(), models[1].parameters()):
             np.testing.assert_array_equal(a, b)
 
     def test_empty_labeled_rejected(self):
+        model, cfg = init_mlp([4, 2], np.random.default_rng(0)), fast_cfg()
         with pytest.raises(ValueError):
-            warmup_supervised(init_mlp([4, 2], np.random.default_rng(0)), [],
-                              fast_cfg())
+            warmup_supervised(model, [], cfg, *warmup_args(model, cfg))
 
 
 class TestTrainLoop:

@@ -169,6 +169,10 @@ class TestFlatBuffer:
             MlpModel([2, 2], np.zeros(5))
         with pytest.raises(ValueError, match="7 parameter values, expected 6"):
             MlpModel([2, 2], np.zeros(7))
+        for bad in (np.zeros((2, 3)), np.zeros((6, 1))):
+            message = f"parameter buffer of shape {bad.shape}, expected (6,)"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                MlpModel([2, 2], bad)
         for dims in ([], [5], [2, 0], [2, -1]):
             with pytest.raises(ValueError, match="invalid layer dims"):
                 MlpModel(dims, np.zeros(0))
