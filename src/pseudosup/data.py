@@ -212,40 +212,28 @@ def split_dataset(
     return DatasetSplits(labeled, unlabeled, val, test, grid)
 
 
-def qc_filter(records: list[tuple[Sample, QcRecord]]) -> tuple[list[Sample], QcReport]:
-    """Retain samples meeting clinical quality criteria.
+# Each QcReport counter and the clinical quality rule that excludes a sample
+# under it. Every rule is strict, so a boundary value is retained.
+_QC_RULES = {
+    "excluded_low_signal": lambda qc: qc.signal_strength < 6,
+    "excluded_fixation_loss": lambda qc: qc.fixation_loss_rate > 0.33,
+    "excluded_false_positive": lambda qc: qc.false_positive_rate > 0.20,
+    "excluded_false_negative": lambda qc: qc.false_negative_rate > 0.20,
+}
 
-    Exclusion is strict: signal strength < 6, or any of fixation loss > 0.33,
-    false positive rate > 0.20, false negative rate > 0.20. Boundary values
-    are retained. A sample violating several rules is counted under each.
-    """
+
+def qc_filter(records: list[tuple[Sample, QcRecord]]) -> tuple[list[Sample], QcReport]:
+    """Retain the samples that break none of the `_QC_RULES`. A sample that
+    breaks several rules is counted under each."""
     retained = []
-    low_signal = fixation = false_pos = false_neg = 0
+    excluded = dict.fromkeys(_QC_RULES, 0)
     for sample, qc in records:
-        bad = False
-        if qc.signal_strength < 6:
-            low_signal += 1
-            bad = True
-        if qc.fixation_loss_rate > 0.33:
-            fixation += 1
-            bad = True
-        if qc.false_positive_rate > 0.20:
-            false_pos += 1
-            bad = True
-        if qc.false_negative_rate > 0.20:
-            false_neg += 1
-            bad = True
-        if not bad:
+        broken = [name for name, rule in _QC_RULES.items() if rule(qc)]
+        for name in broken:
+            excluded[name] += 1
+        if not broken:
             retained.append(sample)
-    report = QcReport(
-        n_input=len(records),
-        n_retained=len(retained),
-        excluded_low_signal=low_signal,
-        excluded_fixation_loss=fixation,
-        excluded_false_positive=false_pos,
-        excluded_false_negative=false_neg,
-    )
-    return retained, report
+    return retained, QcReport(len(records), len(retained), **excluded)
 
 
 def derive_progression_labels(series: LongitudinalSeries) -> ProgressionResult:

@@ -16,8 +16,8 @@ and the policy update over the whole beta-step window with row weights
 G_t/B_t, the returns coming from one reverse accumulation. Every classifier
 update, the supervised warmup's included, goes through `classifier_step`.
 
-The training loops reject non-finite features in any split before they start.
-A loss, a sampled log-probability, the logits of a whole-split pass
+The training loops reject splits they cannot use before they start.
+A loss, a reward, a sampled log-probability, the logits of a whole-split pass
 (`evaluate`, self-training's selection) or a parameter that goes non-finite
 raises NonFiniteError; the training loops turn it into a ValueError that names
 the seed and the step.
@@ -50,7 +50,6 @@ __all__ = [
     "TrajectoryStep",
     "Trajectory",
     "StepRecord",
-    "EpochRecord",
     "History",
     "TrainResult",
     "SelfTrainingResult",
@@ -145,7 +144,6 @@ class Trajectory:
 
 @dataclass
 class StepRecord:
-    step: int
     epoch: int
     loss_val_before: float | None
     loss_val_after: float | None
@@ -154,15 +152,11 @@ class StepRecord:
 
 
 @dataclass
-class EpochRecord:
-    epoch: int
-    metrics: MetricsReport
-
-
-@dataclass
 class History:
+    """One StepRecord per classifier step and the test metrics after each
+    epoch, in run order; `to_csv` numbers both from 1 by their position."""
     steps: list[StepRecord] = field(default_factory=list)
-    epochs: list[EpochRecord] = field(default_factory=list)
+    epochs: list[MetricsReport] = field(default_factory=list)
 
     CSV_HEADER = (
         "record,step,epoch,loss_val_before,loss_val_after,reward,"
@@ -174,16 +168,15 @@ class History:
             return "" if x is None else f"{x:.17g}"
 
         lines = [self.CSV_HEADER]
-        for r in self.steps:
+        for step, r in enumerate(self.steps, start=1):
             lines.append(
-                f"step,{r.step},{r.epoch},{fmt(r.loss_val_before)},"
+                f"step,{step},{r.epoch},{fmt(r.loss_val_before)},"
                 f"{fmt(r.loss_val_after)},{fmt(r.reward)},"
                 f"{int(r.policy_update)},,,"
             )
-        for e in self.epochs:
-            m = e.metrics
+        for epoch, m in enumerate(self.epochs, start=1):
             lines.append(
-                f"epoch,,{e.epoch},,,,,"
+                f"epoch,,{epoch},,,,,"
                 f"{m.accuracy:.17g},{m.f1:.17g},{m.auc:.17g}"
             )
         return "\n".join(lines) + "\n"
@@ -198,7 +191,7 @@ class TrainResult:
     @property
     def final_metrics(self) -> MetricsReport:
         """The test metrics after the last epoch."""
-        return self.history.epochs[-1].metrics
+        return self.history.epochs[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -206,7 +199,9 @@ class TrainResult:
 
 def check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
     """Labeled splits non-empty with labels in [0, n_classes), class 1 and another
-    in test (for its AUC), all features finite, and grid dims if cfg.augment."""
+    in test (for its AUC); every non-empty split with labeled_train's feature
+    count, all finite; grid dims if cfg.augment, and any grid with sides >= 1
+    and at most that many cells, as `load_dataset` requires."""
     if cfg.augment and splits.grid is None:
         raise ValueError("augment requires splits with grid dims")
     for name in ("labeled_train", "validation", "test"):
@@ -217,10 +212,19 @@ def check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
             raise ValueError(f"{name} has a label outside [0, {cfg.n_classes})")
     if np.unique(splits.test.y == 1).size < 2:
         raise ValueError("test must hold class 1 and another class for the AUC")
+    n_features = splits.labeled_train.X.shape[1]
     for name in ("labeled_train", "unlabeled_train", "validation", "test"):
         part = getattr(splits, name)
+        if len(part) and part.X.shape[1] != n_features:
+            raise ValueError(f"{name} has {part.X.shape[1]} features, "
+                             f"labeled_train has {n_features}")
         if len(part) and not np.isfinite(part.X).all():
             raise ValueError(f"{name} has non-finite features")
+    if splits.grid is not None:
+        h, w = splits.grid
+        if min(h, w) < 1 or h * w > n_features:
+            raise ValueError(f"grid {h}x{w} needs sides >= 1 and at most "
+                             f"{n_features} cells")
 
 
 def _rows(x: np.ndarray, idx: np.ndarray, cfg: EngineConfig,
@@ -313,10 +317,15 @@ def eval_val_loss(classifier: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
 
 
 def compute_reward(loss_before: float, loss_after: float) -> float:
-    """r = max(exp(loss_before - loss_after) - 1, 0)."""
+    """r = max(exp(loss_before - loss_after) - 1, 0); non-finite losses, or a
+    reward that overflows a float, raise NonFiniteError."""
     if not (math.isfinite(loss_before) and math.isfinite(loss_after)):
         raise NonFiniteError("losses must be finite")
-    return max(math.exp(loss_before - loss_after) - 1.0, 0.0)
+    try:
+        return max(math.exp(loss_before - loss_after) - 1.0, 0.0)
+    except OverflowError:
+        raise NonFiniteError(f"reward overflows: loss_before {loss_before!r}, "
+                             f"loss_after {loss_after!r}") from None
 
 
 def classifier_step(
@@ -349,19 +358,19 @@ def classifier_step(
 
 
 def discounted_return(rewards, gamma: float, t: int) -> float:
-    """Return-to-go G_t = sum_k gamma^k * rewards[t+k] over the buffered window."""
+    """Return-to-go G_t = sum_k gamma^k * rewards[t+k] over the buffered window,
+    as the policy update computes it (`_returns`)."""
     rewards = np.asarray(rewards, dtype=np.float64)
     if not 0 <= t < len(rewards):
         raise ValueError(f"index {t} out of range for {len(rewards)} rewards")
     if not 0.0 <= gamma <= 1.0:
         raise ValueError("gamma must be in [0, 1]")
-    tail = rewards[t:]
-    return float(np.sum(tail * gamma ** np.arange(len(tail))))
+    return float(_returns(rewards, gamma)[t])
 
 
 def _returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
     """Every return-to-go G_t of the window by one reverse accumulation,
-    G_t = r_t + gamma * G_{t+1}; `discounted_return` is its per-t oracle."""
+    G_t = r_t + gamma * G_{t+1}."""
     out = np.empty(len(rewards))
     acc = 0.0
     for t in range(len(rewards) - 1, -1, -1):
@@ -487,12 +496,11 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
                         policy_update(policy, trajectory, cfg, opt_p)
                         updated = True
                     history.steps.append(
-                        StepRecord(step, epoch, loss_before, loss_after, reward, updated)
-                    )
+                        StepRecord(epoch, loss_before, loss_after, reward, updated))
                 else:
                     classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
-                    history.steps.append(StepRecord(step, epoch, None, None, None, False))
-            history.epochs.append(EpochRecord(epoch, evaluate(classifier, splits.test)))
+                    history.steps.append(StepRecord(epoch, None, None, None, False))
+            history.epochs.append(evaluate(classifier, splits.test))
     except NonFiniteError as exc:
         raise _diverged(cfg, f"step {step}", exc) from exc
     return TrainResult(classifier, policy, history)
@@ -549,8 +557,8 @@ def train_self_training(
                                     opt_c, cfg)
                 else:
                     classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
-                history.steps.append(StepRecord(step, epoch, None, None, None, False))
-            history.epochs.append(EpochRecord(epoch, evaluate(classifier, splits.test)))
+                history.steps.append(StepRecord(epoch, None, None, None, False))
+            history.epochs.append(evaluate(classifier, splits.test))
     except NonFiniteError as exc:
         raise _diverged(cfg, f"step {step}", exc) from exc
     return SelfTrainingResult(classifier, None, history, pseudo_acc, n_selected)

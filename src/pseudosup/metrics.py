@@ -87,15 +87,18 @@ def pearson(x: np.ndarray, y: np.ndarray) -> float:
 
 @dataclass
 class CorrelationDensity:
+    """The kept correlations of each group, the histogram's equal-width
+    `bin_edges` and the count of skipped pairs; `density` bins a group."""
     within_group: np.ndarray  # float64, in (i, j) pair order, i < j
     between_group: np.ndarray
     bin_edges: np.ndarray
-    within_counts: np.ndarray
-    between_counts: np.ndarray
     skipped_pairs: int
 
     def density(self, group: str) -> np.ndarray:
-        counts = self.within_counts if group == "within" else self.between_counts
+        """Histogram of the "within" or "between" correlations over
+        `bin_edges`, normalised to unit area (all zeros for an empty group)."""
+        rho = self.within_group if group == "within" else self.between_group
+        counts, _ = np.histogram(rho, bins=self.bin_edges)
         total = counts.sum()
         width = self.bin_edges[1] - self.bin_edges[0]
         if total == 0:
@@ -143,7 +146,4 @@ def correlation_density(X: np.ndarray, y: np.ndarray, bins: int = 50) -> Correla
         n_b += len(b)
     skipped = n_pairs - n_w - n_b
     within, between = within[:n_w], between[:n_b]
-    edges = np.linspace(-1.0, 1.0, bins + 1)
-    w_counts, _ = np.histogram(within, bins=edges)
-    b_counts, _ = np.histogram(between, bins=edges)
-    return CorrelationDensity(within, between, edges, w_counts, b_counts, skipped)
+    return CorrelationDensity(within, between, np.linspace(-1.0, 1.0, bins + 1), skipped)

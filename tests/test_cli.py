@@ -767,6 +767,21 @@ class TestCliEntry:
             assert lines[0] == "bin_center,density"
             assert len(lines) == 11
 
+    # sha256 over corr_within.csv then corr_between.csv; pins the Gram-product
+    # correlations, their routing by label and the histogram densities
+    def test_analyze_corr_digest_pinned(self, tmp_path):
+        ds = str(tmp_path / "ds.txt")
+        assert main(["gen-data", "--out", ds, "--n-per-class", "30", "--grid", "3", "4",
+                     "--multimodal", "--seed", "2"]) == 0
+        out = tmp_path / "corr"
+        assert main(["analyze-corr", "--dataset", ds, "--bins", "16",
+                     "--out-dir", str(out)]) == 0
+        h = hashlib.sha256()
+        for group in ("within", "between"):
+            h.update((out / f"corr_{group}.csv").read_bytes())
+        assert h.hexdigest() == (
+            "55765efc518d58c482b1658633b7ed73797e27774bc894568462626969477fcb")
+
 
 class TestBuildSplits:
     def test_multimodal_inline(self):

@@ -8,6 +8,7 @@ from pseudosup.data import (
     DatasetFormatError,
     LongitudinalSeries,
     QcRecord,
+    QcReport,
     Sample,
     apply_crop_flip,
     augment_weak,
@@ -155,6 +156,15 @@ class TestQcFilter:
         assert report.n_retained == 1
         assert report.excluded_low_signal == 1
         assert report.excluded_false_positive == 1
+
+    def test_every_rule_broken_counts_once_under_each(self):
+        records = [self.make(fix=0.33, fp=0.20, fn=0.20),
+                   self.make(signal=5, fix=0.34, fp=0.21, fn=0.21)]
+        retained, report = qc_filter(records)
+        assert retained == [records[0][0]]
+        assert report == QcReport(n_input=2, n_retained=1, excluded_low_signal=1,
+                                  excluded_fixation_loss=1, excluded_false_positive=1,
+                                  excluded_false_negative=1)
 
 
 class TestProgression:

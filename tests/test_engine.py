@@ -84,6 +84,13 @@ class TestReward:
         with pytest.raises(ValueError):
             compute_reward(0.5, float("inf"))
 
+    def test_overflowing_reward_names_both_losses(self):
+        # exp overflows a float once the gain exceeds about 709.78
+        assert compute_reward(709.0, 0.0) == pytest.approx(math.exp(709.0) - 1.0)
+        with pytest.raises(NonFiniteError,
+                           match="^reward overflows: loss_before 800.0, loss_after 0.0$"):
+            compute_reward(800.0, 0.0)
+
 
 class TestDiscountedReturn:
     def test_gamma_zero_is_immediate_reward(self):
@@ -511,6 +518,38 @@ class TestTrainLoop:
                 train(splits, cfg)
             else:
                 train_self_training(splits, cfg, 0.9)
+        # the grid must fit the features, the rule load_dataset applies to files
+        data = generate_overlapping_gaussians(60, 10, 1.0, 0)
+        for grid in [(0, 4), (2, -1), (4, 5)]:
+            splits = split_dataset(data, 0.5, (0.7, 0.1, 0.2), 0, grid=grid)
+            with pytest.raises(ValueError, match=f"^grid {grid[0]}x{grid[1]} needs sides "
+                                                 ">= 1 and at most 10 cells$"):
+                if trainer == "pseudo_sup":
+                    train(splits, cfg)
+                else:
+                    train_self_training(splits, cfg, 0.9)
+
+    @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
+    @pytest.mark.parametrize("split", ["unlabeled_train", "validation", "test"])
+    def test_feature_count_mismatch_rejected_before_warmup(self, monkeypatch, trainer,
+                                                           split):
+        def no_warmup(*args):
+            raise AssertionError("warmup ran")
+
+        monkeypatch.setattr(engine, "warmup_supervised", no_warmup)
+        splits = make_splits()
+        part = getattr(splits, split)
+        splits = replace(splits, **{split: replace(part, X=part.X[:, :3])})
+        with pytest.raises(ValueError, match=f"^{split} has 3 features, labeled_train has 4$"):
+            if trainer == "pseudo_sup":
+                train(splits, fast_cfg())
+            else:
+                train_self_training(splits, fast_cfg(), 0.9)
+
+    def test_empty_split_of_another_width_accepted(self):
+        splits = make_splits()
+        empty = replace(splits.unlabeled_train.take([]), X=np.zeros((0, 3)))
+        engine.check_splits(replace(splits, unlabeled_train=empty), fast_cfg())
 
     @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
     @pytest.mark.parametrize("split", ["labeled_train", "unlabeled_train",
@@ -566,6 +605,16 @@ class TestDivergence:
                 train(splits, fast_cfg(seed=3))
             else:
                 train_self_training(splits, fast_cfg(seed=3), 0.9)
+
+    def test_overflowing_reward_names_seed_and_step(self):
+        # features of scale 100 at lr 1: a val-loss gain beyond ~709.78 overflows exp
+        data = generate_overlapping_gaussians(100, 4, 1.0, 1)
+        splits = split_dataset(replace(data, X=data.X * 100), 0.5, (0.7, 0.1, 0.2), 1)
+        cfg = EngineConfig(epochs=2, warmup_steps=0, classifier_lr=1.0, policy_lr=1.0,
+                           hidden_dims=(8,), seed=1)
+        with pytest.raises(ValueError, match="^training diverged at seed 1, step 3: "
+                                             "reward overflows: loss_before "):
+            train(splits, cfg)
 
     def test_overflowing_logits_in_evaluate_raise(self):
         # finite features, but the logits overflow to +-inf: the scores would be NaN
