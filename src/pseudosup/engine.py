@@ -16,6 +16,18 @@ and the policy update over the whole beta-step window with row weights
 G_t/B_t, the returns coming from one reverse accumulation. Every classifier
 update, the supervised warmup's included, goes through `classifier_step`.
 
+`train` runs two classifier and policy forwards per step where a literal
+reading of the method runs four. The policy changes only at the end of a
+window, so one policy forward per window samples every step's pseudo labels,
+and the window's update differentiates that same forward. Step t's after-loss
+and step t+1's before-loss are taken from one forward over the stacked
+validation batches [v_t; v_{t+1}]. Every RNG stream is read in the order of
+the step-by-step loop, and on OpenBLAS a stacked forward equals the separate
+forwards bit for bit when each block has a multiple of 4 rows; at other batch
+sizes losses and rewards may differ from that loop in the last bits.
+`sample_pseudo_labels`, `eval_val_loss` and `policy_update` keep the
+step-by-step operations and share the loop's rules.
+
 The training loops reject splits they cannot use before they start.
 A loss, a reward, a sampled log-probability, the logits of a whole-split pass
 (`evaluate`, self-training's selection) or a parameter that goes non-finite
@@ -34,6 +46,7 @@ from .data import DatasetSplits, Split, augment_weak
 from .metrics import MetricsReport, accuracy, auc_roc, f1_binary
 from .nn_core import (
     AdamW,
+    ForwardCache,
     MlpModel,
     NonFiniteError,
     clone_model,
@@ -227,13 +240,13 @@ def check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
                              f"{n_features} cells")
 
 
-def _rows(x: np.ndarray, idx: np.ndarray, cfg: EngineConfig,
-          grid: tuple[int, int] | None, rng_aug: np.random.Generator) -> np.ndarray:
-    """Rows `idx` of `x`, weakly augmented as one batch (each row's draws from
-    `rng_aug` in batch order) when cfg.augment is set."""
+def _augmented(x: np.ndarray, cfg: EngineConfig, grid: tuple[int, int] | None,
+               rng_aug: np.random.Generator) -> np.ndarray:
+    """The rows `x`, weakly augmented as one batch (each row's draws from
+    `rng_aug` in row order) when cfg.augment is set."""
     if cfg.augment:
-        return augment_weak(x[idx], grid, rng_aug, cfg.crop_scale_min)
-    return x[idx]
+        return augment_weak(x, grid, rng_aug, cfg.crop_scale_min)
+    return x
 
 
 def _draw(n: int, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -296,12 +309,16 @@ def sample_pseudo_labels(
     if len(batch) == 0:
         raise ValueError("cannot sample pseudo labels for an empty batch")
     logits, _ = mlp_forward(policy, batch)
-    logp = log_softmax(logits)
+    return _inverse_cdf(log_softmax(logits), rng.random(len(batch)))
+
+
+def _inverse_cdf(logp: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row i's action is the first class whose cumulative probability reaches
+    the uniform u[i]; returns the actions and their log-probabilities, and
+    raises NonFiniteError if any of those is non-finite."""
     cum = np.cumsum(np.exp(logp), axis=1)
-    u = rng.random(len(batch))
-    actions = (u[:, None] > cum).sum(axis=1)
-    actions = np.minimum(actions, logits.shape[1] - 1)
-    log_probs = logp[np.arange(len(batch)), actions]
+    actions = np.minimum((u[:, None] > cum).sum(axis=1), logp.shape[1] - 1)
+    log_probs = logp[np.arange(len(u)), actions]
     # a non-finite logit makes its whole log-softmax row NaN or infinite
     if not math.isfinite(log_probs.sum()):
         raise NonFiniteError("policy log-probabilities are non-finite")
@@ -313,7 +330,12 @@ def eval_val_loss(classifier: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     if len(x) == 0:
         raise ValueError("validation batch must be non-empty")
     logits, _ = mlp_forward(classifier, x)
-    return float(-log_softmax(logits)[np.arange(len(y)), y].sum() / len(y))
+    return _mean_nll(log_softmax(logits), y)
+
+
+def _mean_nll(logp: np.ndarray, y: np.ndarray) -> float:
+    """Mean negative log-likelihood of labels `y` under the log-softmax rows `logp`."""
+    return float(-logp[np.arange(len(y)), y].sum() / len(y))
 
 
 def compute_reward(loss_before: float, loss_after: float) -> float:
@@ -386,12 +408,20 @@ def _policy_loss_grads(
     and its gradient in `policy.flat`'s layout, from one forward/backward pass
     over the whole window, where J = sum_t G_t * mean_batch log pi(a_t|s_t)."""
     steps = trajectory.steps
-    sizes = [len(s.actions) for s in steps]
-    returns = _returns(np.array([s.reward for s in steps]), gamma)
-    weights = np.repeat(returns / sizes, sizes)
     logits, cache = mlp_forward(policy, np.concatenate([s.states for s in steps]))
-    loss, grad = softmax_cross_entropy(
-        logits, np.concatenate([s.actions for s in steps]), weights)
+    return _surrogate_grads(logits, cache, np.concatenate([s.actions for s in steps]),
+                            [s.reward for s in steps], [len(s.actions) for s in steps],
+                            gamma)
+
+
+def _surrogate_grads(logits: np.ndarray, cache: ForwardCache, actions: np.ndarray,
+                     rewards: list[float], sizes: list[int],
+                     gamma: float) -> tuple[float, np.ndarray]:
+    """-J and its gradient from the policy's forward over a window's stacked
+    states: step t's B_t = sizes[t] rows each weigh G_t / B_t."""
+    returns = _returns(np.asarray(rewards, dtype=np.float64), gamma)
+    weights = np.repeat(returns / sizes, sizes)
+    loss, grad = softmax_cross_entropy(logits, actions, weights)
     return loss, mlp_backward(cache, grad)
 
 
@@ -452,16 +482,68 @@ def _warm_classifier(splits: DatasetSplits,
     return rngs, classifier, opt_c
 
 
+@dataclass
+class _Window:
+    """What the policy decides for the steps of one beta-step window, from one
+    forward pass: per step, the labeled rows `xl[j]` and the unlabeled rows
+    `states[j*m:(j+1)*m]` with their pseudo labels `actions[j*m:(j+1)*m]`;
+    the forward itself (`logits`, `cache`), which the window's policy update
+    differentiates; and the rewards of the steps taken so far."""
+    xl: list[np.ndarray]
+    m: int
+    states: np.ndarray
+    actions: np.ndarray
+    logits: np.ndarray
+    cache: ForwardCache
+    rewards: list[float] = field(default_factory=list)
+
+    def pseudo(self, j: int) -> tuple[np.ndarray, np.ndarray]:
+        rows = slice(j * self.m, (j + 1) * self.m)
+        return self.states[rows], self.actions[rows]
+
+
+def _sample_window(policy: MlpModel, splits: DatasetSplits, batches: list[np.ndarray],
+                   cfg: EngineConfig, rngs: dict[str, np.random.Generator]) -> _Window:
+    """Sample the pseudo labels of the steps whose labeled batches are `batches`.
+
+    rngs["policy"] draws each step's unlabeled indices and then its uniforms,
+    and rngs["aug"] augments the stack [xl_1; xu_1; xl_2; xu_2; ...] row by
+    row, so every stream is read as a step-by-step loop reads it. The policy
+    does not change inside a window, so one forward over the window's
+    unlabeled rows gives every step's log-probabilities."""
+    labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
+    picks, uniforms = [], []
+    for _ in batches:
+        picks.append(_draw(len(unlabeled), cfg.batch_unlabeled, rngs["policy"]))
+        uniforms.append(rngs["policy"].random(len(picks[-1])))
+    blocks = [x for idx, u in zip(batches, picks) for x in (labeled.X[idx], unlabeled.X[u])]
+    rows = _augmented(np.concatenate(blocks), cfg, splits.grid, rngs["aug"])
+    parts = np.split(rows, np.cumsum([len(b) for b in blocks])[:-1])
+    states = np.concatenate(parts[1::2])
+    logits, cache = mlp_forward(policy, states)
+    actions, _ = _inverse_cdf(log_softmax(logits), np.concatenate(uniforms))
+    return _Window(parts[0::2], len(picks[0]), states, actions, logits, cache)
+
+
 def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     """Full pseudo-supervisor loop.
 
-    Each step: evaluate validation loss, sample pseudo labels for an unlabeled
-    mini-batch, update the classifier on labeled + pseudo batches, re-evaluate
-    the same validation mini-batch, log the clamped reward, and every
-    cfg.beta steps apply one policy-gradient update.
+    Each step samples pseudo labels for an unlabeled mini-batch, updates the
+    classifier on labeled + pseudo batches, logs the clamped reward from the
+    validation loss before and after that update, and every cfg.beta steps
+    applies one policy-gradient update.
+
+    A step runs two forwards: the classifier update, and one validation pass
+    over [v_t; v_{t+1}] that gives step t's after-loss and step t+1's
+    before-loss. The first step adds its own before-loss pass; the last draws
+    no v_{t+1} and evaluates its after-loss alone. The policy runs one forward
+    per window (`_sample_window`), which the window's update reuses, so a
+    policy whose log-probabilities go non-finite is reported at the first
+    step of its window. Blocks of a multiple of 4 rows keep the bits of the
+    step-by-step loop on OpenBLAS (see the module docstring).
 
     With an empty unlabeled split the same loop degenerates to supervised
-    training (the pseudo branch is simply never entered).
+    training (no pseudo batch, no validation loss, no policy update).
     """
     rngs, classifier, opt_c = _warm_classifier(splits, cfg)
     labeled, unlabeled, val = splits.labeled_train, splits.unlabeled_train, splits.validation
@@ -471,36 +553,52 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
         policy = init_mlp(classifier.layer_dims, rngs["init"])
     opt_p = AdamW(policy.flat, cfg.policy_lr, weight_decay=cfg.weight_decay)
 
+    # the labeled batches of the whole run; only these draws read rngs["data"]
+    batches = [idx for _ in range(cfg.epochs)
+               for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"])]
+    per_epoch = len(batches) // cfg.epochs
     history = History()
-    trajectory = Trajectory(cfg.beta)
     step = 0
     try:
-        for epoch in range(1, cfg.epochs + 1):
-            for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
-                step += 1
-                xl = _rows(labeled.X, idx, cfg, splits.grid, rngs["aug"])
-                yl = labeled.y[idx]
-                if len(unlabeled):
+        for step, idx in enumerate(batches, start=1):
+            epoch = (step - 1) // per_epoch + 1
+            yl = labeled.y[idx]
+            if not len(unlabeled):
+                xl = _augmented(labeled.X[idx], cfg, splits.grid, rngs["aug"])
+                classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
+                history.steps.append(StepRecord(epoch, None, None, None, False))
+            else:
+                j = (step - 1) % cfg.beta
+                if j == 0:
+                    window = _sample_window(policy, splits, batches[step - 1 :][: cfg.beta],
+                                            cfg, rngs)
+                if step == 1:
                     v = _draw(len(val), cfg.batch_val, rngs["val"])
                     xv, yv = val.X[v], val.y[v]
                     loss_before = eval_val_loss(classifier, xv, yv)
-                    u = _draw(len(unlabeled), cfg.batch_unlabeled, rngs["policy"])
-                    xu = _rows(unlabeled.X, u, cfg, splits.grid, rngs["aug"])
-                    actions, log_probs = sample_pseudo_labels(policy, xu, rngs["policy"])
-                    classifier_step(classifier, xl, yl, xu, actions, opt_c, cfg)
-                    loss_after = eval_val_loss(classifier, xv, yv)
-                    reward = compute_reward(loss_before, loss_after)
-                    trajectory.append(TrajectoryStep(xu, actions, log_probs, reward))
-                    updated = False
-                    if trajectory.full():
-                        policy_update(policy, trajectory, cfg, opt_p)
-                        updated = True
-                    history.steps.append(
-                        StepRecord(epoch, loss_before, loss_after, reward, updated))
+                xu, actions = window.pseudo(j)
+                classifier_step(classifier, window.xl[j], yl, xu, actions, opt_c, cfg)
+                if step < len(batches):
+                    v = _draw(len(val), cfg.batch_val, rngs["val"])
+                    logits, _ = mlp_forward(classifier, np.concatenate([xv, val.X[v]]))
+                    logp = log_softmax(logits)
+                    loss_after = _mean_nll(logp[: len(yv)], yv)
+                    next_before = _mean_nll(logp[len(yv) :], val.y[v])
+                    xv, yv = val.X[v], val.y[v]
                 else:
-                    classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
-                    history.steps.append(StepRecord(epoch, None, None, None, False))
-            history.epochs.append(evaluate(classifier, splits.test))
+                    loss_after, next_before = eval_val_loss(classifier, xv, yv), None
+                reward = compute_reward(loss_before, loss_after)
+                window.rewards.append(reward)
+                updated = len(window.rewards) == cfg.beta
+                if updated:
+                    _, grad = _surrogate_grads(window.logits, window.cache, window.actions,
+                                               window.rewards, [window.m] * cfg.beta, cfg.gamma)
+                    opt_p.step(grad)  # descending -J ascends J
+                history.steps.append(
+                    StepRecord(epoch, loss_before, loss_after, reward, updated))
+                loss_before = next_before
+            if step % per_epoch == 0:
+                history.epochs.append(evaluate(classifier, splits.test))
     except NonFiniteError as exc:
         raise _diverged(cfg, f"step {step}", exc) from exc
     return TrainResult(classifier, policy, history)
@@ -549,7 +647,7 @@ def train_self_training(
             pseudo_acc.append(acc)
             for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
                 step += 1
-                xl = _rows(labeled.X, idx, cfg, splits.grid, rngs["aug"])
+                xl = _augmented(labeled.X[idx], cfg, splits.grid, rngs["aug"])
                 yl = labeled.y[idx]
                 if len(selected):
                     pick = selected[_draw(len(selected), cfg.batch_unlabeled, rngs["policy"])]

@@ -96,7 +96,10 @@ class CorrelationDensity:
 
     def density(self, group: str) -> np.ndarray:
         """Histogram of the "within" or "between" correlations over
-        `bin_edges`, normalised to unit area (all zeros for an empty group)."""
+        `bin_edges`, normalised to unit area (all zeros for an empty group).
+        Any other group name raises ValueError."""
+        if group not in ("within", "between"):
+            raise ValueError(f"unknown group {group!r}: expected 'within' or 'between'")
         rho = self.within_group if group == "within" else self.between_group
         counts, _ = np.histogram(rho, bins=self.bin_edges)
         total = counts.sum()

@@ -167,3 +167,10 @@ class TestCorrelationDensity:
         density = correlation_density(*self.samples())
         width = density.bin_edges[1] - density.bin_edges[0]
         assert density.density("within").sum() * width == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("group", ["withn", "Within", ""])
+    def test_unknown_group_rejected(self, group):
+        density = correlation_density(*self.samples())
+        with pytest.raises(ValueError, match=f"^unknown group {group!r}: expected "
+                                             "'within' or 'between'$"):
+            density.density(group)
