@@ -8,6 +8,7 @@ from pseudosup import engine
 from pseudosup.data import (
     DatasetSplits,
     Split,
+    augment_weak,
     generate_overlapping_gaussians,
     split_dataset,
 )
@@ -38,6 +39,7 @@ from pseudosup.nn_core import (
     log_softmax,
     mlp_forward,
     mlp_backward,
+    save_model,
     softmax_cross_entropy,
 )
 
@@ -569,6 +571,109 @@ class TestTrainLoop:
             evaluate(model, make_splits().unlabeled_train)
 
 
+def reference_train(splits, cfg):
+    """`train` as a step-by-step loop on a non-empty unlabeled split: each
+    step evaluates the validation loss, samples pseudo labels, updates the
+    classifier and evaluates the same validation batch again, and every
+    cfg.beta steps `policy_update` runs its own forward over the window."""
+    rngs, classifier, opt_c = engine._warm_classifier(splits, cfg)
+    labeled, unlabeled, val = splits.labeled_train, splits.unlabeled_train, splits.validation
+    if cfg.policy_warm_start:
+        policy = clone_model(classifier)
+    else:
+        policy = init_mlp(classifier.layer_dims, rngs["init"])
+    opt_p = AdamW(policy.flat, cfg.policy_lr, weight_decay=cfg.weight_decay)
+
+    def rows(x, idx):
+        if cfg.augment:
+            return augment_weak(x[idx], splits.grid, rngs["aug"], cfg.crop_scale_min)
+        return x[idx]
+
+    history = engine.History()
+    trajectory = Trajectory(cfg.beta)
+    step = 0
+    try:
+        for epoch in range(1, cfg.epochs + 1):
+            for idx in engine._labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
+                step += 1
+                xl, yl = rows(labeled.X, idx), labeled.y[idx]
+                v = engine._draw(len(val), cfg.batch_val, rngs["val"])
+                xv, yv = val.X[v], val.y[v]
+                loss_before = eval_val_loss(classifier, xv, yv)
+                u = engine._draw(len(unlabeled), cfg.batch_unlabeled, rngs["policy"])
+                xu = rows(unlabeled.X, u)
+                actions, log_probs = sample_pseudo_labels(policy, xu, rngs["policy"])
+                classifier_step(classifier, xl, yl, xu, actions, opt_c, cfg)
+                loss_after = eval_val_loss(classifier, xv, yv)
+                reward = compute_reward(loss_before, loss_after)
+                trajectory.append(TrajectoryStep(xu, actions, log_probs, reward))
+                updated = trajectory.full()
+                if updated:
+                    policy_update(policy, trajectory, cfg, opt_p)
+                history.steps.append(
+                    engine.StepRecord(epoch, loss_before, loss_after, reward, updated))
+            history.epochs.append(evaluate(classifier, splits.test))
+    except NonFiniteError as exc:
+        raise engine._diverged(cfg, f"step {step}", exc) from exc
+    return engine.TrainResult(classifier, policy, history)
+
+
+class TestStepByStepReference:
+    """`train` runs two forwards per step and equals the step-by-step loop.
+    make_splits() has 42 labeled, 42 unlabeled and 12 validation rows."""
+
+    def test_forward_count(self, monkeypatch):
+        # 3 steps per epoch at beta 4: windows of steps 1-4 and 5-8 cross an
+        # epoch boundary, and the window of step 9 is partial. At the
+        # benchmark's shape (320 steps, beta 50, 20 epochs, 100 warmup steps)
+        # the count is 100 + 640 + 1 + 7 + 20 = 768 per cell.
+        calls = []
+
+        def counted(model, batch):
+            calls.append(len(batch))
+            return mlp_forward(model, batch)
+
+        monkeypatch.setattr(engine, "mlp_forward", counted)
+        cfg = fast_cfg(epochs=3, beta=4)
+        n_steps = len(train(make_splits(), cfg).history.steps)
+        assert n_steps == 9
+        assert len(calls) == (cfg.warmup_steps + 2 * n_steps + 1
+                              + math.ceil(n_steps / cfg.beta) + cfg.epochs)
+
+    @staticmethod
+    def assert_same_bytes(got, ref, tmp_path):
+        assert got.history.to_csv() == ref.history.to_csv()
+        for name in ("classifier", "policy"):
+            paths = [tmp_path / f"{name}_{side}.ckpt" for side in ("got", "ref")]
+            save_model(getattr(got, name), str(paths[0]))
+            save_model(getattr(ref, name), str(paths[1]))
+            assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    @pytest.mark.parametrize("augment", [False, True])
+    @pytest.mark.parametrize("warm_start", [True, False])
+    def test_byte_equal_at_multiples_of_4(self, tmp_path, augment, warm_start):
+        # 16 unlabeled and 12 validation rows per step; labeled batches of
+        # 16, 16 and 10 rows are never stacked with another step's
+        splits = replace(make_splits(dim=20), grid=(4, 5))
+        cfg = fast_cfg(epochs=3, beta=4, augment=augment, policy_warm_start=warm_start)
+        self.assert_same_bytes(train(splits, cfg), reference_train(splits, cfg), tmp_path)
+
+    def test_close_at_other_batch_sizes(self):
+        # 6 unlabeled and 9 validation rows per step: stacked blocks may
+        # round differently from separate ones (on OpenBLAS a few losses and
+        # a reward here differ in their last bits, and so does the policy)
+        splits = make_splits(n_per_class=300, dim=20, seed=3)
+        cfg = fast_cfg(seed=3, hidden_dims=(64, 32), batch_labeled=5, batch_unlabeled=6,
+                       batch_val=9)
+        got, ref = train(splits, cfg).history, reference_train(splits, cfg).history
+        # the step column numbers the records, so equal lists mean equal columns
+        assert ([(r.epoch, r.policy_update) for r in got.steps]
+                == [(r.epoch, r.policy_update) for r in ref.steps])
+        for a, b in zip(got.steps, ref.steps):
+            for name in ("loss_val_before", "loss_val_after", "reward"):
+                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-9, abs=0)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestDivergence:
     """A loss or parameter that goes non-finite stops training with an error
@@ -615,6 +720,29 @@ class TestDivergence:
         with pytest.raises(ValueError, match="^training diverged at seed 1, step 3: "
                                              "reward overflows: loss_before "):
             train(splits, cfg)
+
+    def test_overflowing_policy_names_first_step_of_its_window(self):
+        # an unlabeled row that the policy stream first draws at step 3 makes
+        # the policy's log-probabilities non-finite (at seed 4 its logits
+        # overflow; at some seeds they stay finite); train samples the whole
+        # window at step 1 and names that step, where the step-by-step loop
+        # names step 3
+        splits = make_splits()
+        cfg = fast_cfg(seed=4, beta=5)
+        rng = engine._rngs(cfg.seed)["policy"]
+        first_step = {}
+        for step in (1, 2, 3):
+            u = engine._draw(len(splits.unlabeled_train), cfg.batch_unlabeled, rng)
+            rng.random(len(u))
+            for row in u.tolist():
+                first_step.setdefault(row, step)
+        row = min(r for r, step in first_step.items() if step == 3)
+        splits.unlabeled_train.X[row] = np.finfo(float).max
+        message = "policy log-probabilities are non-finite$"
+        with pytest.raises(ValueError, match=f"^training diverged at seed 4, step 1: {message}"):
+            train(splits, cfg)
+        with pytest.raises(ValueError, match=f"^training diverged at seed 4, step 3: {message}"):
+            reference_train(splits, cfg)
 
     def test_overflowing_logits_in_evaluate_raise(self):
         # finite features, but the logits overflow to +-inf: the scores would be NaN
