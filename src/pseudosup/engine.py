@@ -10,18 +10,22 @@ Supervised-only and confidence-threshold self-training baselines share the
 same loop machinery so their degeneracy equivalences exercise real code paths.
 
 The loops draw batches as index arrays into each split's arrays. Both updates
-run one forward/backward pass: the classifier step over the stacked [labeled;
-pseudo] rows with cross-entropy row weights 1/n_l and pseudo_loss_weight/n_u,
-and the policy update over the whole beta-step window with row weights
-G_t/B_t, the returns coming from one reverse accumulation. Every classifier
-update, the supervised warmup's included, goes through `classifier_step`.
+run one forward/backward pass: the classifier step over a step's stacked
+[labeled; pseudo] rows with cross-entropy row weights 1/n_l and
+pseudo_loss_weight/n_u (`_row_weights`), and the policy update over the whole
+beta-step window with row weights G_t/B_t, the returns coming from one reverse
+accumulation. Every classifier update, the supervised warmup's included, goes
+through `classifier_step`.
 
 `train` runs two classifier and policy forwards per step where a literal
 reading of the method runs four. The policy changes only at the end of a
 window, so one policy forward per window samples every step's pseudo labels,
 and the window's update differentiates that same forward. Step t's after-loss
 and step t+1's before-loss are taken from one forward over the stacked
-validation batches [v_t; v_{t+1}]. Every RNG stream is read in the order of
+validation batches [v_t; v_{t+1}]. A step gathers its rows once: [v_t;
+v_{t+1}] from the run's validation indices, drawn before step 1, and [xl_t;
+xu_t] as a contiguous block of the window's stack, which `_sample_window`
+fills with one gather per split. Every RNG stream is read in the order of
 the step-by-step loop, and on OpenBLAS a stacked forward equals the separate
 forwards bit for bit when each block has a multiple of 4 rows; at other batch
 sizes losses and rewards may differ from that loop in the last bits.
@@ -293,7 +297,7 @@ def warmup_supervised(
             for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rng):
                 if steps_done >= cfg.warmup_steps:
                     break
-                classifier_step(classifier, x[idx], y[idx], None, None, optimizer, cfg)
+                classifier_step(classifier, x[idx], y[idx], optimizer)
                 steps_done += 1
     except NonFiniteError as exc:
         raise _diverged(cfg, f"warmup step {steps_done + 1}", exc) from exc
@@ -330,12 +334,13 @@ def eval_val_loss(classifier: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     if len(x) == 0:
         raise ValueError("validation batch must be non-empty")
     logits, _ = mlp_forward(classifier, x)
-    return _mean_nll(log_softmax(logits), y)
+    return _mean_nll(log_softmax(logits)[np.arange(len(y)), y])
 
 
-def _mean_nll(logp: np.ndarray, y: np.ndarray) -> float:
-    """Mean negative log-likelihood of labels `y` under the log-softmax rows `logp`."""
-    return float(-logp[np.arange(len(y)), y].sum() / len(y))
+def _mean_nll(picked: np.ndarray) -> float:
+    """Mean negative log-likelihood from the log-probabilities logp[i, y_i]
+    of the labels."""
+    return float(-picked.sum() / len(picked))
 
 
 def compute_reward(loss_before: float, loss_after: float) -> float:
@@ -352,31 +357,31 @@ def compute_reward(loss_before: float, loss_after: float) -> float:
 
 def classifier_step(
     classifier: MlpModel,
-    labeled_x: np.ndarray,
-    labeled_y: np.ndarray,
-    pseudo_x: np.ndarray | None,
-    pseudo_y: np.ndarray | None,
+    x: np.ndarray,
+    y: np.ndarray,
     optimizer: AdamW,
-    cfg: EngineConfig,
+    weights: np.ndarray | None = None,
 ) -> None:
-    """One optimizer step on CE(labeled) + pseudo_loss_weight * CE(pseudo).
-
-    Both means come from one forward/backward pass over the stacked
-    [labeled; pseudo] rows, weighted 1/n_l and pseudo_loss_weight/n_u. Without
-    a pseudo batch, or at weight 0, the step is the plain labeled-only one."""
-    if len(labeled_x) == 0:
-        raise ValueError("classifier step needs a non-empty labeled batch")
-    w = cfg.pseudo_loss_weight
-    if pseudo_x is None or len(pseudo_x) == 0 or w == 0.0:
-        logits, cache = mlp_forward(classifier, labeled_x)
-        _, grad = softmax_cross_entropy(logits, labeled_y)
-    else:
-        n_l, n_u = len(labeled_x), len(pseudo_x)
-        weights = np.repeat([1.0 / n_l, w / n_u], [n_l, n_u])
-        logits, cache = mlp_forward(classifier, np.concatenate([labeled_x, pseudo_x]))
-        _, grad = softmax_cross_entropy(
-            logits, np.concatenate([labeled_y, pseudo_y]), weights)
+    """One optimizer step on the cross-entropy of the rows `x` with labels
+    `y`, from one forward/backward pass: the mean over the rows, or with
+    `weights` the weighted sum sum_i weights[i] * CE_i. A step with pseudo
+    labels passes its stacked [labeled; pseudo] rows and their `_row_weights`
+    (in `train`, views of the window's stack); a labeled-only step, and any
+    step at pseudo_loss_weight 0, passes the labeled rows alone."""
+    if len(x) == 0:
+        raise ValueError("classifier step needs a non-empty batch")
+    logits, cache = mlp_forward(classifier, x)
+    _, grad = softmax_cross_entropy(logits, y, weights)
     optimizer.step(mlp_backward(cache, grad))
+
+
+def _row_weights(n_labeled: list[int], n_u: int, w: float) -> np.ndarray:
+    """Cross-entropy row weights of steps stacked as [l_1; u_1; l_2; u_2; ...]:
+    step j's n_labeled[j] labeled rows weigh 1/n_labeled[j] and its n_u
+    pseudo-labeled rows w/n_u, so each step's weighted sum is CE(labeled) +
+    w * CE(pseudo)."""
+    return np.repeat([v for n in n_labeled for v in (1.0 / n, w / n_u)],
+                     [k for n in n_labeled for k in (n, n_u)])
 
 
 def discounted_return(rewards, gamma: float, t: int) -> float:
@@ -484,45 +489,60 @@ def _warm_classifier(splits: DatasetSplits,
 
 @dataclass
 class _Window:
-    """What the policy decides for the steps of one beta-step window, from one
-    forward pass: per step, the labeled rows `xl[j]` and the unlabeled rows
-    `states[j*m:(j+1)*m]` with their pseudo labels `actions[j*m:(j+1)*m]`;
-    the forward itself (`logits`, `cache`), which the window's policy update
-    differentiates; and the rewards of the steps taken so far."""
-    xl: list[np.ndarray]
+    """The steps of one beta-step window, sampled from one policy forward:
+    `steps[j]` is step j's (rows, labels, row weights) for `classifier_step`,
+    views of the window's stack; `m` unlabeled rows per step, whose pseudo
+    labels are `actions` in step order; the forward itself (`logits`,
+    `cache`), which the window's policy update differentiates; and the
+    rewards of the steps taken so far."""
+    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
     m: int
-    states: np.ndarray
     actions: np.ndarray
     logits: np.ndarray
     cache: ForwardCache
     rewards: list[float] = field(default_factory=list)
 
-    def pseudo(self, j: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = slice(j * self.m, (j + 1) * self.m)
-        return self.states[rows], self.actions[rows]
-
 
 def _sample_window(policy: MlpModel, splits: DatasetSplits, batches: list[np.ndarray],
                    cfg: EngineConfig, rngs: dict[str, np.random.Generator]) -> _Window:
-    """Sample the pseudo labels of the steps whose labeled batches are `batches`.
+    """Sample the pseudo labels of the steps whose labeled batches are
+    `batches`, and lay out every step's classifier update.
 
     rngs["policy"] draws each step's unlabeled indices and then its uniforms,
     and rngs["aug"] augments the stack [xl_1; xu_1; xl_2; xu_2; ...] row by
-    row, so every stream is read as a step-by-step loop reads it. The policy
-    does not change inside a window, so one forward over the window's
-    unlabeled rows gives every step's log-probabilities."""
+    row, so every stream is read as a step-by-step loop reads it; the stack
+    is filled by one gather per split. The policy does not change inside a
+    window, so one forward over the window's unlabeled rows gives every
+    step's log-probabilities. The labels [yl_1; a_1; ...] and `_row_weights`
+    lie beside the stack, and step j trains on its block [xl_j; xu_j], or at
+    pseudo_loss_weight 0 on xl_j alone without weights."""
     labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
     picks, uniforms = [], []
     for _ in batches:
         picks.append(_draw(len(unlabeled), cfg.batch_unlabeled, rngs["policy"]))
         uniforms.append(rngs["policy"].random(len(picks[-1])))
-    blocks = [x for idx, u in zip(batches, picks) for x in (labeled.X[idx], unlabeled.X[u])]
-    rows = _augmented(np.concatenate(blocks), cfg, splits.grid, rngs["aug"])
-    parts = np.split(rows, np.cumsum([len(b) for b in blocks])[:-1])
-    states = np.concatenate(parts[1::2])
-    logits, cache = mlp_forward(policy, states)
+    m, n_labeled = len(picks[0]), [len(idx) for idx in batches]
+    is_u = np.repeat(np.tile([False, True], len(batches)),
+                     [k for n in n_labeled for k in (n, m)])
+    is_l = ~is_u
+    lab = np.concatenate(batches)
+    x = np.empty((len(is_u), labeled.X.shape[1]))
+    x[is_l] = labeled.X[lab]
+    x[is_u] = unlabeled.X[np.concatenate(picks)]
+    x = _augmented(x, cfg, splits.grid, rngs["aug"])
+    logits, cache = mlp_forward(policy, x[is_u])
     actions, _ = _inverse_cdf(log_softmax(logits), np.concatenate(uniforms))
-    return _Window(parts[0::2], len(picks[0]), states, actions, logits, cache)
+    y = np.empty(len(is_u), dtype=np.intp)
+    y[is_l] = labeled.y[lab]
+    y[is_u] = actions
+    w = cfg.pseudo_loss_weight
+    weights = _row_weights(n_labeled, m, w) if w else None
+    steps, start = [], 0
+    for n in n_labeled:
+        rows = slice(start, start + (n + m if w else n))
+        steps.append((x[rows], y[rows], None if weights is None else weights[rows]))
+        start += n + m
+    return _Window(steps, m, actions, logits, cache)
 
 
 def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
@@ -535,12 +555,16 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
 
     A step runs two forwards: the classifier update, and one validation pass
     over [v_t; v_{t+1}] that gives step t's after-loss and step t+1's
-    before-loss. The first step adds its own before-loss pass; the last draws
-    no v_{t+1} and evaluates its after-loss alone. The policy runs one forward
-    per window (`_sample_window`), which the window's update reuses, so a
-    policy whose log-probabilities go non-finite is reported at the first
-    step of its window. Blocks of a multiple of 4 rows keep the bits of the
-    step-by-step loop on OpenBLAS (see the module docstring).
+    before-loss. Before step 1 the run's T validation batches are drawn from
+    rngs["val"] as indices, as many and in the order the step-by-step loop
+    draws them; each step gathers its [v_t; v_{t+1}] rows in one go, and one
+    array of picked log-probabilities gives both losses. The first step adds
+    its own before-loss pass; the last evaluates its after-loss alone. The
+    policy runs one forward per window (`_sample_window`), which the
+    window's update reuses, so a policy whose log-probabilities go
+    non-finite is reported at the first step of its window. Blocks of a
+    multiple of 4 rows keep the bits of the step-by-step loop on OpenBLAS
+    (see the module docstring).
 
     With an empty unlabeled split the same loop degenerates to supervised
     training (no pseudo batch, no validation loss, no policy update).
@@ -557,15 +581,20 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     batches = [idx for _ in range(cfg.epochs)
                for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"])]
     per_epoch = len(batches) // cfg.epochs
+    if len(unlabeled):
+        # v_t = vidx[(t-1)*n_v : t*n_v]; only these draws read rngs["val"]
+        vidx = np.concatenate([_draw(len(val), cfg.batch_val, rngs["val"]) for _ in batches])
+        yv = val.y[vidx]
+        n_v = len(vidx) // len(batches)
+        pair_rows = np.arange(2 * n_v)
     history = History()
     step = 0
     try:
         for step, idx in enumerate(batches, start=1):
             epoch = (step - 1) // per_epoch + 1
-            yl = labeled.y[idx]
             if not len(unlabeled):
                 xl = _augmented(labeled.X[idx], cfg, splits.grid, rngs["aug"])
-                classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
+                classifier_step(classifier, xl, labeled.y[idx], opt_c)
                 history.steps.append(StepRecord(epoch, None, None, None, False))
             else:
                 j = (step - 1) % cfg.beta
@@ -573,20 +602,17 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
                     window = _sample_window(policy, splits, batches[step - 1 :][: cfg.beta],
                                             cfg, rngs)
                 if step == 1:
-                    v = _draw(len(val), cfg.batch_val, rngs["val"])
-                    xv, yv = val.X[v], val.y[v]
-                    loss_before = eval_val_loss(classifier, xv, yv)
-                xu, actions = window.pseudo(j)
-                classifier_step(classifier, window.xl[j], yl, xu, actions, opt_c, cfg)
+                    loss_before = eval_val_loss(classifier, val.X[vidx[:n_v]], yv[:n_v])
+                x, y, weights = window.steps[j]
+                classifier_step(classifier, x, y, opt_c, weights)
+                v = slice((step - 1) * n_v, (step + 1) * n_v)  # [v_t; v_{t+1}], or v_T
                 if step < len(batches):
-                    v = _draw(len(val), cfg.batch_val, rngs["val"])
-                    logits, _ = mlp_forward(classifier, np.concatenate([xv, val.X[v]]))
-                    logp = log_softmax(logits)
-                    loss_after = _mean_nll(logp[: len(yv)], yv)
-                    next_before = _mean_nll(logp[len(yv) :], val.y[v])
-                    xv, yv = val.X[v], val.y[v]
+                    logits, _ = mlp_forward(classifier, val.X[vidx[v]])
+                    picked = log_softmax(logits)[pair_rows, yv[v]]
+                    loss_after, next_before = _mean_nll(picked[:n_v]), _mean_nll(picked[n_v:])
                 else:
-                    loss_after, next_before = eval_val_loss(classifier, xv, yv), None
+                    loss_after = eval_val_loss(classifier, val.X[vidx[v]], yv[v])
+                    next_before = None
                 reward = compute_reward(loss_before, loss_after)
                 window.rewards.append(reward)
                 updated = len(window.rewards) == cfg.beta
@@ -648,13 +674,14 @@ def train_self_training(
             for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"]):
                 step += 1
                 xl = _augmented(labeled.X[idx], cfg, splits.grid, rngs["aug"])
-                yl = labeled.y[idx]
+                x, y, weights = xl, labeled.y[idx], None
                 if len(selected):
                     pick = selected[_draw(len(selected), cfg.batch_unlabeled, rngs["policy"])]
-                    classifier_step(classifier, xl, yl, unlabeled.X[pick], preds[pick],
-                                    opt_c, cfg)
-                else:
-                    classifier_step(classifier, xl, yl, None, None, opt_c, cfg)
+                    if cfg.pseudo_loss_weight:
+                        x = np.concatenate([xl, unlabeled.X[pick]])
+                        y = np.concatenate([y, preds[pick]])
+                        weights = _row_weights([len(xl)], len(pick), cfg.pseudo_loss_weight)
+                classifier_step(classifier, x, y, opt_c, weights)
                 history.steps.append(StepRecord(epoch, None, None, None, False))
             history.epochs.append(evaluate(classifier, splits.test))
     except NonFiniteError as exc:

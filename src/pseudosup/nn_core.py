@@ -206,12 +206,14 @@ class AdamW:
     p <- p - lr * weight_decay * p, and then the Adam update is applied
     (Algorithm 2 of arXiv 1711.05101, with the decay multiplied by lr as in
     common implementations). After each step the parameters are checked; a
-    NaN or infinity raises NonFiniteError.
+    NaN or infinity raises NonFiniteError. A NaN, infinite or negative `lr`
+    or `weight_decay` is rejected with a ValueError before any step.
     """
 
     def __init__(self, flat: np.ndarray, lr: float, weight_decay: float = 0.0):
-        if lr < 0:
-            raise ValueError("learning rate must be non-negative")
+        for name, value in (("lr", lr), ("weight_decay", weight_decay)):
+            if not 0.0 <= value < math.inf:
+                raise ValueError(f"AdamW {name} must be finite and >= 0, got {value!r}")
         self.flat = flat
         self.lr = lr
         self.weight_decay = weight_decay

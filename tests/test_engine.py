@@ -18,7 +18,7 @@ from pseudosup.engine import (
     Trajectory,
     TrajectoryStep,
     _policy_loss_grads,
-    classifier_step,
+    _row_weights,
     compute_reward,
     discounted_return,
     eval_val_loss,
@@ -190,19 +190,27 @@ class TestEvalValLoss:
 
 class TestClassifierStep:
     def test_zero_weight_equals_labeled_only_step(self):
+        # zero pseudo weights leave the labeled-only step (train and
+        # self-training take that step itself at weight 0, for its bits)
         rng = np.random.default_rng(8)
-        cfg = fast_cfg(pseudo_loss_weight=0.0)
+        lr = fast_cfg().classifier_lr
         a = init_mlp([3, 4, 2], np.random.default_rng(9))
         b = clone_model(a)
         xl = rng.normal(size=(4, 3))
         yl = rng.integers(0, 2, 4)
         xu = rng.normal(size=(4, 3))
         yu = rng.integers(0, 2, 4)
-        classifier_step(a, xl, yl, xu, yu, AdamW(a.flat, cfg.classifier_lr), cfg)
-        classifier_step(b, xl, yl, None, None, AdamW(b.flat, cfg.classifier_lr),
-                        replace(cfg, pseudo_loss_weight=1.0))
+        weights = _row_weights([4], 4, 0.0)
+        assert weights.tolist() == [0.25] * 4 + [0.0] * 4
+        engine.classifier_step(a, np.concatenate([xl, xu]), np.concatenate([yl, yu]),
+                               AdamW(a.flat, lr), weights)
+        engine.classifier_step(b, xl, yl, AdamW(b.flat, lr))
         for pa, pb in zip(a.parameters(), b.parameters()):
-            np.testing.assert_array_equal(pa, pb)
+            np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-15)
+
+    def test_row_weights_of_a_stack(self):
+        assert _row_weights([2, 3], 4, 0.5).tolist() == (
+            [0.5] * 2 + [0.125] * 4 + [1 / 3] * 3 + [0.125] * 4)
 
     def test_one_pass_matches_two_pass_reference(self):
         rng = np.random.default_rng(15)
@@ -214,7 +222,8 @@ class TestClassifierStep:
         for _ in range(5):
             xl, yl = rng.normal(size=(6, 3)), rng.integers(0, 2, 6)
             xu, yu = rng.normal(size=(9, 3)), rng.integers(0, 2, 9)
-            classifier_step(a, xl, yl, xu, yu, opt_a, cfg)
+            engine.classifier_step(a, np.concatenate([xl, xu]), np.concatenate([yl, yu]),
+                                   opt_a, _row_weights([6], 9, 0.7))
             # reference: one forward/backward per batch, gradients summed
             parts = []
             for x, y in ((xl, yl), (xu, yu)):
@@ -227,17 +236,15 @@ class TestClassifierStep:
 
     def test_zero_learning_rate_leaves_params(self):
         rng = np.random.default_rng(10)
-        cfg = fast_cfg()
         model = init_mlp([3, 4, 2], rng)
         before = [p.copy() for p in model.parameters()]
-        classifier_step(model, rng.normal(size=(4, 3)), rng.integers(0, 2, 4),
-                        None, None, AdamW(model.flat, 0.0), cfg)
+        engine.classifier_step(model, rng.normal(size=(4, 3)), rng.integers(0, 2, 4),
+                               AdamW(model.flat, 0.0))
         for a, b in zip(before, model.parameters()):
             np.testing.assert_array_equal(a, b)
 
     def test_combined_gradient_is_sum_of_parts(self):
         rng = np.random.default_rng(11)
-        cfg = fast_cfg(pseudo_loss_weight=0.7)
         model = init_mlp([3, 4, 2], rng)
         xl, yl = rng.normal(size=(4, 3)), rng.integers(0, 2, 4)
         xu, yu = rng.normal(size=(5, 3)), rng.integers(0, 2, 5)
@@ -255,15 +262,15 @@ class TestClassifierStep:
             def step(self, grad):
                 captured.append(grad)
 
-        classifier_step(model, xl, yl, xu, yu, SpyOpt(), cfg)
+        engine.classifier_step(model, np.concatenate([xl, xu]), np.concatenate([yl, yu]),
+                               SpyOpt(), _row_weights([4], 5, 0.7))
         np.testing.assert_allclose(captured[0], gl + 0.7 * gu, atol=1e-12)
 
     def test_empty_batch_rejected(self):
         model = init_mlp([3, 2], np.random.default_rng(0))
-        cfg = fast_cfg()
-        with pytest.raises(ValueError):
-            classifier_step(model, np.zeros((0, 3)), np.zeros(0, dtype=int),
-                            None, None, AdamW(model.flat, 0.1), cfg)
+        with pytest.raises(ValueError, match="^classifier step needs a non-empty batch$"):
+            engine.classifier_step(model, np.zeros((0, 3)), np.zeros(0, dtype=int),
+                                   AdamW(model.flat, 0.1))
 
 
 class TestPolicyUpdate:
@@ -571,6 +578,20 @@ class TestTrainLoop:
             evaluate(model, make_splits().unlabeled_train)
 
 
+def classifier_step(model, xl, yl, xu, yu, optimizer, cfg):
+    """The classifier step of `reference_train`, in its two-halves form:
+    CE(labeled) + pseudo_loss_weight * CE(pseudo) from one pass over the
+    concatenated halves, weighted 1/n_l and pseudo_loss_weight/n_u; without
+    pseudo rows, or at weight 0, the plain labeled-only step."""
+    w = cfg.pseudo_loss_weight
+    if xu is None or len(xu) == 0 or w == 0.0:
+        engine.classifier_step(model, xl, yl, optimizer)
+    else:
+        n_l, n_u = len(xl), len(xu)
+        engine.classifier_step(model, np.concatenate([xl, xu]), np.concatenate([yl, yu]),
+                               optimizer, np.repeat([1.0 / n_l, w / n_u], [n_l, n_u]))
+
+
 def reference_train(splits, cfg):
     """`train` as a step-by-step loop on a non-empty unlabeled split: each
     step evaluates the validation loss, samples pseudo labels, updates the
@@ -657,6 +678,61 @@ class TestStepByStepReference:
         splits = replace(make_splits(dim=20), grid=(4, 5))
         cfg = fast_cfg(epochs=3, beta=4, augment=augment, policy_warm_start=warm_start)
         self.assert_same_bytes(train(splits, cfg), reference_train(splits, cfg), tmp_path)
+
+    @pytest.mark.parametrize("overrides", [
+        dict(pseudo_loss_weight=0.0),  # each step trains on its labeled rows alone
+        dict(batch_val=64),  # the draw clamps to the 12 validation rows
+        dict(epochs=1, beta=5),  # 3 steps: one partial window, no policy update
+    ], ids=["zero_pseudo_weight", "val_batch_clamped", "fewer_steps_than_beta"])
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_byte_equal_at_edge_shapes(self, tmp_path, overrides, augment):
+        splits = replace(make_splits(dim=20), grid=(4, 5))
+        cfg = fast_cfg(**{"epochs": 3, "beta": 4, "augment": augment, **overrides})
+        got, ref = train(splits, cfg), reference_train(splits, cfg)
+        self.assert_same_bytes(got, ref, tmp_path)
+        if len(got.history.steps) < cfg.beta:
+            assert not any(r.policy_update for r in got.history.steps)
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_streams_end_where_the_step_by_step_loop_leaves_them(self, monkeypatch,
+                                                                 augment):
+        # train draws the run's validation batches and each window's
+        # policy and aug draws ahead; every stream ends in the same state
+        made, engine_rngs = [], engine._rngs
+
+        def recorded(seed):
+            made.append(engine_rngs(seed))
+            return made[-1]
+
+        monkeypatch.setattr(engine, "_rngs", recorded)
+        splits = replace(make_splits(dim=20), grid=(4, 5))
+        cfg = fast_cfg(epochs=3, beta=4, augment=augment, policy_warm_start=False)
+        train(splits, cfg)
+        reference_train(splits, cfg)
+        got, ref = made
+        assert list(got) == list(ref) == ["init", "warmup", "data", "policy", "val", "aug"]
+        for name in got:
+            assert got[name].bit_generator.state == ref[name].bit_generator.state, name
+
+    @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
+    def test_every_update_goes_through_classifier_step(self, monkeypatch, trainer):
+        calls, engine_step = [], engine.classifier_step
+
+        def counted(*args, **kwargs):
+            calls.append(len(args[1]))
+            return engine_step(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "classifier_step", counted)
+        cfg = fast_cfg(epochs=3, beta=4)
+        if trainer == "pseudo_sup":
+            result = train(make_splits(), cfg)
+        else:
+            result = train_self_training(make_splits(sep=6.0), cfg, 0.9)
+            assert sum(result.n_selected) > 0
+        n_steps = len(result.history.steps)
+        assert n_steps == 9
+        assert len(calls) == cfg.warmup_steps + n_steps
+        assert max(calls) > cfg.batch_labeled  # steps with pseudo rows among them
 
     def test_close_at_other_batch_sizes(self):
         # 6 unlabeled and 9 validation rows per step: stacked blocks may

@@ -381,6 +381,23 @@ class TestAdamW:
         with pytest.raises(NonFiniteError, match="non-finite after AdamW step 2"):
             opt.step(np.ones(2))
 
+    @pytest.mark.parametrize("name", ["lr", "weight_decay"])
+    @pytest.mark.parametrize("value", [float("nan"), math.inf, -math.inf, -1e-12])
+    def test_bad_hyperparameter_rejected_before_any_step(self, name, value):
+        p = np.array([1.0, -2.0])
+        kwargs = {"lr": 0.1, "weight_decay": 0.0, name: value}
+        with pytest.raises(ValueError, match=rf"^AdamW {name} must be finite and >= 0, "
+                                             rf"got {re.escape(repr(value))}$"):
+            AdamW(p, **kwargs)
+        np.testing.assert_array_equal(p, [1.0, -2.0])
+
+    @pytest.mark.parametrize("kwargs", [{"lr": 0.0}, {"lr": 1e308},
+                                        {"lr": 0.1, "weight_decay": 0.0},
+                                        {"lr": 0.1, "weight_decay": 1e308}])
+    def test_zero_and_large_finite_hyperparameters_accepted(self, kwargs):
+        opt = AdamW(np.zeros(2), **kwargs)
+        assert (opt.lr, opt.weight_decay) == (kwargs["lr"], kwargs.get("weight_decay", 0.0))
+
     def test_step_counter_increases(self):
         p = np.zeros(2)
         opt = AdamW(p, lr=0.1)
