@@ -12,10 +12,11 @@ same loop machinery so their degeneracy equivalences exercise real code paths.
 The loops draw batches as index arrays into each split's arrays. Both updates
 run one forward/backward pass: the classifier step over a step's stacked
 [labeled; pseudo] rows with cross-entropy row weights 1/n_l and
-pseudo_loss_weight/n_u (`_row_weights`), and the policy update over the whole
-beta-step window with row weights G_t/B_t, the returns coming from one reverse
-accumulation. Every classifier update, the supervised warmup's included, goes
-through `classifier_step`.
+pseudo_loss_weight/n_u, laid out by `_step_blocks` (at weight 0 the labeled
+rows alone), and the policy update over the whole beta-step window with row
+weights G_t/B_t, the returns coming from one reverse accumulation. Every
+classifier update, the supervised warmup's included, goes through
+`classifier_step`.
 
 `train` runs two classifier and policy forwards per step where a literal
 reading of the method runs four. The policy changes only at the end of a
@@ -365,9 +366,9 @@ def classifier_step(
     """One optimizer step on the cross-entropy of the rows `x` with labels
     `y`, from one forward/backward pass: the mean over the rows, or with
     `weights` the weighted sum sum_i weights[i] * CE_i. A step with pseudo
-    labels passes its stacked [labeled; pseudo] rows and their `_row_weights`
-    (in `train`, views of the window's stack); a labeled-only step, and any
-    step at pseudo_loss_weight 0, passes the labeled rows alone."""
+    labels passes the rows, labels and weights that `_step_blocks` lays out
+    (in `train`, views of the window's stack; in self-training, from
+    `_step_batch`); a labeled-only step passes its labeled rows alone."""
     if len(x) == 0:
         raise ValueError("classifier step needs a non-empty batch")
     logits, cache = mlp_forward(classifier, x)
@@ -375,13 +376,31 @@ def classifier_step(
     optimizer.step(mlp_backward(cache, grad))
 
 
-def _row_weights(n_labeled: list[int], n_u: int, w: float) -> np.ndarray:
-    """Cross-entropy row weights of steps stacked as [l_1; u_1; l_2; u_2; ...]:
-    step j's n_labeled[j] labeled rows weigh 1/n_labeled[j] and its n_u
+def _step_blocks(n_labeled: list[int], n_u: int,
+                 w: float) -> list[tuple[slice, np.ndarray | None]]:
+    """The classifier updates of steps stacked as [l_1; u_1; l_2; u_2; ...]:
+    each step's rows of the stack and their cross-entropy row weights. Step
+    j's n_labeled[j] labeled rows weigh 1/n_labeled[j] and its n_u
     pseudo-labeled rows w/n_u, so each step's weighted sum is CE(labeled) +
-    w * CE(pseudo)."""
-    return np.repeat([v for n in n_labeled for v in (1.0 / n, w / n_u)],
-                     [k for n in n_labeled for k in (n, n_u)])
+    w * CE(pseudo). At w == 0 a step trains on its labeled rows alone
+    without weights, the labeled-only step bit for bit."""
+    weights = np.repeat([v for n in n_labeled for v in (1.0 / n, w / n_u)],
+                        [k for n in n_labeled for k in (n, n_u)]) if w else None
+    blocks, start = [], 0
+    for n in n_labeled:
+        rows = slice(start, start + (n + n_u if w else n))
+        blocks.append((rows, None if weights is None else weights[rows]))
+        start += n + n_u
+    return blocks
+
+
+def _step_batch(xl: np.ndarray, yl: np.ndarray, xu: np.ndarray, yu: np.ndarray,
+                w: float) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """The rows, labels and row weights of one step's `classifier_step` on
+    labeled rows `xl`, `yl` and pseudo-labeled rows `xu`, `yu`, laid out by
+    `_step_blocks`."""
+    (rows, weights), = _step_blocks([len(xl)], len(xu), w)
+    return np.concatenate([xl, xu])[rows], np.concatenate([yl, yu])[rows], weights
 
 
 def discounted_return(rewards, gamma: float, t: int) -> float:
@@ -513,9 +532,9 @@ def _sample_window(policy: MlpModel, splits: DatasetSplits, batches: list[np.nda
     row, so every stream is read as a step-by-step loop reads it; the stack
     is filled by one gather per split. The policy does not change inside a
     window, so one forward over the window's unlabeled rows gives every
-    step's log-probabilities. The labels [yl_1; a_1; ...] and `_row_weights`
-    lie beside the stack, and step j trains on its block [xl_j; xu_j], or at
-    pseudo_loss_weight 0 on xl_j alone without weights."""
+    step's log-probabilities. The labels [yl_1; a_1; ...] lie beside the
+    stack, and step j trains on the block `_step_blocks` gives it: [xl_j;
+    xu_j] with its row weights, or at pseudo_loss_weight 0 xl_j alone."""
     labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
     picks, uniforms = [], []
     for _ in batches:
@@ -535,13 +554,8 @@ def _sample_window(policy: MlpModel, splits: DatasetSplits, batches: list[np.nda
     y = np.empty(len(is_u), dtype=np.intp)
     y[is_l] = labeled.y[lab]
     y[is_u] = actions
-    w = cfg.pseudo_loss_weight
-    weights = _row_weights(n_labeled, m, w) if w else None
-    steps, start = [], 0
-    for n in n_labeled:
-        rows = slice(start, start + (n + m if w else n))
-        steps.append((x[rows], y[rows], None if weights is None else weights[rows]))
-        start += n + m
+    steps = [(x[rows], y[rows], weights)
+             for rows, weights in _step_blocks(n_labeled, m, cfg.pseudo_loss_weight)]
     return _Window(steps, m, actions, logits, cache)
 
 
@@ -677,10 +691,8 @@ def train_self_training(
                 x, y, weights = xl, labeled.y[idx], None
                 if len(selected):
                     pick = selected[_draw(len(selected), cfg.batch_unlabeled, rngs["policy"])]
-                    if cfg.pseudo_loss_weight:
-                        x = np.concatenate([xl, unlabeled.X[pick]])
-                        y = np.concatenate([y, preds[pick]])
-                        weights = _row_weights([len(xl)], len(pick), cfg.pseudo_loss_weight)
+                    x, y, weights = _step_batch(xl, y, unlabeled.X[pick], preds[pick],
+                                                cfg.pseudo_loss_weight)
                 classifier_step(classifier, x, y, opt_c, weights)
                 history.steps.append(StepRecord(epoch, None, None, None, False))
             history.epochs.append(evaluate(classifier, splits.test))

@@ -18,7 +18,8 @@ from pseudosup.engine import (
     Trajectory,
     TrajectoryStep,
     _policy_loss_grads,
-    _row_weights,
+    _step_batch,
+    _step_blocks,
     compute_reward,
     discounted_return,
     eval_val_loss,
@@ -190,8 +191,6 @@ class TestEvalValLoss:
 
 class TestClassifierStep:
     def test_zero_weight_equals_labeled_only_step(self):
-        # zero pseudo weights leave the labeled-only step (train and
-        # self-training take that step itself at weight 0, for its bits)
         rng = np.random.default_rng(8)
         lr = fast_cfg().classifier_lr
         a = init_mlp([3, 4, 2], np.random.default_rng(9))
@@ -200,17 +199,21 @@ class TestClassifierStep:
         yl = rng.integers(0, 2, 4)
         xu = rng.normal(size=(4, 3))
         yu = rng.integers(0, 2, 4)
-        weights = _row_weights([4], 4, 0.0)
-        assert weights.tolist() == [0.25] * 4 + [0.0] * 4
-        engine.classifier_step(a, np.concatenate([xl, xu]), np.concatenate([yl, yu]),
-                               AdamW(a.flat, lr), weights)
+        x, y, weights = _step_batch(xl, yl, xu, yu, 0.0)
+        assert weights is None
+        engine.classifier_step(a, x, y, AdamW(a.flat, lr), weights)
         engine.classifier_step(b, xl, yl, AdamW(b.flat, lr))
         for pa, pb in zip(a.parameters(), b.parameters()):
-            np.testing.assert_allclose(pa, pb, rtol=0, atol=1e-15)
+            np.testing.assert_array_equal(pa, pb)
 
-    def test_row_weights_of_a_stack(self):
-        assert _row_weights([2, 3], 4, 0.5).tolist() == (
-            [0.5] * 2 + [0.125] * 4 + [1 / 3] * 3 + [0.125] * 4)
+    def test_step_blocks_of_a_stack(self):
+        # the stack [l_1; u_1; l_2; u_2] of steps with 2 and 3 labeled rows
+        # and 4 pseudo-labeled rows each
+        (r1, w1), (r2, w2) = _step_blocks([2, 3], 4, 0.5)
+        assert (r1, r2) == (slice(0, 6), slice(6, 13))
+        assert w1.tolist() == [0.5] * 2 + [0.125] * 4
+        assert w2.tolist() == [1 / 3] * 3 + [0.125] * 4
+        assert _step_blocks([2, 3], 4, 0.0) == [(slice(0, 2), None), (slice(6, 9), None)]
 
     def test_one_pass_matches_two_pass_reference(self):
         rng = np.random.default_rng(15)
@@ -222,8 +225,8 @@ class TestClassifierStep:
         for _ in range(5):
             xl, yl = rng.normal(size=(6, 3)), rng.integers(0, 2, 6)
             xu, yu = rng.normal(size=(9, 3)), rng.integers(0, 2, 9)
-            engine.classifier_step(a, np.concatenate([xl, xu]), np.concatenate([yl, yu]),
-                                   opt_a, _row_weights([6], 9, 0.7))
+            x, y, weights = _step_batch(xl, yl, xu, yu, 0.7)
+            engine.classifier_step(a, x, y, opt_a, weights)
             # reference: one forward/backward per batch, gradients summed
             parts = []
             for x, y in ((xl, yl), (xu, yu)):
@@ -262,8 +265,8 @@ class TestClassifierStep:
             def step(self, grad):
                 captured.append(grad)
 
-        engine.classifier_step(model, np.concatenate([xl, xu]), np.concatenate([yl, yu]),
-                               SpyOpt(), _row_weights([4], 5, 0.7))
+        x, y, weights = _step_batch(xl, yl, xu, yu, 0.7)
+        engine.classifier_step(model, x, y, SpyOpt(), weights)
         np.testing.assert_allclose(captured[0], gl + 0.7 * gu, atol=1e-12)
 
     def test_empty_batch_rejected(self):
@@ -581,15 +584,10 @@ class TestTrainLoop:
 def classifier_step(model, xl, yl, xu, yu, optimizer, cfg):
     """The classifier step of `reference_train`, in its two-halves form:
     CE(labeled) + pseudo_loss_weight * CE(pseudo) from one pass over the
-    concatenated halves, weighted 1/n_l and pseudo_loss_weight/n_u; without
-    pseudo rows, or at weight 0, the plain labeled-only step."""
-    w = cfg.pseudo_loss_weight
-    if xu is None or len(xu) == 0 or w == 0.0:
-        engine.classifier_step(model, xl, yl, optimizer)
-    else:
-        n_l, n_u = len(xl), len(xu)
-        engine.classifier_step(model, np.concatenate([xl, xu]), np.concatenate([yl, yu]),
-                               optimizer, np.repeat([1.0 / n_l, w / n_u], [n_l, n_u]))
+    halves as `_step_batch` lays them out (at weight 0 the labeled rows
+    alone)."""
+    x, y, weights = _step_batch(xl, yl, xu, yu, cfg.pseudo_loss_weight)
+    engine.classifier_step(model, x, y, optimizer, weights)
 
 
 def reference_train(splits, cfg):
@@ -714,16 +712,18 @@ class TestStepByStepReference:
         for name in got:
             assert got[name].bit_generator.state == ref[name].bit_generator.state, name
 
+    @pytest.mark.parametrize("pseudo_loss_weight", [1.0, 0.0])
     @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
-    def test_every_update_goes_through_classifier_step(self, monkeypatch, trainer):
+    def test_every_update_goes_through_classifier_step(self, monkeypatch, trainer,
+                                                       pseudo_loss_weight):
         calls, engine_step = [], engine.classifier_step
 
-        def counted(*args, **kwargs):
-            calls.append(len(args[1]))
-            return engine_step(*args, **kwargs)
+        def counted(classifier, x, y, optimizer, weights=None):
+            calls.append((len(x), weights))
+            return engine_step(classifier, x, y, optimizer, weights)
 
         monkeypatch.setattr(engine, "classifier_step", counted)
-        cfg = fast_cfg(epochs=3, beta=4)
+        cfg = fast_cfg(epochs=3, beta=4, pseudo_loss_weight=pseudo_loss_weight)
         if trainer == "pseudo_sup":
             result = train(make_splits(), cfg)
         else:
@@ -732,7 +732,10 @@ class TestStepByStepReference:
         n_steps = len(result.history.steps)
         assert n_steps == 9
         assert len(calls) == cfg.warmup_steps + n_steps
-        assert max(calls) > cfg.batch_labeled  # steps with pseudo rows among them
+        if pseudo_loss_weight:
+            assert max(n for n, _ in calls) > cfg.batch_labeled  # steps with pseudo rows
+        else:  # every step is the labeled-only step
+            assert all(n <= cfg.batch_labeled and w is None for n, w in calls)
 
     def test_close_at_other_batch_sizes(self):
         # 6 unlabeled and 9 validation rows per step: stacked blocks may
@@ -908,6 +911,22 @@ class TestSelfTraining:
         sup = train_supervised_only(splits, cfg).final_metrics
         assert abs(st.final_metrics.accuracy - sup.accuracy) < 1e-12
         assert abs(st.final_metrics.auc - sup.auc) < 1e-12
+
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_zero_pseudo_weight_is_supervised_bit_for_bit(self, tmp_path, augment):
+        # pseudo rows are selected and drawn, but a step at weight 0 trains
+        # on its labeled rows alone
+        splits = replace(make_splits(dim=20, sep=6.0), grid=(4, 5))
+        cfg = fast_cfg(epochs=3, augment=augment, pseudo_loss_weight=0.0)
+        st = train_self_training(splits, cfg, 0.9)
+        assert sum(st.n_selected) > 0
+        sup = train_supervised_only(splits, cfg)
+        assert st.history.to_csv() == sup.history.to_csv()
+        assert st.history.epochs == sup.history.epochs
+        paths = [tmp_path / f"{side}.ckpt" for side in ("st", "sup")]
+        save_model(st.classifier, str(paths[0]))
+        save_model(sup.classifier, str(paths[1]))
+        assert paths[0].read_bytes() == paths[1].read_bytes()
 
     def test_separable_pseudo_labels_accurate(self):
         splits = make_splits(sep=6.0, n_per_class=150)
