@@ -6,8 +6,9 @@ validation loss across each classifier update becomes a clamped reward
 r = max(exp(loss_before - loss_after) - 1, 0); every `beta` steps the policy
 ascends the discounted-return-weighted log-probability surrogate.
 
-Supervised-only and confidence-threshold self-training baselines share the
-same loop machinery so their degeneracy equivalences exercise real code paths.
+The confidence-threshold self-training loop is also the supervised baseline:
+on splits with no unlabeled rows it has nothing to label, and `train` hands
+such splits to it.
 
 The loops draw batches as index arrays into each split's arrays. Both updates
 run one forward/backward pass: the classifier step over a step's stacked
@@ -21,15 +22,18 @@ classifier update, the supervised warmup's included, goes through
 `train` runs two classifier and policy forwards per step where a literal
 reading of the method runs four. The policy changes only at the end of a
 window, so one policy forward per window samples every step's pseudo labels,
-and the window's update differentiates that same forward. Step t's after-loss
-and step t+1's before-loss are taken from one forward over the stacked
-validation batches [v_t; v_{t+1}]. A step gathers its rows once: [v_t;
-v_{t+1}] from the run's validation indices, drawn before step 1, and [xl_t;
-xu_t] as a contiguous block of the window's stack, which `_sample_window`
-fills with one gather per split. Every RNG stream is read in the order of
-the step-by-step loop, and on OpenBLAS a stacked forward equals the separate
-forwards bit for bit when each block has a multiple of 4 rows; at other batch
-sizes losses and rewards may differ from that loop in the last bits.
+and the window's update differentiates that same forward; a policy whose
+log-probabilities go non-finite is reported at the first step of its window.
+Step 1's before-loss comes from `eval_val_loss` before the loop; after that,
+step t's after-loss and step t+1's before-loss are taken from one forward
+over the stacked validation batches [v_t; v_{t+1}], which at the last step T
+holds v_T alone. A step gathers its rows once: [v_t; v_{t+1}] from the run's
+validation indices, drawn before step 1, and [xl_t; xu_t] as a contiguous
+block of the window's stack, which `_sample_window` fills with one gather per
+split. Every RNG stream is read in the order of the step-by-step loop, and on
+OpenBLAS a stacked forward equals the separate forwards bit for bit when each
+block has a multiple of 4 rows; at other batch sizes losses and rewards may
+differ from that loop in the last bits.
 `sample_pseudo_labels`, `eval_val_loss` and `policy_update` keep the
 step-by-step operations and share the loop's rules.
 
@@ -335,13 +339,14 @@ def eval_val_loss(classifier: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     if len(x) == 0:
         raise ValueError("validation batch must be non-empty")
     logits, _ = mlp_forward(classifier, x)
-    return _mean_nll(log_softmax(logits)[np.arange(len(y)), y])
+    return float(_mean_nll(log_softmax(logits)[np.arange(len(y)), y]))
 
 
-def _mean_nll(picked: np.ndarray) -> float:
-    """Mean negative log-likelihood from the log-probabilities logp[i, y_i]
-    of the labels."""
-    return float(-picked.sum() / len(picked))
+def _mean_nll(picked: np.ndarray) -> np.ndarray:
+    """Mean negative log-likelihood of each batch from the log-probabilities
+    logp[i, y_i] of its labels, one batch per row of `picked` (or one 1-D
+    batch)."""
+    return -picked.mean(axis=-1)
 
 
 def compute_reward(loss_before: float, loss_after: float) -> float:
@@ -378,18 +383,17 @@ def classifier_step(
 
 def _step_blocks(n_labeled: list[int], n_u: int,
                  w: float) -> list[tuple[slice, np.ndarray | None]]:
-    """The classifier updates of steps stacked as [l_1; u_1; l_2; u_2; ...]:
-    each step's rows of the stack and their cross-entropy row weights. Step
-    j's n_labeled[j] labeled rows weigh 1/n_labeled[j] and its n_u
-    pseudo-labeled rows w/n_u, so each step's weighted sum is CE(labeled) +
-    w * CE(pseudo). At w == 0 a step trains on its labeled rows alone
-    without weights, the labeled-only step bit for bit."""
-    weights = np.repeat([v for n in n_labeled for v in (1.0 / n, w / n_u)],
-                        [k for n in n_labeled for k in (n, n_u)]) if w else None
+    """The classifier updates of steps stacked as [l_1; u_1; l_2; u_2; ...],
+    one block at a time: each step's rows of the stack and their
+    cross-entropy row weights. Step j's n_labeled[j] labeled rows weigh
+    1/n_labeled[j] and its n_u pseudo-labeled rows w/n_u, so each step's
+    weighted sum is CE(labeled) + w * CE(pseudo). At w == 0 a step trains on
+    its labeled rows alone without weights, the labeled-only step bit for
+    bit."""
     blocks, start = [], 0
     for n in n_labeled:
         rows = slice(start, start + (n + n_u if w else n))
-        blocks.append((rows, None if weights is None else weights[rows]))
+        blocks.append((rows, np.repeat([1.0 / n, w / n_u], [n, n_u]) if w else None))
         start += n + n_u
     return blocks
 
@@ -510,12 +514,11 @@ def _warm_classifier(splits: DatasetSplits,
 class _Window:
     """The steps of one beta-step window, sampled from one policy forward:
     `steps[j]` is step j's (rows, labels, row weights) for `classifier_step`,
-    views of the window's stack; `m` unlabeled rows per step, whose pseudo
-    labels are `actions` in step order; the forward itself (`logits`,
-    `cache`), which the window's policy update differentiates; and the
-    rewards of the steps taken so far."""
+    its rows and labels views of the window's stack; the pseudo labels of
+    the steps' unlabeled rows, `actions` in step order, as many per step; the
+    forward itself (`logits`, `cache`), which the window's policy update
+    differentiates; and the rewards of the steps taken so far."""
     steps: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
-    m: int
     actions: np.ndarray
     logits: np.ndarray
     cache: ForwardCache
@@ -556,7 +559,7 @@ def _sample_window(policy: MlpModel, splits: DatasetSplits, batches: list[np.nda
     y[is_u] = actions
     steps = [(x[rows], y[rows], weights)
              for rows, weights in _step_blocks(n_labeled, m, cfg.pseudo_loss_weight)]
-    return _Window(steps, m, actions, logits, cache)
+    return _Window(steps, actions, logits, cache)
 
 
 def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
@@ -565,26 +568,17 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     Each step samples pseudo labels for an unlabeled mini-batch, updates the
     classifier on labeled + pseudo batches, logs the clamped reward from the
     validation loss before and after that update, and every cfg.beta steps
-    applies one policy-gradient update.
+    applies one policy-gradient update. Each step runs two forwards; the
+    module docstring's paragraph on `train` says how.
 
-    A step runs two forwards: the classifier update, and one validation pass
-    over [v_t; v_{t+1}] that gives step t's after-loss and step t+1's
-    before-loss. Before step 1 the run's T validation batches are drawn from
-    rngs["val"] as indices, as many and in the order the step-by-step loop
-    draws them; each step gathers its [v_t; v_{t+1}] rows in one go, and one
-    array of picked log-probabilities gives both losses. The first step adds
-    its own before-loss pass; the last evaluates its after-loss alone. The
-    policy runs one forward per window (`_sample_window`), which the
-    window's update reuses, so a policy whose log-probabilities go
-    non-finite is reported at the first step of its window. Blocks of a
-    multiple of 4 rows keep the bits of the step-by-step loop on OpenBLAS
-    (see the module docstring).
-
-    With an empty unlabeled split the same loop degenerates to supervised
-    training (no pseudo batch, no validation loss, no policy update).
+    Splits with no unlabeled rows leave nothing to label: the run is then the
+    supervised baseline, `train_self_training` with nothing to label, and
+    its result has no policy.
     """
+    if not len(splits.unlabeled_train):
+        return train_self_training(splits, cfg, 1.0)
     rngs, classifier, opt_c = _warm_classifier(splits, cfg)
-    labeled, unlabeled, val = splits.labeled_train, splits.unlabeled_train, splits.validation
+    labeled, val = splits.labeled_train, splits.validation
     if cfg.policy_warm_start:
         policy = clone_model(classifier)
     else:
@@ -595,48 +589,37 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     batches = [idx for _ in range(cfg.epochs)
                for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"])]
     per_epoch = len(batches) // cfg.epochs
-    if len(unlabeled):
-        # v_t = vidx[(t-1)*n_v : t*n_v]; only these draws read rngs["val"]
-        vidx = np.concatenate([_draw(len(val), cfg.batch_val, rngs["val"]) for _ in batches])
-        yv = val.y[vidx]
-        n_v = len(vidx) // len(batches)
-        pair_rows = np.arange(2 * n_v)
+    # v_t = vidx[(t-1)*n_v : t*n_v]; only these draws read rngs["val"]
+    vidx = np.concatenate([_draw(len(val), cfg.batch_val, rngs["val"]) for _ in batches])
+    yv = val.y[vidx]
+    n_v = len(vidx) // len(batches)
+    nll = np.empty(2 * len(batches))  # [before_1, after_1, before_2, after_2, ...]
     history = History()
     step = 0
     try:
+        nll[0] = eval_val_loss(classifier, val.X[vidx[:n_v]], yv[:n_v])
         for step, idx in enumerate(batches, start=1):
             epoch = (step - 1) // per_epoch + 1
-            if not len(unlabeled):
-                xl = _augmented(labeled.X[idx], cfg, splits.grid, rngs["aug"])
-                classifier_step(classifier, xl, labeled.y[idx], opt_c)
-                history.steps.append(StepRecord(epoch, None, None, None, False))
-            else:
-                j = (step - 1) % cfg.beta
-                if j == 0:
-                    window = _sample_window(policy, splits, batches[step - 1 :][: cfg.beta],
-                                            cfg, rngs)
-                if step == 1:
-                    loss_before = eval_val_loss(classifier, val.X[vidx[:n_v]], yv[:n_v])
-                x, y, weights = window.steps[j]
-                classifier_step(classifier, x, y, opt_c, weights)
-                v = slice((step - 1) * n_v, (step + 1) * n_v)  # [v_t; v_{t+1}], or v_T
-                if step < len(batches):
-                    logits, _ = mlp_forward(classifier, val.X[vidx[v]])
-                    picked = log_softmax(logits)[pair_rows, yv[v]]
-                    loss_after, next_before = _mean_nll(picked[:n_v]), _mean_nll(picked[n_v:])
-                else:
-                    loss_after = eval_val_loss(classifier, val.X[vidx[v]], yv[v])
-                    next_before = None
-                reward = compute_reward(loss_before, loss_after)
-                window.rewards.append(reward)
-                updated = len(window.rewards) == cfg.beta
-                if updated:
-                    _, grad = _surrogate_grads(window.logits, window.cache, window.actions,
-                                               window.rewards, [window.m] * cfg.beta, cfg.gamma)
-                    opt_p.step(grad)  # descending -J ascends J
-                history.steps.append(
-                    StepRecord(epoch, loss_before, loss_after, reward, updated))
-                loss_before = next_before
+            j = (step - 1) % cfg.beta
+            if j == 0:
+                window = _sample_window(policy, splits, batches[step - 1 :][: cfg.beta],
+                                        cfg, rngs)
+            x, y, weights = window.steps[j]
+            classifier_step(classifier, x, y, opt_c, weights)
+            v = slice((step - 1) * n_v, (step + 1) * n_v)  # [v_t; v_{t+1}], or v_T
+            logits, _ = mlp_forward(classifier, val.X[vidx[v]])
+            picked = log_softmax(logits)[np.arange(len(logits)), yv[v]]
+            nll[2 * step - 1 : 2 * step + 1] = _mean_nll(picked.reshape(-1, n_v))
+            loss_before, loss_after = nll[2 * step - 2 : 2 * step].tolist()
+            reward = compute_reward(loss_before, loss_after)
+            window.rewards.append(reward)
+            updated = len(window.rewards) == cfg.beta
+            if updated:
+                sizes = [len(window.actions) // cfg.beta] * cfg.beta
+                _, grad = _surrogate_grads(window.logits, window.cache, window.actions,
+                                           window.rewards, sizes, cfg.gamma)
+                opt_p.step(grad)  # descending -J ascends J
+            history.steps.append(StepRecord(epoch, loss_before, loss_after, reward, updated))
             if step % per_epoch == 0:
                 history.epochs.append(evaluate(classifier, splits.test))
     except NonFiniteError as exc:
@@ -645,9 +628,10 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
 
 
 def train_supervised_only(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
-    """Supervised baseline: the same loop with the unlabeled split stripped."""
-    result = train(replace(splits, unlabeled_train=splits.unlabeled_train.take([])), cfg)
-    return replace(result, policy=None)
+    """Supervised baseline: `train` on the splits with the unlabeled split
+    stripped, which hands them to the self-training loop with nothing to
+    label."""
+    return train(replace(splits, unlabeled_train=splits.unlabeled_train.take([])), cfg)
 
 
 @dataclass

@@ -294,6 +294,8 @@ class TestConfigsCheckedWhenBuilt:
          f"method must be one of {cli.METHODS}, got 'bogus'"),
         (["compare", "--methods", "supervised", "self_training"],
          "method self_training requires confidence_threshold"),
+        (["run", "--method", "self_training", "--confidence-threshold", "0.5"],
+         "confidence_threshold must be in (0.5, 1]"),
     ])
     def test_bad_method_exits_2_before_any_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"
@@ -351,6 +353,21 @@ class TestRunExperiment:
         assert os.path.exists(
             os.path.join(cfg.output_dir, "pseudo_sup", "1", "policy.ckpt")
         )
+
+    def test_pseudo_sup_without_unlabeled_rows_is_supervised(self, tmp_path):
+        # with every train row labeled, pseudo_sup trains no policy: its cell
+        # holds no policy.ckpt and the supervised cell's files, byte for byte
+        for method in ("pseudo_sup", "supervised"):
+            assert main(["run", "--method", method, *TRAIN_FLAGS,
+                         "--label-fraction", "1.0",
+                         "--output-dir", str(tmp_path / method)]) == 0
+        for seed in ("1", "2"):
+            cells = [tmp_path / method / method / seed
+                     for method in ("pseudo_sup", "supervised")]
+            names = ["classifier.ckpt", "history.csv", "metrics.csv"]
+            assert sorted(p.name for p in cells[0].iterdir()) == names
+            for name in names:
+                assert (cells[0] / name).read_bytes() == (cells[1] / name).read_bytes()
 
 
 class TestCompare:

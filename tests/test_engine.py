@@ -903,23 +903,20 @@ class TestSelfTraining:
         with pytest.raises(ValueError):
             train_self_training(splits, fast_cfg(), 0.5)
 
-    def test_nothing_qualifies_matches_supervised(self):
-        splits = make_splits()
-        cfg = fast_cfg()
-        st = train_self_training(splits, cfg, 1.0)
-        assert all(n == 0 for n in st.n_selected)
-        sup = train_supervised_only(splits, cfg).final_metrics
-        assert abs(st.final_metrics.accuracy - sup.accuracy) < 1e-12
-        assert abs(st.final_metrics.auc - sup.auc) < 1e-12
-
-    @pytest.mark.parametrize("augment", [False, True])
-    def test_zero_pseudo_weight_is_supervised_bit_for_bit(self, tmp_path, augment):
+    @pytest.mark.parametrize("augment, threshold, weight", [
         # pseudo rows are selected and drawn, but a step at weight 0 trains
         # on its labeled rows alone
+        pytest.param(False, 0.9, 0.0, id="False"),
+        pytest.param(True, 0.9, 0.0, id="True"),
+        # no row reaches probability 1.0, so no pseudo row is drawn
+        pytest.param(False, 1.0, 1.0, id="nothing_qualifies"),
+    ])
+    def test_zero_pseudo_weight_is_supervised_bit_for_bit(self, tmp_path, augment,
+                                                          threshold, weight):
         splits = replace(make_splits(dim=20, sep=6.0), grid=(4, 5))
-        cfg = fast_cfg(epochs=3, augment=augment, pseudo_loss_weight=0.0)
-        st = train_self_training(splits, cfg, 0.9)
-        assert sum(st.n_selected) > 0
+        cfg = fast_cfg(epochs=3, augment=augment, pseudo_loss_weight=weight)
+        st = train_self_training(splits, cfg, threshold)
+        assert (sum(st.n_selected) > 0) == (threshold < 1.0)
         sup = train_supervised_only(splits, cfg)
         assert st.history.to_csv() == sup.history.to_csv()
         assert st.history.epochs == sup.history.epochs
