@@ -6,45 +6,11 @@ downstream classifier. Includes a minimal dense-NN substrate, synthetic data
 tooling, evaluation metrics, and an experiment CLI.
 """
 
-from .data import (
-    DatasetSplits,
-    LongitudinalSeries,
-    QcRecord,
-    Sample,
-    Split,
-    augment_weak,
-    concat_modalities,
-    derive_progression_labels,
-    generate_overlapping_gaussians,
-    load_dataset,
-    qc_filter,
-    save_dataset,
-    split_dataset,
-)
-from .engine import (
-    EngineConfig,
-    Trajectory,
-    TrajectoryStep,
-    compute_reward,
-    discounted_return,
-    evaluate,
-    policy_update,
-    sample_pseudo_labels,
-    train,
-    train_self_training,
-    train_supervised_only,
-)
-from .metrics import MetricsReport, accuracy, auc_roc, correlation_density, f1_binary
-from .nn_core import (
-    AdamW,
-    MlpModel,
-    NonFiniteError,
-    init_mlp,
-    load_model,
-    mlp_backward,
-    mlp_forward,
-    save_model,
-    softmax_cross_entropy,
-)
+from . import data, engine, metrics, nn_core
+from .data import *
+from .engine import *
+from .metrics import *
+from .nn_core import *
 
+__all__ = data.__all__ + engine.__all__ + metrics.__all__ + nn_core.__all__
 __version__ = "0.1.0"

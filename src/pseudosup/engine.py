@@ -127,6 +127,8 @@ class EngineConfig:
             raise ConfigError("warmup_steps must be non-negative")
         if min(self.batch_labeled, self.batch_unlabeled, self.batch_val) < 1:
             raise ConfigError("batch sizes must be >= 1")
+        if not self.hidden_dims:
+            raise ConfigError("hidden_dims must not be empty")
         if any(d < 1 for d in self.hidden_dims):
             raise ConfigError("hidden dims must be >= 1")
         if self.n_classes < 2:
@@ -510,25 +512,17 @@ def _warm_classifier(splits: DatasetSplits,
     return rngs, classifier, opt_c
 
 
-@dataclass
-class _Window:
-    """The steps of one beta-step window, sampled from one policy forward:
-    `steps[j]` is step j's (rows, labels, row weights) for `classifier_step`,
-    its rows and labels views of the window's stack; the pseudo labels of
-    the steps' unlabeled rows, `actions` in step order, as many per step; the
-    forward itself (`logits`, `cache`), which the window's policy update
-    differentiates; and the rewards of the steps taken so far."""
-    steps: list[tuple[np.ndarray, np.ndarray, np.ndarray | None]]
-    actions: np.ndarray
-    logits: np.ndarray
-    cache: ForwardCache
-    rewards: list[float] = field(default_factory=list)
-
-
 def _sample_window(policy: MlpModel, splits: DatasetSplits, batches: list[np.ndarray],
-                   cfg: EngineConfig, rngs: dict[str, np.random.Generator]) -> _Window:
+                   cfg: EngineConfig, rngs: dict[str, np.random.Generator]
+                   ) -> tuple[list, np.ndarray, np.ndarray, ForwardCache]:
     """Sample the pseudo labels of the steps whose labeled batches are
     `batches`, and lay out every step's classifier update.
+
+    Returns (steps, actions, logits, cache): `steps[j]` is step j's (rows,
+    labels, row weights) for `classifier_step`, views of the window's stack;
+    `actions` are the pseudo labels of the steps' unlabeled rows in step
+    order, as many per step; `logits` and `cache` are the one policy forward,
+    which the window's policy update differentiates.
 
     rngs["policy"] draws each step's unlabeled indices and then its uniforms,
     and rngs["aug"] augments the stack [xl_1; xu_1; xl_2; xu_2; ...] row by
@@ -559,7 +553,7 @@ def _sample_window(policy: MlpModel, splits: DatasetSplits, batches: list[np.nda
     y[is_u] = actions
     steps = [(x[rows], y[rows], weights)
              for rows, weights in _step_blocks(n_labeled, m, cfg.pseudo_loss_weight)]
-    return _Window(steps, actions, logits, cache)
+    return steps, actions, logits, cache
 
 
 def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
@@ -602,9 +596,10 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
             epoch = (step - 1) // per_epoch + 1
             j = (step - 1) % cfg.beta
             if j == 0:
-                window = _sample_window(policy, splits, batches[step - 1 :][: cfg.beta],
-                                        cfg, rngs)
-            x, y, weights = window.steps[j]
+                steps, actions, logits_p, cache_p = _sample_window(
+                    policy, splits, batches[step - 1 :][: cfg.beta], cfg, rngs)
+                rewards = []
+            x, y, weights = steps[j]
             classifier_step(classifier, x, y, opt_c, weights)
             v = slice((step - 1) * n_v, (step + 1) * n_v)  # [v_t; v_{t+1}], or v_T
             logits, _ = mlp_forward(classifier, val.X[vidx[v]])
@@ -612,12 +607,12 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
             nll[2 * step - 1 : 2 * step + 1] = _mean_nll(picked.reshape(-1, n_v))
             loss_before, loss_after = nll[2 * step - 2 : 2 * step].tolist()
             reward = compute_reward(loss_before, loss_after)
-            window.rewards.append(reward)
-            updated = len(window.rewards) == cfg.beta
+            rewards.append(reward)
+            updated = len(rewards) == cfg.beta
             if updated:
-                sizes = [len(window.actions) // cfg.beta] * cfg.beta
-                _, grad = _surrogate_grads(window.logits, window.cache, window.actions,
-                                           window.rewards, sizes, cfg.gamma)
+                sizes = [len(actions) // cfg.beta] * cfg.beta
+                _, grad = _surrogate_grads(logits_p, cache_p, actions, rewards, sizes,
+                                           cfg.gamma)
                 opt_p.step(grad)  # descending -J ascends J
             history.steps.append(StepRecord(epoch, loss_before, loss_after, reward, updated))
             if step % per_epoch == 0:

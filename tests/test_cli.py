@@ -272,6 +272,7 @@ class TestConfigsCheckedWhenBuilt:
         ("[Engine]\n", "unknown section Engine"),
         ("[DEFAULT]\n", "unknown section DEFAULT"),
         ("[engine]\nbeta = 5\n[extra]\n", "unknown section extra"),
+        ("[engine]\nhidden_dims =\n", "hidden_dims must not be empty"),
     ])
     def test_bad_ini_exits_2_before_any_output(self, tmp_path, capsys, ini, message):
         path, out = tmp_path / "c.ini", tmp_path / "o"

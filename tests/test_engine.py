@@ -954,6 +954,7 @@ class TestEngineConfig:
          "weight_decay and pseudo_loss_weight must be finite and >= 0"),
         ({"crop_scale_min": 0.0}, "crop_scale_min must be in (0, 1]"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
+        ({"hidden_dims": ()}, "hidden_dims must not be empty"),
     ])
     def test_each_rule_raises_config_error(self, kwargs, message):
         with pytest.raises(ConfigError) as info:
