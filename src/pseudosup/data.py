@@ -366,7 +366,9 @@ def load_dataset(path: str) -> DatasetSplits:
     v1`, line 2 `n_features N`, an optional line 3 `grid H W`, then one row per
     line to the end of the file. Rows are streamed line by line; a malformed
     header or row (a blank line or a misplaced header among them) raises
-    DatasetFormatError naming the path and line."""
+    DatasetFormatError naming the path and line. A label is `?` or an integer
+    in [0, 2**63) written as `str` writes it: `01`, `+1` or `1_0` is a bad
+    label."""
     rows = {tag: ([], [], []) for tag in _SPLIT_TAGS}  # ids, labels, features
     first_seen: dict[str, int] = {}
     with open(path) as fh:
@@ -407,9 +409,10 @@ def load_dataset(path: str) -> DatasetSplits:
                 try:
                     label = int(label_tok)
                 except ValueError:
-                    raise DatasetFormatError(
-                        f"{path}: line {lineno}: bad label {label_tok!r}"
-                    ) from None
+                    label = None
+                # only the form save_dataset writes, str(label), within int64
+                if label is None or str(label) != label_tok or label >= 2**63:
+                    raise DatasetFormatError(f"{path}: line {lineno}: bad label {label_tok!r}")
                 if label < 0:
                     raise DatasetFormatError(
                         f"{path}: line {lineno}: negative label {label}"

@@ -47,6 +47,7 @@ the seed and the step.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -71,10 +72,8 @@ __all__ = [
     "EngineConfig",
     "TrajectoryStep",
     "Trajectory",
-    "StepRecord",
     "History",
     "TrainResult",
-    "SelfTrainingResult",
     "warmup_supervised",
     "sample_pseudo_labels",
     "eval_val_loss",
@@ -167,19 +166,16 @@ class Trajectory:
 
 
 @dataclass
-class StepRecord:
-    epoch: int
-    loss_val_before: float | None
-    loss_val_after: float | None
-    reward: float | None
-    policy_update: bool
-
-
-@dataclass
 class History:
-    """One StepRecord per classifier step and the test metrics after each
-    epoch, in run order; `to_csv` numbers both from 1 by their position."""
-    steps: list[StepRecord] = field(default_factory=list)
+    """Per-step columns, one value per classifier step in run order, and
+    `epochs`, the test metrics after each epoch; `to_csv` numbers steps and
+    epochs from 1 by their position. The loss and reward columns are None
+    for a loop without a policy."""
+    epoch: Sequence[int]
+    policy_update: Sequence[bool]
+    loss_val_before: Sequence[float] | None = None
+    loss_val_after: Sequence[float] | None = None
+    reward: Sequence[float] | None = None
     epochs: list[MetricsReport] = field(default_factory=list)
 
     CSV_HEADER = (
@@ -188,16 +184,16 @@ class History:
     )
 
     def to_csv(self) -> str:
-        def fmt(x):
-            return "" if x is None else f"{x:.17g}"
+        """The step rows, then the epoch rows; columns of unequal length raise
+        ValueError."""
+        def fmt(column):
+            return [""] * len(self.epoch) if column is None else [f"{x:.17g}" for x in column]
 
         lines = [self.CSV_HEADER]
-        for step, r in enumerate(self.steps, start=1):
-            lines.append(
-                f"step,{step},{r.epoch},{fmt(r.loss_val_before)},"
-                f"{fmt(r.loss_val_after)},{fmt(r.reward)},"
-                f"{int(r.policy_update)},,,"
-            )
+        rows = zip(self.epoch, fmt(self.loss_val_before), fmt(self.loss_val_after),
+                   fmt(self.reward), self.policy_update, strict=True)
+        for step, (epoch, before, after, reward, updated) in enumerate(rows, start=1):
+            lines.append(f"step,{step},{epoch},{before},{after},{reward},{int(updated)},,,")
         for epoch, m in enumerate(self.epochs, start=1):
             lines.append(
                 f"epoch,,{epoch},,,,,"
@@ -208,9 +204,13 @@ class History:
 
 @dataclass
 class TrainResult:
+    """A training loop's models and history; `diagnostics` holds named
+    per-epoch columns that the loop computes beside training (self-training's
+    `pseudo_label_accuracy` and `n_selected`)."""
     classifier: MlpModel
     policy: MlpModel | None
     history: History
+    diagnostics: dict[str, list] = field(default_factory=dict)
 
     @property
     def final_metrics(self) -> MetricsReport:
@@ -445,7 +445,7 @@ def _policy_loss_grads(
 
 
 def _surrogate_grads(logits: np.ndarray, cache: ForwardCache, actions: np.ndarray,
-                     rewards: list[float], sizes: list[int],
+                     rewards: Sequence[float], sizes: list[int],
                      gamma: float) -> tuple[float, np.ndarray]:
     """-J and its gradient from the policy's forward over a window's stacked
     states: step t's B_t = sizes[t] rows each weigh G_t / B_t."""
@@ -588,37 +588,35 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     yv = val.y[vidx]
     n_v = len(vidx) // len(batches)
     nll = np.empty(2 * len(batches))  # [before_1, after_1, before_2, after_2, ...]
-    history = History()
+    rewards = np.empty(len(batches))
+    epochs = []
     step = 0
     try:
         nll[0] = eval_val_loss(classifier, val.X[vidx[:n_v]], yv[:n_v])
         for step, idx in enumerate(batches, start=1):
-            epoch = (step - 1) // per_epoch + 1
             j = (step - 1) % cfg.beta
             if j == 0:
                 steps, actions, logits_p, cache_p = _sample_window(
                     policy, splits, batches[step - 1 :][: cfg.beta], cfg, rngs)
-                rewards = []
             x, y, weights = steps[j]
             classifier_step(classifier, x, y, opt_c, weights)
             v = slice((step - 1) * n_v, (step + 1) * n_v)  # [v_t; v_{t+1}], or v_T
             logits, _ = mlp_forward(classifier, val.X[vidx[v]])
             picked = log_softmax(logits)[np.arange(len(logits)), yv[v]]
             nll[2 * step - 1 : 2 * step + 1] = _mean_nll(picked.reshape(-1, n_v))
-            loss_before, loss_after = nll[2 * step - 2 : 2 * step].tolist()
-            reward = compute_reward(loss_before, loss_after)
-            rewards.append(reward)
-            updated = len(rewards) == cfg.beta
-            if updated:
+            rewards[step - 1] = compute_reward(*nll[2 * step - 2 : 2 * step].tolist())
+            if step % cfg.beta == 0:
                 sizes = [len(actions) // cfg.beta] * cfg.beta
-                _, grad = _surrogate_grads(logits_p, cache_p, actions, rewards, sizes,
-                                           cfg.gamma)
+                _, grad = _surrogate_grads(logits_p, cache_p, actions,
+                                           rewards[step - cfg.beta : step], sizes, cfg.gamma)
                 opt_p.step(grad)  # descending -J ascends J
-            history.steps.append(StepRecord(epoch, loss_before, loss_after, reward, updated))
             if step % per_epoch == 0:
-                history.epochs.append(evaluate(classifier, splits.test))
+                epochs.append(evaluate(classifier, splits.test))
     except NonFiniteError as exc:
         raise _diverged(cfg, f"step {step}", exc) from exc
+    history = History([t // per_epoch + 1 for t in range(len(batches))],
+                      [t % cfg.beta == 0 for t in range(1, len(batches) + 1)],
+                      nll[0::2], nll[1::2], rewards, epochs)
     return TrainResult(classifier, policy, history)
 
 
@@ -629,28 +627,24 @@ def train_supervised_only(splits: DatasetSplits, cfg: EngineConfig) -> TrainResu
     return train(replace(splits, unlabeled_train=splits.unlabeled_train.take([])), cfg)
 
 
-@dataclass
-class SelfTrainingResult(TrainResult):
-    pseudo_label_accuracy: list[float] = field(default_factory=list)
-    n_selected: list[int] = field(default_factory=list)
-
-
 def train_self_training(
     splits: DatasetSplits, cfg: EngineConfig, confidence_threshold: float
-) -> SelfTrainingResult:
+) -> TrainResult:
     """Naive self-training baseline: each epoch, unlabeled samples whose max
     softmax probability reaches the threshold join training with their argmax
-    as pseudo label."""
+    as pseudo label. Its diagnostics hold each epoch's `n_selected` and the
+    selected labels' `pseudo_label_accuracy` against `hidden` (NaN where
+    none is known)."""
     if not 0.5 < confidence_threshold <= 1.0:
         raise ValueError("confidence_threshold must be in (0.5, 1]")
     rngs, classifier, opt_c = _warm_classifier(splits, cfg)
     labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
-    history = History()
+    epochs = []
     pseudo_acc: list[float] = []
     n_selected: list[int] = []
     step = 0
     try:
-        for epoch in range(1, cfg.epochs + 1):
+        for _ in range(cfg.epochs):
             selected = np.empty(0, dtype=np.intp)
             acc = float("nan")
             if len(unlabeled):
@@ -673,8 +667,10 @@ def train_self_training(
                     x, y, weights = _step_batch(xl, y, unlabeled.X[pick], preds[pick],
                                                 cfg.pseudo_loss_weight)
                 classifier_step(classifier, x, y, opt_c, weights)
-                history.steps.append(StepRecord(epoch, None, None, None, False))
-            history.epochs.append(evaluate(classifier, splits.test))
+            epochs.append(evaluate(classifier, splits.test))
     except NonFiniteError as exc:
         raise _diverged(cfg, f"step {step}", exc) from exc
-    return SelfTrainingResult(classifier, None, history, pseudo_acc, n_selected)
+    history = History([e for e in range(1, cfg.epochs + 1) for _ in range(step // cfg.epochs)],
+                      [False] * step, epochs=epochs)
+    return TrainResult(classifier, None, history,
+                       {"pseudo_label_accuracy": pseudo_acc, "n_selected": n_selected})

@@ -2,6 +2,8 @@ import configparser
 import dataclasses
 import gc
 import hashlib
+import importlib
+import json
 import os
 import re
 import weakref
@@ -28,6 +30,8 @@ from pseudosup.cli import (
 )
 from pseudosup.data import load_dataset, splits_digest
 from pseudosup.engine import EngineConfig
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def small_cfg(tmp_path, method="supervised", seeds=(1, 2)):
@@ -813,3 +817,22 @@ class TestBuildSplits:
         spec = dataclasses.replace(small_cfg(tmp_path).dataset, multimodal=True, grid=None)
         with pytest.raises(ConfigError, match="multimodal mode requires dataset grid dims"):
             build_splits(spec, 1)
+
+
+class TestBenchmarkCommandLines:
+    """The command lines of the workloads BENCHMARK.json gates, as
+    bench/run_bench.py spells them, still parse, and a `run` line's config
+    passes its checks."""
+
+    @pytest.mark.parametrize("name", [w["name"] for w in json.loads(
+        (ROOT / "BENCHMARK.json").read_text())["workloads"]])
+    def test_workload_parses(self, monkeypatch, tmp_path, name):
+        monkeypatch.syspath_prepend(str(ROOT / "bench"))
+        workload = importlib.import_module("run_bench").WORKLOADS[name]
+        parser = build_parser()
+        parser.parse_args(["gen-data", "--out", "x", "--seed", "1", *workload.gen_args])
+        args = parser.parse_args([a.replace("{data}", str(tmp_path / "d.txt"))
+                                  .replace("{out}", str(tmp_path / "out"))
+                                  for a in workload.cli_args])
+        if args.command == "run":
+            _config_from_args(args)

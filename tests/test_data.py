@@ -453,12 +453,26 @@ class TestDatasetIO:
         ("trainL a 0 1.0\nn_features 1\n", "line 4: expected 4 fields, got 2"),
         ("bogus a 0 1.0\n", "line 3: unknown split tag 'bogus'"),
         ("trainL a x 1.0\n", "line 3: bad label 'x'"),
+        # a label loads only as save_dataset writes it, str(label), within int64
+        ("trainL a 0_1 1.0\n", "line 3: bad label '0_1'"),
+        ("trainL a 1_0 1.0\n", "line 3: bad label '1_0'"),
+        ("trainL a +1 1.0\n", "line 3: bad label '\\+1'"),
+        ("trainL a 01 1.0\n", "line 3: bad label '01'"),
+        ("trainL a \u0663 1.0\n", "line 3: bad label '\u0663'"),
+        ("trainL a 99999999999999999999 1.0\n", "line 3: bad label '99999999999999999999'"),
+        ("trainL a 9223372036854775808 1.0\n", "line 3: bad label '9223372036854775808'"),
     ])
     def test_bad_row_names_file_and_line(self, tmp_path, rows, message):
         path = tmp_path / "d.txt"
         path.write_text("gdp-synth v1\nn_features 1\n" + rows)
         with pytest.raises(DatasetFormatError, match=f"d.txt: {message}"):
             load_dataset(str(path))
+
+    def test_largest_int64_label_loads(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("gdp-synth v1\nn_features 1\ntrainL a 9223372036854775807 1.0\n"
+                        "val b 0 2.0\ntest c 1 3.0\n")
+        assert load_dataset(str(path)).labeled_train.y.tolist() == [2**63 - 1]
 
     def test_unlabeled_test_row_rejected(self, tmp_path):
         path = tmp_path / "d.txt"

@@ -398,8 +398,8 @@ class TestTrajectoryDiscipline:
         splits = make_splits()
         cfg = fast_cfg(beta=7, epochs=3)
         result = train(splits, cfg)
-        total_steps = len(result.history.steps)
-        updates = sum(r.policy_update for r in result.history.steps)
+        total_steps = len(result.history.epoch)
+        updates = sum(result.history.policy_update)
         assert updates == total_steps // cfg.beta
 
 
@@ -444,6 +444,17 @@ class TestWarmup:
             warmup_supervised(model, [], cfg, *warmup_args(model, cfg))
 
 
+class TestHistory:
+    @pytest.mark.parametrize("columns", [
+        dict(epoch=[1, 1], policy_update=[False]),
+        dict(epoch=[1, 1], policy_update=[False, True], loss_val_before=[0.5, 0.4],
+             loss_val_after=[0.4, 0.3], reward=[0.1]),
+    ], ids=["flags_short", "reward_short"])
+    def test_unequal_columns_raise(self, columns):
+        with pytest.raises(ValueError):
+            engine.History(**columns).to_csv()
+
+
 class TestTrainLoop:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="^epochs must be >= 1, got 0$"):
@@ -459,10 +470,12 @@ class TestTrainLoop:
     def test_rewards_non_negative_and_clamped(self):
         splits = make_splits()
         result = train(splits, fast_cfg())
-        for rec in result.history.steps:
-            assert rec.reward >= 0.0
-            if rec.loss_val_after >= rec.loss_val_before:
-                assert rec.reward == 0.0
+        h = result.history
+        for before, after, reward in zip(h.loss_val_before, h.loss_val_after, h.reward,
+                                         strict=True):
+            assert reward >= 0.0
+            if after >= before:
+                assert reward == 0.0
 
     def test_empty_unlabeled_matches_supervised_only(self):
         splits = make_splits()
@@ -608,7 +621,9 @@ def reference_train(splits, cfg):
             return augment_weak(x[idx], splits.grid, rngs["aug"], cfg.crop_scale_min)
         return x[idx]
 
-    history = engine.History()
+    columns = {name: [] for name in ("epoch", "policy_update", "loss_val_before",
+                                     "loss_val_after", "reward")}
+    epochs = []
     trajectory = Trajectory(cfg.beta)
     step = 0
     try:
@@ -629,12 +644,13 @@ def reference_train(splits, cfg):
                 updated = trajectory.full()
                 if updated:
                     policy_update(policy, trajectory, cfg, opt_p)
-                history.steps.append(
-                    engine.StepRecord(epoch, loss_before, loss_after, reward, updated))
-            history.epochs.append(evaluate(classifier, splits.test))
+                for name, value in zip(columns, (epoch, updated, loss_before, loss_after,
+                                                 reward)):
+                    columns[name].append(value)
+            epochs.append(evaluate(classifier, splits.test))
     except NonFiniteError as exc:
         raise engine._diverged(cfg, f"step {step}", exc) from exc
-    return engine.TrainResult(classifier, policy, history)
+    return engine.TrainResult(classifier, policy, engine.History(**columns, epochs=epochs))
 
 
 class TestStepByStepReference:
@@ -654,7 +670,7 @@ class TestStepByStepReference:
 
         monkeypatch.setattr(engine, "mlp_forward", counted)
         cfg = fast_cfg(epochs=3, beta=4)
-        n_steps = len(train(make_splits(), cfg).history.steps)
+        n_steps = len(train(make_splits(), cfg).history.epoch)
         assert n_steps == 9
         assert len(calls) == (cfg.warmup_steps + 2 * n_steps + 1
                               + math.ceil(n_steps / cfg.beta) + cfg.epochs)
@@ -688,8 +704,8 @@ class TestStepByStepReference:
         cfg = fast_cfg(**{"epochs": 3, "beta": 4, "augment": augment, **overrides})
         got, ref = train(splits, cfg), reference_train(splits, cfg)
         self.assert_same_bytes(got, ref, tmp_path)
-        if len(got.history.steps) < cfg.beta:
-            assert not any(r.policy_update for r in got.history.steps)
+        if len(got.history.epoch) < cfg.beta:
+            assert not any(got.history.policy_update)
 
     @pytest.mark.parametrize("augment", [False, True])
     def test_streams_end_where_the_step_by_step_loop_leaves_them(self, monkeypatch,
@@ -728,8 +744,8 @@ class TestStepByStepReference:
             result = train(make_splits(), cfg)
         else:
             result = train_self_training(make_splits(sep=6.0), cfg, 0.9)
-            assert sum(result.n_selected) > 0
-        n_steps = len(result.history.steps)
+            assert sum(result.diagnostics["n_selected"]) > 0
+        n_steps = len(result.history.epoch)
         assert n_steps == 9
         assert len(calls) == cfg.warmup_steps + n_steps
         if pseudo_loss_weight:
@@ -745,12 +761,10 @@ class TestStepByStepReference:
         cfg = fast_cfg(seed=3, hidden_dims=(64, 32), batch_labeled=5, batch_unlabeled=6,
                        batch_val=9)
         got, ref = train(splits, cfg).history, reference_train(splits, cfg).history
-        # the step column numbers the records, so equal lists mean equal columns
-        assert ([(r.epoch, r.policy_update) for r in got.steps]
-                == [(r.epoch, r.policy_update) for r in ref.steps])
-        for a, b in zip(got.steps, ref.steps):
-            for name in ("loss_val_before", "loss_val_after", "reward"):
-                assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-9, abs=0)
+        assert got.epoch == ref.epoch and got.policy_update == ref.policy_update
+        for name in ("loss_val_before", "loss_val_after", "reward"):
+            assert list(getattr(got, name)) == pytest.approx(getattr(ref, name), rel=1e-9,
+                                                             abs=0)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -866,10 +880,11 @@ class TestHiddenLabelLeakGuard:
         b = train_self_training(self.permuted(splits), cfg, 0.6)
         self.assert_same_models(a, b)
         assert a.history.to_csv() == b.history.to_csv()
-        assert a.n_selected == b.n_selected and sum(a.n_selected) > 0
+        n_selected = a.diagnostics["n_selected"]
+        assert n_selected == b.diagnostics["n_selected"] and sum(n_selected) > 0
         assert a.final_metrics == b.final_metrics
-        assert not np.array_equal(a.pseudo_label_accuracy, b.pseudo_label_accuracy,
-                                  equal_nan=True)
+        assert not np.array_equal(a.diagnostics["pseudo_label_accuracy"],
+                                  b.diagnostics["pseudo_label_accuracy"], equal_nan=True)
 
 
 class TestSupervisedOnly:
@@ -916,7 +931,7 @@ class TestSelfTraining:
         splits = replace(make_splits(dim=20, sep=6.0), grid=(4, 5))
         cfg = fast_cfg(epochs=3, augment=augment, pseudo_loss_weight=weight)
         st = train_self_training(splits, cfg, threshold)
-        assert (sum(st.n_selected) > 0) == (threshold < 1.0)
+        assert (sum(st.diagnostics["n_selected"]) > 0) == (threshold < 1.0)
         sup = train_supervised_only(splits, cfg)
         assert st.history.to_csv() == sup.history.to_csv()
         assert st.history.epochs == sup.history.epochs
@@ -925,11 +940,19 @@ class TestSelfTraining:
         save_model(sup.classifier, str(paths[1]))
         assert paths[0].read_bytes() == paths[1].read_bytes()
 
+    def test_result_is_a_train_result_with_one_diagnostic_per_epoch(self):
+        cfg = fast_cfg(epochs=3)
+        st = train_self_training(make_splits(sep=6.0), cfg, 0.9)
+        assert type(st) is engine.TrainResult and st.policy is None
+        assert sorted(st.diagnostics) == ["n_selected", "pseudo_label_accuracy"]
+        assert all(len(column) == cfg.epochs for column in st.diagnostics.values())
+        assert train(make_splits(), cfg).diagnostics == {}
+
     def test_separable_pseudo_labels_accurate(self):
         splits = make_splits(sep=6.0, n_per_class=150)
         cfg = fast_cfg(epochs=3, warmup_steps=150)
         st = train_self_training(splits, cfg, 0.9)
-        accs = [a for a in st.pseudo_label_accuracy if not math.isnan(a)]
+        accs = [a for a in st.diagnostics["pseudo_label_accuracy"] if not math.isnan(a)]
         assert accs and min(accs) > 0.95
 
 

@@ -1,5 +1,7 @@
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -47,3 +49,13 @@ def test_root_names_are_the_modules_objects(name):
 def test_root_keeps_its_earlier_names():
     assert len(EARLIER_ROOT_NAMES) == len(set(EARLIER_ROOT_NAMES)) == 38
     assert [n for n in EARLIER_ROOT_NAMES if n not in pseudosup.__all__] == []
+
+
+def test_readme_library_use_runs_as_its_comment_says(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    library_use = readme[readme.index("## Library use"):]
+    block = re.search(r"```python\n(.*?)```", library_use, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    shapes, auc = capsys.readouterr().out.splitlines()
+    assert shapes == "(175, 20) [-1 -1 -1]"
+    assert 0.5 < float(auc) <= 1.0
