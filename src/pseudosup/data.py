@@ -326,21 +326,52 @@ def splits_digest(splits: DatasetSplits) -> str:
     return h.hexdigest()
 
 
+def _row_problem(tag: str, sid: str, label: int, x: np.ndarray,
+                 seen: dict[str, str], where: str) -> str | None:
+    """The first rule of the dataset format that a row breaks, or None. Its
+    id must be one token, new to `seen`, which records it at `where`; a row
+    outside trainU must be labeled; features must be finite. `save_dataset`
+    and `load_dataset` both check every row with it."""
+    if sid.split() != [sid]:
+        return f"id {sid!r} is empty or holds whitespace"
+    if sid in seen:
+        return f"duplicate id {sid!r} (first on {seen[sid]})"
+    seen[sid] = where
+    if label < 0 and tag != "trainU":
+        return f"{tag} samples must be labeled"
+    if not np.isfinite(x).all():
+        return "non-finite feature value"
+    return None
+
+
 def save_dataset(splits: DatasetSplits, path: str) -> None:
     """Write the text format: `gdp-synth v1` header, feature count, optional grid
-    dims, then one `<tag> <id> <label-or-?> <17-digit features...>` line per row."""
+    dims, then one `<tag> <id> <label-or-?> <17-digit features...>` line per row.
+    Splits that `load_dataset` would reject raise ValueError, naming the
+    split and the row, before anything is written."""
     parts = (splits.labeled_train, splits.unlabeled_train, splits.validation, splits.test)
-    if not any(len(part) for part in parts):
-        raise ValueError("cannot serialize empty splits")
     widths = {part.X.shape[1] for part in parts}
     if len(widths) != 1:
         raise ValueError("inconsistent feature lengths across splits")
-    lines = ["gdp-synth v1", f"n_features {widths.pop()}"]
+    n_features = widths.pop()
+    if n_features < 1:
+        raise ValueError("cannot save rows without features")
+    lines = ["gdp-synth v1", f"n_features {n_features}"]
     if splits.grid is not None:
-        lines.append(f"grid {splits.grid[0]} {splits.grid[1]}")
+        h, w = splits.grid
+        if min(h, w) < 1 or h * w > n_features:
+            raise ValueError(f"cannot save grid {h}x{w}: it needs sides >= 1 and at most "
+                             f"{n_features} cells")
+        lines.append(f"grid {h} {w}")
+    seen: dict[str, str] = {}
     for tag, part in zip(_SPLIT_TAGS, parts):
-        for sid, label, row in zip(part.ids.tolist(), part.y.tolist(), part.X.tolist()):
-            feats = " ".join(f"{x:.17g}" for x in row)
+        if tag != "trainU" and not len(part):
+            raise ValueError(f"cannot save splits with no {tag} rows")
+        for i, (sid, label, x) in enumerate(zip(part.ids.tolist(), part.y.tolist(), part.X)):
+            problem = _row_problem(tag, sid, label, x, seen, f"{tag} row {i}")
+            if problem:
+                raise ValueError(f"cannot save {tag} row {i}: {problem}")
+            feats = " ".join(f"{v:.17g}" for v in x.tolist())
             lines.append(f"{tag} {sid} {'?' if label < 0 else label} {feats}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -370,7 +401,7 @@ def load_dataset(path: str) -> DatasetSplits:
     in [0, 2**63) written as `str` writes it: `01`, `+1` or `1_0` is a bad
     label."""
     rows = {tag: ([], [], []) for tag in _SPLIT_TAGS}  # ids, labels, features
-    first_seen: dict[str, int] = {}
+    seen: dict[str, str] = {}  # id -> its line
     with open(path) as fh:
         if fh.readline().rstrip("\n") != "gdp-synth v1":
             raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
@@ -393,18 +424,8 @@ def load_dataset(path: str) -> DatasetSplits:
             tag, sid, label_tok = tokens[:3]
             if tag not in _SPLIT_TAGS:
                 raise DatasetFormatError(f"{path}: line {lineno}: unknown split tag {tag!r}")
-            if sid in first_seen:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: duplicate id {sid!r} (first on line "
-                    f"{first_seen[sid]})"
-                )
-            first_seen[sid] = lineno
             if label_tok == "?":
                 label = -1
-                if tag != "trainU":
-                    raise DatasetFormatError(
-                        f"{path}: line {lineno}: {tag} samples must be labeled"
-                    )
             else:
                 try:
                     label = int(label_tok)
@@ -423,8 +444,9 @@ def load_dataset(path: str) -> DatasetSplits:
                 raise DatasetFormatError(
                     f"{path}: line {lineno}: non-numeric feature value"
                 ) from None
-            if not np.isfinite(x).all():
-                raise DatasetFormatError(f"{path}: line {lineno}: non-finite feature value")
+            problem = _row_problem(tag, sid, label, x, seen, f"line {lineno}")
+            if problem:
+                raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
             ids, labels, xs = rows[tag]
             ids.append(sid)
             labels.append(label)

@@ -17,23 +17,29 @@ pseudo_loss_weight/n_u, laid out by `_step_blocks` (at weight 0 the labeled
 rows alone), and the policy update over the whole beta-step window with row
 weights G_t/B_t, the returns coming from one reverse accumulation. Every
 classifier update, the supervised warmup's included, goes through
-`classifier_step`.
+`_classifier_update`, which `classifier_step` calls after its forward.
 
-`train` runs two classifier and policy forwards per step where a literal
-reading of the method runs four. The policy changes only at the end of a
+`train` runs one classifier forward per step and one policy forward per
+window, where a literal reading of the method runs three classifier forwards
+and one policy forward per step. The policy changes only at the end of a
 window, so one policy forward per window samples every step's pseudo labels,
 and the window's update differentiates that same forward; a policy whose
 log-probabilities go non-finite is reported at the first step of its window.
-Step 1's before-loss comes from `eval_val_loss` before the loop; after that,
-step t's after-loss and step t+1's before-loss are taken from one forward
-over the stacked validation batches [v_t; v_{t+1}], which at the last step T
-holds v_T alone. A step gathers its rows once: [v_t; v_{t+1}] from the run's
-validation indices, drawn before step 1, and [xl_t; xu_t] as a contiguous
-block of the window's stack, which `_sample_window` fills with one gather per
-split. Every RNG stream is read in the order of the step-by-step loop, and on
-OpenBLAS a stacked forward equals the separate forwards bit for bit when each
-block has a multiple of 4 rows; at other batch sizes losses and rewards may
-differ from that loop in the last bits.
+Step t's update runs with the parameters that give step t-1's after-loss, so
+step t runs one forward over [x_t; v_{t-1}; v_t]: the update takes its
+leading rows x_t ([xl_t; xu_t], a contiguous block of the window's stack,
+which `_sample_window` fills with one gather per split), and the validation
+rows give step t-1's after-loss and step t's before-loss. Step 1's forward
+holds [x_1; v_1], and one forward over v_T follows the last step T. The
+validation logits of a window are kept until its last after-loss is known;
+then one log_softmax scores them all, `compute_reward` runs for each step in
+order, and the window's policy update follows, all before the next window's
+policy forward labels its rows. A NonFiniteError first scores the pending
+logits and rewards, so each failure is named at its own step. Every RNG
+stream is read in the order of the step-by-step loop. On OpenBLAS a stacked
+forward equals separate forwards bit for bit when each block (a step's
+update rows and each validation batch) has a multiple of 4 rows; otherwise
+losses and rewards may differ from that loop in the last bits.
 `sample_pseudo_labels`, `eval_val_loss` and `policy_update` keep the
 step-by-step operations and share the loop's rules.
 
@@ -374,13 +380,23 @@ def classifier_step(
     `y`, from one forward/backward pass: the mean over the rows, or with
     `weights` the weighted sum sum_i weights[i] * CE_i. A step with pseudo
     labels passes the rows, labels and weights that `_step_blocks` lays out
-    (in `train`, views of the window's stack; in self-training, from
-    `_step_batch`); a labeled-only step passes its labeled rows alone."""
+    (in self-training, from `_step_batch`); a labeled-only step passes its
+    labeled rows alone. The step is `_classifier_update` on the forward over
+    `x`."""
     if len(x) == 0:
         raise ValueError("classifier step needs a non-empty batch")
-    logits, cache = mlp_forward(classifier, x)
-    _, grad = softmax_cross_entropy(logits, y, weights)
-    optimizer.step(mlp_backward(cache, grad))
+    _classifier_update(*mlp_forward(classifier, x), y, optimizer, weights)
+
+
+def _classifier_update(logits: np.ndarray, cache: ForwardCache, y: np.ndarray,
+                       optimizer: AdamW, weights: np.ndarray | None = None) -> None:
+    """The optimizer step of `classifier_step` from a finished forward: on the
+    leading len(y) rows of `logits`, the backward through `cache` sliced to
+    them. Every classifier update goes through this function."""
+    n = len(y)
+    _, grad = softmax_cross_entropy(logits[:n], y, weights)
+    optimizer.step(mlp_backward(ForwardCache(cache.model, [a[:n] for a in cache.activations]),
+                                grad))
 
 
 def _step_blocks(n_labeled: list[int], n_u: int,
@@ -512,25 +528,23 @@ def _warm_classifier(splits: DatasetSplits,
     return rngs, classifier, opt_c
 
 
-def _sample_window(policy: MlpModel, splits: DatasetSplits, batches: list[np.ndarray],
-                   cfg: EngineConfig, rngs: dict[str, np.random.Generator]
-                   ) -> tuple[list, np.ndarray, np.ndarray, ForwardCache]:
-    """Sample the pseudo labels of the steps whose labeled batches are
+def _sample_window(splits: DatasetSplits, batches: list[np.ndarray], cfg: EngineConfig,
+                   rngs: dict[str, np.random.Generator]
+                   ) -> tuple[list, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the unlabeled rows of the steps whose labeled batches are
     `batches`, and lay out every step's classifier update.
 
-    Returns (steps, actions, logits, cache): `steps[j]` is step j's (rows,
-    labels, row weights) for `classifier_step`, views of the window's stack;
-    `actions` are the pseudo labels of the steps' unlabeled rows in step
-    order, as many per step; `logits` and `cache` are the one policy forward,
-    which the window's policy update differentiates.
+    Returns (steps, x, y, is_u, u): `steps[j]` is step j's update rows,
+    their labels and row weights, views of the window's stack `x` and of its
+    labels `y`. The unlabeled rows x[is_u] have no labels yet:
+    `train` samples y[is_u] from the policy with the uniforms `u` once the
+    previous window's policy update is done, and the views see them.
 
     rngs["policy"] draws each step's unlabeled indices and then its uniforms,
     and rngs["aug"] augments the stack [xl_1; xu_1; xl_2; xu_2; ...] row by
     row, so every stream is read as a step-by-step loop reads it; the stack
-    is filled by one gather per split. The policy does not change inside a
-    window, so one forward over the window's unlabeled rows gives every
-    step's log-probabilities. The labels [yl_1; a_1; ...] lie beside the
-    stack, and step j trains on the block `_step_blocks` gives it: [xl_j;
+    is filled by one gather per split. The labels [yl_1; a_1; ...] lie beside
+    the stack, and step j trains on the block `_step_blocks` gives it: [xl_j;
     xu_j] with its row weights, or at pseudo_loss_weight 0 xl_j alone."""
     labeled, unlabeled = splits.labeled_train, splits.unlabeled_train
     picks, uniforms = [], []
@@ -540,20 +554,16 @@ def _sample_window(policy: MlpModel, splits: DatasetSplits, batches: list[np.nda
     m, n_labeled = len(picks[0]), [len(idx) for idx in batches]
     is_u = np.repeat(np.tile([False, True], len(batches)),
                      [k for n in n_labeled for k in (n, m)])
-    is_l = ~is_u
     lab = np.concatenate(batches)
     x = np.empty((len(is_u), labeled.X.shape[1]))
-    x[is_l] = labeled.X[lab]
+    x[~is_u] = labeled.X[lab]
     x[is_u] = unlabeled.X[np.concatenate(picks)]
     x = _augmented(x, cfg, splits.grid, rngs["aug"])
-    logits, cache = mlp_forward(policy, x[is_u])
-    actions, _ = _inverse_cdf(log_softmax(logits), np.concatenate(uniforms))
     y = np.empty(len(is_u), dtype=np.intp)
-    y[is_l] = labeled.y[lab]
-    y[is_u] = actions
+    y[~is_u] = labeled.y[lab]
     steps = [(x[rows], y[rows], weights)
              for rows, weights in _step_blocks(n_labeled, m, cfg.pseudo_loss_weight)]
-    return steps, actions, logits, cache
+    return steps, x, y, is_u, np.concatenate(uniforms)
 
 
 def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
@@ -562,8 +572,8 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     Each step samples pseudo labels for an unlabeled mini-batch, updates the
     classifier on labeled + pseudo batches, logs the clamped reward from the
     validation loss before and after that update, and every cfg.beta steps
-    applies one policy-gradient update. Each step runs two forwards; the
-    module docstring's paragraph on `train` says how.
+    applies one policy-gradient update. Each step runs one classifier
+    forward; the module docstring's paragraph on `train` says how.
 
     Splits with no unlabeled rows leave nothing to label: the run is then the
     supervised baseline, `train_self_training` with nothing to label, and
@@ -573,10 +583,8 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
         return train_self_training(splits, cfg, 1.0)
     rngs, classifier, opt_c = _warm_classifier(splits, cfg)
     labeled, val = splits.labeled_train, splits.validation
-    if cfg.policy_warm_start:
-        policy = clone_model(classifier)
-    else:
-        policy = init_mlp(classifier.layer_dims, rngs["init"])
+    policy = (clone_model(classifier) if cfg.policy_warm_start
+              else init_mlp(classifier.layer_dims, rngs["init"]))
     opt_p = AdamW(policy.flat, cfg.policy_lr, weight_decay=cfg.weight_decay)
 
     # the labeled batches of the whole run; only these draws read rngs["data"]
@@ -585,34 +593,61 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     per_epoch = len(batches) // cfg.epochs
     # v_t = vidx[(t-1)*n_v : t*n_v]; only these draws read rngs["val"]
     vidx = np.concatenate([_draw(len(val), cfg.batch_val, rngs["val"]) for _ in batches])
-    yv = val.y[vidx]
     n_v = len(vidx) // len(batches)
+    yv = val.y[vidx].reshape(len(batches), n_v)
     nll = np.empty(2 * len(batches))  # [before_1, after_1, before_2, after_2, ...]
     rewards = np.empty(len(batches))
+    pending, scored = [], 0  # the validation logits of nll[scored:]
+
+    def close() -> None:
+        """Score the pending logits with one log_softmax, reward in order each
+        step whose after-loss they complete, and if the last of these steps
+        ends a window, update the policy; a failure is named at its step."""
+        nonlocal scored
+        t = first = scored // 2
+        try:
+            if pending:
+                logits = np.concatenate(pending)
+                pending.clear()
+                k = len(logits) // n_v
+                labels = yv[np.arange(scored, scored + k) // 2].ravel()
+                picked = log_softmax(logits)[np.arange(len(labels)), labels]
+                nll[scored : scored + k] = _mean_nll(picked.reshape(k, n_v))
+                scored += k
+            for t in range(first + 1, scored // 2 + 1):
+                rewards[t - 1] = compute_reward(*nll[2 * t - 2 : 2 * t].tolist())
+            if t > first and t % cfg.beta == 0:
+                _, grad = _surrogate_grads(logits_p, cache_p, actions, rewards[t - cfg.beta : t],
+                                           [len(actions) // cfg.beta] * cfg.beta, cfg.gamma)
+                opt_p.step(grad)  # descending -J ascends J
+        except NonFiniteError as exc:
+            raise _diverged(cfg, f"step {t}", exc) from exc
+
     epochs = []
     step = 0
     try:
-        nll[0] = eval_val_loss(classifier, val.X[vidx[:n_v]], yv[:n_v])
-        for step, idx in enumerate(batches, start=1):
+        for step in range(1, len(batches) + 1):
             j = (step - 1) % cfg.beta
             if j == 0:
-                steps, actions, logits_p, cache_p = _sample_window(
-                    policy, splits, batches[step - 1 :][: cfg.beta], cfg, rngs)
-            x, y, weights = steps[j]
-            classifier_step(classifier, x, y, opt_c, weights)
-            v = slice((step - 1) * n_v, (step + 1) * n_v)  # [v_t; v_{t+1}], or v_T
-            logits, _ = mlp_forward(classifier, val.X[vidx[v]])
-            picked = log_softmax(logits)[np.arange(len(logits)), yv[v]]
-            nll[2 * step - 1 : 2 * step + 1] = _mean_nll(picked.reshape(-1, n_v))
-            rewards[step - 1] = compute_reward(*nll[2 * step - 2 : 2 * step].tolist())
-            if step % cfg.beta == 0:
-                sizes = [len(actions) // cfg.beta] * cfg.beta
-                _, grad = _surrogate_grads(logits_p, cache_p, actions,
-                                           rewards[step - cfg.beta : step], sizes, cfg.gamma)
-                opt_p.step(grad)  # descending -J ascends J
+                steps, x, y, is_u, u = _sample_window(
+                    splits, batches[step - 1 :][: cfg.beta], cfg, rngs)
+            xs, ys, weights = steps[j]
+            v = val.X.take(vidx[max(step - 2, 0) * n_v : step * n_v], axis=0)
+            logits, cache = mlp_forward(classifier, np.concatenate([xs, v]))
+            pending.append(logits[len(ys):])  # [v_{t-1}; v_t], or v_1
+            if j == 0:  # the previous window's policy update, then this one's labels
+                close()
+                logits_p = cache_p = None  # release the last window's forward before this one
+                logits_p, cache_p = mlp_forward(policy, x[is_u])
+                actions, _ = _inverse_cdf(log_softmax(logits_p), u)
+                y[is_u] = actions
+            _classifier_update(logits, cache, ys, opt_c, weights)
             if step % per_epoch == 0:
                 epochs.append(evaluate(classifier, splits.test))
+        pending.append(mlp_forward(classifier, val.X[vidx[-n_v:]])[0])  # v_T
+        close()
     except NonFiniteError as exc:
+        close()
         raise _diverged(cfg, f"step {step}", exc) from exc
     history = History([t // per_epoch + 1 for t in range(len(batches))],
                       [t % cfg.beta == 0 for t in range(1, len(batches) + 1)],

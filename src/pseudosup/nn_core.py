@@ -156,8 +156,16 @@ def mlp_backward(cache: ForwardCache, grad_logits: np.ndarray) -> np.ndarray:
 def log_softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise log-softmax, stabilized by max subtraction."""
     logits = np.asarray(logits, dtype=np.float64)
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    if logits.shape[1] >= 8:
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    # Below 8 classes, numpy adds a row's terms in column order, and so does
+    # a sum over the rows of the transpose, without numpy's per-row loop.
+    shifted = np.ascontiguousarray(logits.T)
+    shifted -= shifted.max(axis=0)
+    out = np.empty_like(logits)
+    np.subtract(shifted, np.log(np.exp(shifted).sum(axis=0)), out=out.T)
+    return out
 
 
 def softmax_cross_entropy(
@@ -243,9 +251,10 @@ class AdamW:
 
 def save_model(model: MlpModel, path: str) -> None:
     """Text checkpoint: header then one value per line, 17 significant digits."""
-    values = "\n".join(f"{x:.17g}" for x in model.flat.tolist())
+    values = tuple(model.flat.tolist())
     with open(path, "w") as fh:
-        fh.write(f"mlp {' '.join(str(d) for d in model.layer_dims)}\n{values}\n")
+        fh.write(f"mlp {' '.join(str(d) for d in model.layer_dims)}\n")
+        fh.write(("%.17g\n" * len(values)) % values)
 
 
 def load_model(path: str) -> MlpModel:

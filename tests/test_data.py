@@ -481,6 +481,87 @@ class TestDatasetIO:
             load_dataset(str(path))
 
 
+def _space_in_id(s):
+    s.test.ids = s.test.ids.astype("<U8")
+    s.test.ids[2] = "s 1"
+
+
+def _id_in_two_splits(s):
+    s.validation.ids[1] = s.labeled_train.ids[3]
+
+
+def _unlabeled_row_in_labeled_split(s):
+    s.labeled_train.y[0] = -1
+
+
+def _nan_feature(s):
+    s.unlabeled_train.X[4, 2] = np.nan
+
+
+def _empty_validation(s):
+    s.validation = s.validation.take([])
+
+
+def _grid_beyond_features(s):
+    s.grid = (3, 3)
+
+
+def _no_features(s):
+    s.grid = None
+    for part in (s.labeled_train, s.unlabeled_train, s.validation, s.test):
+        part.X = part.X[:, :0]
+
+
+class TestSaveDatasetRules:
+    """save_dataset writes only files that load_dataset accepts."""
+
+    @staticmethod
+    def splits(grid=(2, 3)):
+        samples = generate_overlapping_gaussians(20, 6, 1.0, seed=4, grid_dims=(2, 3))
+        return split_dataset(samples, 0.5, (0.7, 0.1, 0.2), seed=4, grid=grid)
+
+    @pytest.mark.parametrize("edit, message", [
+        (_space_in_id, "cannot save test row 2: id 's 1' is empty or holds whitespace"),
+        (_id_in_two_splits, "cannot save val row 1: duplicate id '(s\\d+)' "
+                            "\\(first on trainL row 3\\)"),
+        (_unlabeled_row_in_labeled_split,
+         "cannot save trainL row 0: trainL samples must be labeled"),
+        (_nan_feature, "cannot save trainU row 4: non-finite feature value"),
+        (_empty_validation, "cannot save splits with no val rows"),
+        (_grid_beyond_features, "cannot save grid 3x3: it needs sides >= 1 and at most "
+                                "6 cells"),
+        (_no_features, "cannot save rows without features"),
+    ], ids=["space_in_id", "id_in_two_splits", "unlabeled_row_in_labeled_split",
+            "nan_feature", "empty_validation", "grid_beyond_features", "no_features"])
+    def test_rejected_before_writing(self, tmp_path, edit, message):
+        splits = self.splits()
+        edit(splits)
+        path = tmp_path / "d.txt"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            save_dataset(splits, str(path))
+        assert not path.exists()
+
+    @pytest.mark.parametrize("grid", [(2, 3), None])
+    def test_accepted_edge_splits_load_back_with_the_same_digest(self, tmp_path, grid):
+        # no unlabeled rows, a labeled trainU row, ids of any non-space
+        # characters, and the float edge values -0, the smallest subnormal
+        # and the largest finite double
+        splits = self.splits(grid)
+        for edge in (replace(splits, unlabeled_train=splits.unlabeled_train.take([])),
+                     splits):
+            edge.test.ids = edge.test.ids.astype("<U8")
+            edge.test.ids[0] = "é-ü_1,?"
+            edge.validation.X[0, :3] = [-0.0, 5e-324, -np.finfo(float).max]
+            path = str(tmp_path / "d.txt")
+            save_dataset(edge, path)
+            assert splits_digest(load_dataset(path)) == splits_digest(edge)
+        splits.unlabeled_train.y[0] = 1
+        save_dataset(splits, path)
+        loaded = load_dataset(path)
+        assert loaded.unlabeled_train.y[0] == 1
+        assert splits_digest(loaded) == splits_digest(splits)
+
+
 class TestSplitsDigest:
     @staticmethod
     def splits(grid=(2, 3)):

@@ -654,14 +654,17 @@ def reference_train(splits, cfg):
 
 
 class TestStepByStepReference:
-    """`train` runs two forwards per step and equals the step-by-step loop.
-    make_splits() has 42 labeled, 42 unlabeled and 12 validation rows."""
+    """`train` runs one classifier forward per step and equals the
+    step-by-step loop. make_splits() has 42 labeled, 42 unlabeled and 12
+    validation rows."""
 
     def test_forward_count(self, monkeypatch):
         # 3 steps per epoch at beta 4: windows of steps 1-4 and 5-8 cross an
-        # epoch boundary, and the window of step 9 is partial. At the
-        # benchmark's shape (320 steps, beta 50, 20 epochs, 100 warmup steps)
-        # the count is 100 + 640 + 1 + 7 + 20 = 768 per cell.
+        # epoch boundary, and the window of step 9 is partial. One forward
+        # per step, one over v_T after the last, one policy forward per
+        # window and one evaluation per epoch: at the benchmark's shape (320
+        # steps, beta 50, 20 epochs, 100 warmup steps) 100 + 320 + 1 + 7 + 20
+        # = 448 per cell.
         calls = []
 
         def counted(model, batch):
@@ -672,7 +675,7 @@ class TestStepByStepReference:
         cfg = fast_cfg(epochs=3, beta=4)
         n_steps = len(train(make_splits(), cfg).history.epoch)
         assert n_steps == 9
-        assert len(calls) == (cfg.warmup_steps + 2 * n_steps + 1
+        assert len(calls) == (cfg.warmup_steps + n_steps + 1
                               + math.ceil(n_steps / cfg.beta) + cfg.epochs)
 
     @staticmethod
@@ -707,6 +710,18 @@ class TestStepByStepReference:
         if len(got.history.epoch) < cfg.beta:
             assert not any(got.history.policy_update)
 
+    @pytest.mark.parametrize("beta", [1, 9], ids=["every_step_closes_a_window",
+                                                 "one_window_closed_after_v_T"])
+    @pytest.mark.parametrize("augment", [False, True])
+    def test_byte_equal_at_window_edges(self, tmp_path, beta, augment):
+        # 9 steps: at beta 1 each step's forward closes the previous step's
+        # window; at beta 9 the one policy update follows the forward over v_T
+        splits = replace(make_splits(dim=20), grid=(4, 5))
+        cfg = fast_cfg(epochs=3, beta=beta, augment=augment)
+        got, ref = train(splits, cfg), reference_train(splits, cfg)
+        self.assert_same_bytes(got, ref, tmp_path)
+        assert sum(got.history.policy_update) == 9 // beta
+
     @pytest.mark.parametrize("augment", [False, True])
     def test_streams_end_where_the_step_by_step_loop_leaves_them(self, monkeypatch,
                                                                  augment):
@@ -732,13 +747,15 @@ class TestStepByStepReference:
     @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
     def test_every_update_goes_through_classifier_step(self, monkeypatch, trainer,
                                                        pseudo_loss_weight):
-        calls, engine_step = [], engine.classifier_step
+        # classifier_step and train's steps both update through
+        # _classifier_update; a step's labeled rows are its update's rows
+        calls, engine_update = [], engine._classifier_update
 
-        def counted(classifier, x, y, optimizer, weights=None):
-            calls.append((len(x), weights))
-            return engine_step(classifier, x, y, optimizer, weights)
+        def counted(logits, cache, y, optimizer, weights=None):
+            calls.append((len(y), weights))
+            return engine_update(logits, cache, y, optimizer, weights)
 
-        monkeypatch.setattr(engine, "classifier_step", counted)
+        monkeypatch.setattr(engine, "_classifier_update", counted)
         cfg = fast_cfg(epochs=3, beta=4, pseudo_loss_weight=pseudo_loss_weight)
         if trainer == "pseudo_sup":
             result = train(make_splits(), cfg)
@@ -813,6 +830,25 @@ class TestDivergence:
         with pytest.raises(ValueError, match="^training diverged at seed 1, step 3: "
                                              "reward overflows: loss_before "):
             train(splits, cfg)
+
+    @pytest.mark.parametrize("k", [2, 4, 9], ids=["inside_a_window", "last_step_of_a_window",
+                                                 "last_step_of_the_run"])
+    def test_failed_reward_names_its_own_step(self, monkeypatch, k):
+        # train rewards a window's steps once a later forward completes their
+        # after-losses; a reward that fails is still named at its own step
+        # (9 steps at beta 4: windows of steps 1-4, 5-8 and 9)
+        calls, engine_reward = [], engine.compute_reward
+
+        def failing(loss_before, loss_after):
+            calls.append(loss_before)
+            if len(calls) == k:
+                raise NonFiniteError("reward fails here")
+            return engine_reward(loss_before, loss_after)
+
+        monkeypatch.setattr(engine, "compute_reward", failing)
+        with pytest.raises(ValueError, match=f"^training diverged at seed 1, step {k}: "
+                                             "reward fails here$"):
+            train(make_splits(), fast_cfg(epochs=3, beta=4))
 
     def test_overflowing_policy_names_first_step_of_its_window(self):
         # an unlabeled row that the policy stream first draws at step 3 makes
