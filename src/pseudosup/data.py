@@ -329,11 +329,9 @@ def splits_digest(splits: DatasetSplits) -> str:
 def _row_problem(tag: str, sid: str, label: int, x: np.ndarray,
                  seen: dict[str, str], where: str) -> str | None:
     """The first rule of the dataset format that a row breaks, or None. Its
-    id must be one token, new to `seen`, which records it at `where`; a row
-    outside trainU must be labeled; features must be finite. `save_dataset`
-    and `load_dataset` both check every row with it."""
-    if sid.split() != [sid]:
-        return f"id {sid!r} is empty or holds whitespace"
+    id must be new to `seen`, which records it at `where`; a row outside
+    trainU must be labeled; features must be finite. `save_dataset` and
+    `load_dataset` both check every row with it."""
     if sid in seen:
         return f"duplicate id {sid!r} (first on {seen[sid]})"
     seen[sid] = where
@@ -368,7 +366,10 @@ def save_dataset(splits: DatasetSplits, path: str) -> None:
         if tag != "trainU" and not len(part):
             raise ValueError(f"cannot save splits with no {tag} rows")
         for i, (sid, label, x) in enumerate(zip(part.ids.tolist(), part.y.tolist(), part.X)):
-            problem = _row_problem(tag, sid, label, x, seen, f"{tag} row {i}")
+            if sid.split() != [sid]:  # the loader splits its lines on whitespace
+                problem = f"id {sid!r} is empty or holds whitespace"
+            else:
+                problem = _row_problem(tag, sid, label, x, seen, f"{tag} row {i}")
             if problem:
                 raise ValueError(f"cannot save {tag} row {i}: {problem}")
             feats = " ".join(f"{v:.17g}" for v in x.tolist())

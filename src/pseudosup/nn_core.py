@@ -154,16 +154,15 @@ def mlp_backward(cache: ForwardCache, grad_logits: np.ndarray) -> np.ndarray:
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise log-softmax, stabilized by max subtraction."""
+    """Row-wise log-softmax, stabilized by max subtraction. The input is
+    never written to."""
     logits = np.asarray(logits, dtype=np.float64)
-    if logits.shape[1] >= 8:
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    # Below 8 classes, numpy adds a row's terms in column order, and so does
-    # a sum over the rows of the transpose, without numpy's per-row loop.
-    shifted = np.ascontiguousarray(logits.T)
+    # On a copy of the transpose a row's sum is one vector add per class,
+    # without numpy's per-row reduction loop; terms add in column order, as
+    # numpy's own row sum adds them below 8 columns.
+    shifted = logits.T.copy()
     shifted -= shifted.max(axis=0)
-    out = np.empty_like(logits)
+    out = np.empty(logits.shape)
     np.subtract(shifted, np.log(np.exp(shifted).sum(axis=0)), out=out.T)
     return out
 

@@ -211,6 +211,30 @@ class TestSoftmaxCrossEntropy:
         probs = np.exp(log_softmax(rng.normal(size=(10, 4)) * 50))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("n_classes", [2, 3, 8, 13])
+    def test_log_softmax_matches_row_formula(self, n_classes):
+        logits = np.random.default_rng(n_classes).normal(size=(9, n_classes)) * 20
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        expected = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        np.testing.assert_allclose(log_softmax(logits), expected, rtol=1e-14, atol=1e-14)
+
+    @pytest.mark.parametrize("layout", ["one_row", "fortran", "view"])
+    def test_log_softmax_leaves_input_unchanged(self, layout):
+        logits = np.random.default_rng(17).normal(size=(5, 3)) + 4.0
+        if layout == "one_row":
+            logits = logits[:1].copy()
+        elif layout == "fortran":
+            logits = np.asfortranarray(logits)
+        else:
+            logits = logits[:, ::2]
+        before = logits.copy()
+        logp = log_softmax(logits)
+        np.testing.assert_array_equal(logits, before)
+        np.testing.assert_allclose(np.exp(logp).sum(axis=1), 1.0, atol=1e-12)
+        _, grad = softmax_cross_entropy(logits, np.zeros(len(logits), dtype=int))
+        np.testing.assert_array_equal(logits, before)
+        np.testing.assert_allclose(grad.sum(axis=1), 0.0, atol=1e-12)
+
     def test_shift_invariance(self):
         rng = np.random.default_rng(11)
         logits = rng.normal(size=(6, 3))
