@@ -326,18 +326,18 @@ def splits_digest(splits: DatasetSplits) -> str:
     return h.hexdigest()
 
 
-def _row_problem(tag: str, sid: str, label: int, x: np.ndarray,
+def _row_problem(tag: str, sid: str, label: int, finite: bool,
                  seen: dict[str, str], where: str) -> str | None:
     """The first rule of the dataset format that a row breaks, or None. Its
     id must be new to `seen`, which records it at `where`; a row outside
-    trainU must be labeled; features must be finite. `save_dataset` and
-    `load_dataset` both check every row with it."""
+    trainU must be labeled; its features must all be finite, as `finite`
+    says. `save_dataset` and `load_dataset` both check every row with it."""
     if sid in seen:
         return f"duplicate id {sid!r} (first on {seen[sid]})"
     seen[sid] = where
     if label < 0 and tag != "trainU":
         return f"{tag} samples must be labeled"
-    if not np.isfinite(x).all():
+    if not finite:
         return "non-finite feature value"
     return None
 
@@ -365,16 +365,18 @@ def save_dataset(splits: DatasetSplits, path: str) -> None:
     for tag, part in zip(_SPLIT_TAGS, parts):
         if tag != "trainU" and not len(part):
             raise ValueError(f"cannot save splits with no {tag} rows")
-        for i, (sid, label, x) in enumerate(zip(part.ids.tolist(), part.y.tolist(), part.X)):
+        finite = np.isfinite(part.X).all(axis=1).tolist()
+        rows = zip(part.ids.tolist(), part.y.tolist(), part.X, finite)
+        for i, (sid, label, x, x_finite) in enumerate(rows):
             if sid.split() != [sid]:  # the loader splits its lines on whitespace
                 problem = f"id {sid!r} is empty or holds whitespace"
             else:
-                problem = _row_problem(tag, sid, label, x, seen, f"{tag} row {i}")
+                problem = _row_problem(tag, sid, label, x_finite, seen, f"{tag} row {i}")
             if problem:
                 raise ValueError(f"cannot save {tag} row {i}: {problem}")
             feats = " ".join(f"{v:.17g}" for v in x.tolist())
             lines.append(f"{tag} {sid} {'?' if label < 0 else label} {feats}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:  # the encoding load_dataset reads
         fh.write("\n".join(lines) + "\n")
 
 
@@ -393,22 +395,101 @@ def _header_ints(path: str, lineno: int, line: str, key: str, count: int) -> tup
     return values
 
 
+# Body lines parsed per np.loadtxt call: enough to spread the call's fixed
+# cost, few enough that the text held at once stays a fraction of the file.
+_CHUNK_ROWS = 256
+
+
+def _text(path: str, lineno: int, line: str) -> str:
+    """`line`, or a DatasetFormatError if the file held a byte there that is not
+    UTF-8 (the reader keeps such a byte as a lone surrogate)."""
+    if not line.isascii():
+        try:
+            line.encode()
+        except UnicodeEncodeError:
+            raise DatasetFormatError(f"{path}: line {lineno}: not UTF-8 text") from None
+    return line
+
+
+def _row_head(path: str, n_features: int, lineno: int, line: str) -> tuple[str, str, int, str]:
+    """Tag, id, label and the unparsed feature text of body line `lineno`. The
+    rules that need no feature value raise DatasetFormatError here, ranked as
+    the format ranks them: UTF-8 text, field count, split tag, then label."""
+    fields = _text(path, lineno, line).split(None, 3)
+    if len(fields) < 4:
+        raise DatasetFormatError(
+            f"{path}: line {lineno}: expected {3 + n_features} fields, got {len(fields)}"
+        )
+    tag, sid, label_tok, rest = fields
+    problem = None
+    if tag not in _SPLIT_TAGS:
+        problem = f"unknown split tag {tag!r}"
+    elif label_tok == "?":
+        label = -1
+    else:
+        try:
+            label = int(label_tok)
+        except ValueError:
+            label = None
+        # only the form save_dataset writes, str(label), within int64
+        if label is None or str(label) != label_tok or label >= 2**63:
+            problem = f"bad label {label_tok!r}"
+        elif label < 0:
+            problem = f"negative label {label}"
+    if problem is None:
+        return tag, sid, label, rest
+    got = len(rest.split())
+    if got != n_features:
+        problem = f"expected {3 + n_features} fields, got {3 + got}"
+    raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
+
+
+def _parse_rows(path: str, n_features: int, rows: list, seen: dict[str, str]) -> np.ndarray:
+    """The features of `rows`, (lineno, tag, id, label, feature text) tuples of
+    body lines in file order, as one float64 block, after each row passes the
+    rules that need its values, in file order. One np.loadtxt call parses the
+    block; if it fails, each line is parsed alone by the same reader, so the
+    first bad line is the one named."""
+    try:
+        x = np.loadtxt([row[4] for row in rows], dtype=np.float64, comments=None, ndmin=2)
+    except ValueError:
+        x = None
+    if x is None or x.shape[1] != n_features:
+        if len(rows) > 1:
+            return np.concatenate([_parse_rows(path, n_features, [row], seen) for row in rows])
+        lineno, rest = rows[0][0], rows[0][4]
+        got = len(rest.split())
+        problem = ("non-numeric feature value" if got == n_features
+                   else f"expected {3 + n_features} fields, got {3 + got}")
+        raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
+    for (lineno, tag, sid, label, _), finite in zip(rows, np.isfinite(x).all(axis=1).tolist()):
+        problem = _row_problem(tag, sid, label, finite, seen, f"line {lineno}")
+        if problem:
+            raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
+    return x
+
+
 def load_dataset(path: str) -> DatasetSplits:
     """Read a file in the layout `save_dataset` writes: line 1 `gdp-synth
     v1`, line 2 `n_features N`, an optional line 3 `grid H W`, then one row per
-    line to the end of the file. Rows are streamed line by line; a malformed
-    header or row (a blank line or a misplaced header among them) raises
-    DatasetFormatError naming the path and line. A label is `?` or an integer
-    in [0, 2**63) written as `str` writes it: `01`, `+1` or `1_0` is a bad
-    label."""
-    rows = {tag: ([], [], []) for tag in _SPLIT_TAGS}  # ids, labels, features
+    line to the end of the file. Rows are streamed and their features parsed in
+    chunks of lines; a malformed header or row (a blank line, a misplaced header
+    or a byte that is not UTF-8 among them) raises DatasetFormatError naming the
+    path and the first bad line. A label is `?` or an integer in [0, 2**63)
+    written as `str` writes it: `01`, `+1` or `1_0` is a bad label. A feature is
+    an ASCII decimal number with an optional sign, point and exponent, rounded
+    to the nearest double as `float` rounds it: `+2`, `.5`, `-0` and `1e5` load.
+    `1_0`, `0x10`, `1,5`, `1e`, `nan(1)` and non-ASCII digits are non-numeric;
+    `nan`, `inf` and `Infinity` parse but are rejected as non-finite."""
+    rows = {tag: ([], [], []) for tag in _SPLIT_TAGS}  # ids, labels, row numbers
     seen: dict[str, str] = {}  # id -> its line
-    with open(path) as fh:
-        if fh.readline().rstrip("\n") != "gdp-synth v1":
+    blocks, pending = [], []  # parsed feature blocks; rows not yet parsed
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        if _text(path, 1, fh.readline()).rstrip("\n") != "gdp-synth v1":
             raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
-        (n_features,) = _header_ints(path, 2, fh.readline(), "n_features", 1)
+        (n_features,) = _header_ints(path, 2, _text(path, 2, fh.readline()), "n_features", 1)
         grid, body_start = None, fh.tell()
-        line = fh.readline()
+        line = _text(path, 3, fh.readline())
         if line.split()[:1] == ["grid"]:
             grid = _header_ints(path, 3, line, "grid", 2)
             if grid[0] * grid[1] > n_features:
@@ -416,49 +497,30 @@ def load_dataset(path: str) -> DatasetSplits:
                                          f"exceeds {n_features} features")
         else:
             fh.seek(body_start)
-        for lineno, line in enumerate(fh, start=3 if grid is None else 4):
-            tokens = line.split()
-            if len(tokens) != 3 + n_features:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: expected {3 + n_features} fields, got {len(tokens)}"
-                )
-            tag, sid, label_tok = tokens[:3]
-            if tag not in _SPLIT_TAGS:
-                raise DatasetFormatError(f"{path}: line {lineno}: unknown split tag {tag!r}")
-            if label_tok == "?":
-                label = -1
-            else:
-                try:
-                    label = int(label_tok)
-                except ValueError:
-                    label = None
-                # only the form save_dataset writes, str(label), within int64
-                if label is None or str(label) != label_tok or label >= 2**63:
-                    raise DatasetFormatError(f"{path}: line {lineno}: bad label {label_tok!r}")
-                if label < 0:
-                    raise DatasetFormatError(
-                        f"{path}: line {lineno}: negative label {label}"
-                    )
+        first = 3 if grid is None else 4
+        for lineno, line in enumerate(fh, start=first):
             try:
-                x = np.array(tokens[3:], dtype=np.float64)  # each value as float() parses it
-            except ValueError:
-                raise DatasetFormatError(
-                    f"{path}: line {lineno}: non-numeric feature value"
-                ) from None
-            problem = _row_problem(tag, sid, label, x, seen, f"line {lineno}")
-            if problem:
-                raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
-            ids, labels, xs = rows[tag]
+                tag, sid, label, rest = _row_head(path, n_features, lineno, line)
+            except DatasetFormatError:
+                if pending:  # a bad line before this one is named first
+                    _parse_rows(path, n_features, pending, seen)
+                raise
+            pending.append((lineno, tag, sid, label, rest))
+            ids, labels, row_numbers = rows[tag]
             ids.append(sid)
             labels.append(label)
-            xs.append(x)
-    parts = []
+            row_numbers.append(lineno - first)
+            if len(pending) == _CHUNK_ROWS:
+                blocks.append(_parse_rows(path, n_features, pending, seen))
+                pending = []
+        if pending:
+            blocks.append(_parse_rows(path, n_features, pending, seen))
     for tag in _SPLIT_TAGS:
-        ids, labels, xs = rows.pop(tag)
-        if tag != "trainU" and not ids:
+        if tag != "trainU" and not rows[tag][0]:
             raise DatasetFormatError(f"{path}: no {tag} rows")
-        n = len(ids)
-        parts.append(Split(np.array(ids, dtype=str),
-                           np.array(xs, dtype=np.float64).reshape(n, n_features),
-                           np.array(labels, dtype=np.int64), np.full(n, -1, dtype=np.int64)))
+    x = np.concatenate(blocks)
+    del blocks  # freed before the per-split copies, which lowers the peak
+    parts = [Split(np.array(ids, dtype=str), x[row_numbers], np.array(labels, dtype=np.int64),
+                   np.full(len(ids), -1, dtype=np.int64))
+             for ids, labels, row_numbers in rows.values()]
     return DatasetSplits(*parts, grid=grid)

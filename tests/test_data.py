@@ -6,10 +6,12 @@ import pytest
 
 from pseudosup.data import (
     DatasetFormatError,
+    DatasetSplits,
     LongitudinalSeries,
     QcRecord,
     QcReport,
     Sample,
+    Split,
     apply_crop_flip,
     augment_weak,
     concat_modalities,
@@ -22,6 +24,7 @@ from pseudosup.data import (
     split_dataset,
     splits_digest,
 )
+from pseudosup.data import _CHUNK_ROWS
 from pseudosup.metrics import auc_roc
 
 
@@ -479,6 +482,157 @@ class TestDatasetIO:
         path.write_text("gdp-synth v1\nn_features 1\ntest a ? 1.0\n")
         with pytest.raises(DatasetFormatError):
             load_dataset(str(path))
+
+
+_HEAD = "gdp-synth v1\nn_features 2\n"  # body row i is on line i + 3
+
+
+def _rows(n):
+    """Body lines of a valid two-feature file: trainL, val and test rows in turn."""
+    return [f"{('trainL', 'val', 'test')[i % 3]} r{i:05d} {i % 2} {i}.5 -{i}.25"
+            for i in range(n)]
+
+
+def _write(tmp_path, rows, head=_HEAD):
+    """The file `head` + `rows`; a lone surrogate in the text writes its raw byte."""
+    path = tmp_path / "d.txt"
+    path.write_text(head + "".join(row + "\n" for row in rows), encoding="utf-8",
+                    errors="surrogateescape")
+    return str(path)
+
+
+class TestFeatureTokens:
+    """A feature is an ASCII decimal number; Python-only number forms are not."""
+
+    @pytest.mark.parametrize("token", ["1_0", "\u0663", "0x10", "1,5", "1e", "nan(1)"])
+    def test_non_numeric_token_names_its_line(self, tmp_path, token):
+        rows = _rows(6)
+        rows[4] = f"val r00004 0 1.0 {token}"
+        with pytest.raises(DatasetFormatError, match="d.txt: line 7: non-numeric feature value$"):
+            load_dataset(_write(tmp_path, rows))
+
+    def test_signed_and_bare_point_forms_load(self, tmp_path):
+        rows = _rows(6)
+        rows[3] = "trainL r00003 1 +2 .5"
+        rows[4] = "val r00004 0 -0 1E5"
+        splits = load_dataset(_write(tmp_path, rows))
+        assert splits.labeled_train.X[1].tolist() == [2.0, 0.5]
+        x = splits.validation.X[1]
+        assert x.tolist() == [0.0, 1e5] and np.signbit(x[0])
+
+    def test_infinity_is_non_finite(self, tmp_path):
+        rows = _rows(6)
+        rows[2] = "test r00002 0 1.0 Infinity"
+        with pytest.raises(DatasetFormatError, match="d.txt: line 5: non-finite feature value$"):
+            load_dataset(_write(tmp_path, rows))
+
+
+class TestNotUtf8:
+    @pytest.mark.parametrize("line, old, new", [
+        (2, "n_features 2", "n_features 2\udcff"),
+        (1, "gdp-synth v1", "gdp-synth\udcff v1"),
+        (5, "r00002", "r\udcff0002"),
+        (4, "val r00001 1", "val r00001 \udcff"),
+        (6, "-3.25", "-3.2\udcff5"),
+    ], ids=["header", "first_header", "id", "label", "feature"])
+    def test_byte_that_is_not_utf8_names_its_line(self, tmp_path, line, old, new):
+        lines = _HEAD.splitlines() + _rows(6)
+        assert old in lines[line - 1]
+        lines[line - 1] = lines[line - 1].replace(old, new)  # \udcff writes the byte 0xff
+        with pytest.raises(DatasetFormatError, match=f"d.txt: line {line}: not UTF-8 text$"):
+            load_dataset(_write(tmp_path, lines, head=""))
+
+
+# Faults of each kind at body row i, with the message that names them.
+_FAULTS = {
+    "non_numeric": (lambda i: f"trainL r{i:05d} 0 1.0 oops", "non-numeric feature value"),
+    "bad_tag": (lambda i: f"bogus r{i:05d} 0 1.0 2.0", "unknown split tag 'bogus'"),
+    "bad_label": (lambda i: f"trainL r{i:05d} x 1.0 2.0", "bad label 'x'"),
+    "duplicate_id": (lambda i: "test r00000 1 1.0 2.0",
+                     "duplicate id 'r00000' \\(first on line 3\\)"),
+    "labeled_unknown": (lambda i: f"val r{i:05d} ? 1.0 2.0", "val samples must be labeled"),
+    "nan": (lambda i: f"test r{i:05d} 1 nan 2.0", "non-finite feature value"),
+    "not_utf8": (lambda i: f"test r{i:05d}\udcff 1 1.0 2.0", "not UTF-8 text"),
+    "short": (lambda i: f"test r{i:05d} 1", "expected 5 fields, got 3"),
+}
+
+
+class TestFirstBadLineWins:
+    """Over a file longer than two parse chunks, the first bad line in file
+    order is the one named, whatever the kinds of the two faults."""
+
+    @pytest.mark.parametrize("rows_at", [(_CHUNK_ROWS - 1, _CHUNK_ROWS + 3), (4, 9)],
+                             ids=["across_chunks", "one_chunk"])
+    @pytest.mark.parametrize("numeric_first", [True, False])
+    @pytest.mark.parametrize("other", [k for k in _FAULTS if k != "non_numeric"])
+    def test_earlier_fault_named(self, tmp_path, other, numeric_first, rows_at):
+        kinds = ("non_numeric", other) if numeric_first else (other, "non_numeric")
+        rows = _rows(2 * _CHUNK_ROWS + 10)
+        for kind, i in zip(kinds, rows_at):
+            rows[i] = _FAULTS[kind][0](i)
+        message = _FAULTS[kinds[0]][1]
+        with pytest.raises(DatasetFormatError, match=f"d.txt: line {rows_at[0] + 3}: {message}$"):
+            load_dataset(_write(tmp_path, rows))
+
+    @pytest.mark.parametrize("row, message", [
+        ("trainL r00004 0 oops 1.0 2.0", "expected 5 fields, got 6"),
+        ("trainL r00000 0 oops 2.0", "non-numeric feature value"),
+        ("bogus r00004 0 1.0", "expected 5 fields, got 4"),
+        ("trainL r00004 x 1.0 2.0 3.0", "expected 5 fields, got 6"),
+        ("bogus r00004 x 1.0 2.0", "unknown split tag 'bogus'"),
+        ("val r00000 ? nan 1.0", "duplicate id 'r00000' \\(first on line 3\\)"),
+        ("val r00004 ? nan 1.0", "val samples must be labeled"),
+        ("val r\udcff ? oops", "not UTF-8 text"),
+    ])
+    def test_rules_on_one_line_keep_their_rank(self, tmp_path, row, message):
+        rows = _rows(8)
+        rows[4] = row
+        with pytest.raises(DatasetFormatError, match=f"d.txt: line 7: {message}$"):
+            load_dataset(_write(tmp_path, rows))
+
+
+class TestChunkedReaderMatchesFloat:
+    def test_values_bit_for_bit(self, tmp_path):
+        rng = np.random.default_rng(23)
+        n, d = 2 * _CHUNK_ROWS + 3, 5
+        x = rng.integers(0, 2**64, size=(n, d), dtype=np.uint64).view(np.float64)
+        x[~np.isfinite(x)] = 1.0
+        x[:, 1] = rng.standard_normal(n) * 10.0 ** rng.integers(-300, 300, n)
+        x[0, :3] = [5e-324, -0.0, 1.7976931348623157e308]
+        x[1, :3] = [-5e-324, 0.0, -1.7976931348623157e308]
+        y = np.arange(n, dtype=np.int64) % 2
+        split = Split(np.array([f"r{i}" for i in range(n)]), x, y, np.full(n, -1))
+        parts = [split.take(np.arange(k, n, 4)) for k in range(4)]
+        parts[1].y[:] = -1
+        source = DatasetSplits(*parts)
+        path = str(tmp_path / "d.txt")
+        save_dataset(source, path)
+        with open(path) as fh:
+            body = fh.read().splitlines()[2:]
+        # the oracle: float() over each feature token, as the loader read them before
+        by_tag = {}
+        for line in body:
+            tag, _, _, *tokens = line.split()
+            by_tag.setdefault(tag, []).append([float(t) for t in tokens])
+        loaded = load_dataset(path)
+        for tag, part, new in zip(("trainL", "trainU", "val", "test"), parts,
+                                  (loaded.labeled_train, loaded.unlabeled_train,
+                                   loaded.validation, loaded.test)):
+            expected = np.array(by_tag[tag]).view(np.uint64)
+            np.testing.assert_array_equal(new.X.view(np.uint64), expected)
+            np.testing.assert_array_equal(new.X.view(np.uint64), part.X.view(np.uint64))
+        assert splits_digest(loaded) == splits_digest(source)
+
+    @pytest.mark.parametrize("n_rows", [_CHUNK_ROWS, 2 * _CHUNK_ROWS, 2 * _CHUNK_ROWS + 1])
+    def test_chunk_boundaries_load_every_row(self, tmp_path, n_rows):
+        splits = load_dataset(_write(tmp_path, _rows(n_rows)))
+        loaded = np.concatenate([splits.labeled_train.X, splits.validation.X, splits.test.X])
+        assert sorted(loaded[:, 0].tolist()) == [i + 0.5 for i in range(n_rows)]
+
+    def test_body_without_rows_never_reaches_the_parser(self, tmp_path):
+        # np.loadtxt warns on empty input, and the test settings make that an error
+        with pytest.raises(DatasetFormatError, match="d.txt: no trainL rows$"):
+            load_dataset(_write(tmp_path, []))
 
 
 def _space_in_id(s):
