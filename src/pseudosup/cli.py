@@ -269,14 +269,20 @@ def _write_cell(out_dir: str, seed: int, result: TrainResult) -> None:
 def _run_cells(cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
                write_cells: bool = True) -> list[tuple[str, list[MetricsReport]]]:
     """Build the first seed's splits, which checks the dataset settings or
-    file, and check them against every cell's engine (`check_splits`), then
-    write config.ini; per seed, build and digest the splits once (a dataset
-    file: once in all) and train every (method, engine) cell on them, writing
-    each under `<output_dir>/<method>/<seed>` if `write_cells`. Returns, per
-    seed, the `splits_digest` of its splits and one report per cell."""
+    file, and check them against every cell's engine (`check_splits`; its
+    error names a dataset file the splits came from), then write config.ini;
+    per seed, build and digest the splits once (a dataset file: once in all)
+    and train every (method, engine) cell on them, writing each under
+    `<output_dir>/<method>/<seed>` if `write_cells`. Returns, per seed, the
+    `splits_digest` of its splits and one report per cell."""
     splits = build_splits(cfg.dataset, cfg.seeds[0])
-    for _, engine in cells:
-        check_splits(splits, engine)
+    try:
+        for _, engine in cells:
+            check_splits(splits, engine)
+    except ValueError as exc:
+        if cfg.dataset.path is None:
+            raise
+        raise ValueError(f"{exc} (dataset file {cfg.dataset.path})") from None
     ini = config_to_ini(cfg)
     os.makedirs(cfg.output_dir, exist_ok=True)
     with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:

@@ -411,15 +411,20 @@ def _text(path: str, lineno: int, line: str) -> str:
     return line
 
 
+def _fields_problem(n_features: int, text: str, head: int = 3) -> str | None:
+    """`expected K fields, got M` if a body line whose text after its first
+    `head` fields is `text` does not hold its 3 + n_features fields, else None."""
+    got = head + len(text.split())
+    return None if got == 3 + n_features else f"expected {3 + n_features} fields, got {got}"
+
+
 def _row_head(path: str, n_features: int, lineno: int, line: str) -> tuple[str, str, int, str]:
     """Tag, id, label and the unparsed feature text of body line `lineno`. The
     rules that need no feature value raise DatasetFormatError here, ranked as
     the format ranks them: UTF-8 text, field count, split tag, then label."""
     fields = _text(path, lineno, line).split(None, 3)
     if len(fields) < 4:
-        raise DatasetFormatError(
-            f"{path}: line {lineno}: expected {3 + n_features} fields, got {len(fields)}"
-        )
+        raise DatasetFormatError(f"{path}: line {lineno}: {_fields_problem(n_features, line, 0)}")
     tag, sid, label_tok, rest = fields
     problem = None
     if tag not in _SPLIT_TAGS:
@@ -438,31 +443,28 @@ def _row_head(path: str, n_features: int, lineno: int, line: str) -> tuple[str, 
             problem = f"negative label {label}"
     if problem is None:
         return tag, sid, label, rest
-    got = len(rest.split())
-    if got != n_features:
-        problem = f"expected {3 + n_features} fields, got {3 + got}"
+    problem = _fields_problem(n_features, rest) or problem
     raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
 
 
-def _parse_rows(path: str, n_features: int, rows: list, seen: dict[str, str]) -> np.ndarray:
-    """The features of `rows`, (lineno, tag, id, label, feature text) tuples of
-    body lines in file order, as one float64 block, after each row passes the
-    rules that need its values, in file order. One np.loadtxt call parses the
-    block; if it fails, each line is parsed alone by the same reader, so the
-    first bad line is the one named."""
+def _parse_rows(path: str, n_features: int, rows: list, texts: list[str],
+                seen: dict[str, str]) -> np.ndarray:
+    """The features of body lines in file order, as one float64 block: `rows`
+    holds their (lineno, tag, id, label) and `texts` their feature texts. Each
+    row must pass the rules that need its values, in file order. One np.loadtxt
+    call parses the block; if it fails, each line is parsed alone by the same
+    reader, so the first bad line is the one named."""
     try:
-        x = np.loadtxt([row[4] for row in rows], dtype=np.float64, comments=None, ndmin=2)
+        x = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         x = None
     if x is None or x.shape[1] != n_features:
         if len(rows) > 1:
-            return np.concatenate([_parse_rows(path, n_features, [row], seen) for row in rows])
-        lineno, rest = rows[0][0], rows[0][4]
-        got = len(rest.split())
-        problem = ("non-numeric feature value" if got == n_features
-                   else f"expected {3 + n_features} fields, got {3 + got}")
-        raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
-    for (lineno, tag, sid, label, _), finite in zip(rows, np.isfinite(x).all(axis=1).tolist()):
+            return np.concatenate([_parse_rows(path, n_features, [row], [text], seen)
+                                   for row, text in zip(rows, texts)])
+        problem = _fields_problem(n_features, texts[0]) or "non-numeric feature value"
+        raise DatasetFormatError(f"{path}: line {rows[0][0]}: {problem}")
+    for (lineno, tag, sid, label), finite in zip(rows, np.isfinite(x).all(axis=1).tolist()):
         problem = _row_problem(tag, sid, label, finite, seen, f"line {lineno}")
         if problem:
             raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
@@ -481,9 +483,9 @@ def load_dataset(path: str) -> DatasetSplits:
     to the nearest double as `float` rounds it: `+2`, `.5`, `-0` and `1e5` load.
     `1_0`, `0x10`, `1,5`, `1e`, `nan(1)` and non-ASCII digits are non-numeric;
     `nan`, `inf` and `Infinity` parse but are rejected as non-finite."""
-    rows = {tag: ([], [], []) for tag in _SPLIT_TAGS}  # ids, labels, row numbers
+    rows, texts = [], []  # (lineno, tag, id, label) per body line; this chunk's feature texts
     seen: dict[str, str] = {}  # id -> its line
-    blocks, pending = [], []  # parsed feature blocks; rows not yet parsed
+    blocks = []  # parsed feature blocks
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         if _text(path, 1, fh.readline()).rstrip("\n") != "gdp-synth v1":
             raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
@@ -497,30 +499,27 @@ def load_dataset(path: str) -> DatasetSplits:
                                          f"exceeds {n_features} features")
         else:
             fh.seek(body_start)
-        first = 3 if grid is None else 4
-        for lineno, line in enumerate(fh, start=first):
+        for lineno, line in enumerate(fh, start=3 if grid is None else 4):
             try:
                 tag, sid, label, rest = _row_head(path, n_features, lineno, line)
             except DatasetFormatError:
-                if pending:  # a bad line before this one is named first
-                    _parse_rows(path, n_features, pending, seen)
+                if texts:  # a bad line before this one is named first
+                    _parse_rows(path, n_features, rows[-len(texts):], texts, seen)
                 raise
-            pending.append((lineno, tag, sid, label, rest))
-            ids, labels, row_numbers = rows[tag]
-            ids.append(sid)
-            labels.append(label)
-            row_numbers.append(lineno - first)
-            if len(pending) == _CHUNK_ROWS:
-                blocks.append(_parse_rows(path, n_features, pending, seen))
-                pending = []
-        if pending:
-            blocks.append(_parse_rows(path, n_features, pending, seen))
+            rows.append((lineno, tag, sid, label))
+            texts.append(rest)
+            if len(texts) == _CHUNK_ROWS:
+                blocks.append(_parse_rows(path, n_features, rows[-_CHUNK_ROWS:], texts, seen))
+                texts = []
+        if texts:
+            blocks.append(_parse_rows(path, n_features, rows[-len(texts):], texts, seen))
+    tags = np.array([row[1] for row in rows], dtype=str)
     for tag in _SPLIT_TAGS:
-        if tag != "trainU" and not rows[tag][0]:
+        if tag != "trainU" and tag not in tags:
             raise DatasetFormatError(f"{path}: no {tag} rows")
     x = np.concatenate(blocks)
     del blocks  # freed before the per-split copies, which lowers the peak
-    parts = [Split(np.array(ids, dtype=str), x[row_numbers], np.array(labels, dtype=np.int64),
-                   np.full(len(ids), -1, dtype=np.int64))
-             for ids, labels, row_numbers in rows.values()]
-    return DatasetSplits(*parts, grid=grid)
+    whole = Split(np.array([row[2] for row in rows], dtype=str), x,
+                  np.array([row[3] for row in rows], dtype=np.int64),
+                  np.full(len(x), -1, dtype=np.int64))
+    return DatasetSplits(*(whole.take(tags == tag) for tag in _SPLIT_TAGS), grid=grid)

@@ -258,7 +258,9 @@ def save_model(model: MlpModel, path: str) -> None:
 
 def load_model(path: str) -> MlpModel:
     """Read a `save_model` checkpoint; a malformed one raises a ValueError
-    naming the path (and, for a blank line or a bad value, the line)."""
+    naming the path (and, for a blank line or a bad value, the line). A value
+    is an ASCII decimal number: `+2`, `.5`, `-0` and `1e5` load, while `1_0`
+    and non-ASCII digits are non-numeric."""
     values = []
     with open(path) as fh:
         header = fh.readline().split()
@@ -268,6 +270,9 @@ def load_model(path: str) -> MlpModel:
             if not line.strip():
                 raise ValueError(f"{path}: line {lineno}: blank line")
             try:
+                # float() alone also reads `1_0` and non-ASCII digits
+                if not line.isascii() or "_" in line:
+                    raise ValueError
                 value = float(line)
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric value "

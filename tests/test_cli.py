@@ -639,6 +639,21 @@ class TestCliEntry:
         assert "error: test must hold class 1 and another" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("test_rows, message", [
+        ("test f 0 1.0\ntest g 2 2.0\n", "test has a label outside [0, 2)"),
+        ("test f 0 1.0\ntest g 0 2.0\n",
+         "test must hold class 1 and another class for the AUC"),
+    ], ids=["label_out_of_range", "single_class_test"])
+    def test_engine_rule_on_a_dataset_file_names_the_file(self, tmp_path, capsys, test_rows,
+                                                          message):
+        ds = tmp_path / "ds.txt"
+        ds.write_text("gdp-synth v1\nn_features 1\n"
+                      "trainL a 0 1.0\ntrainL b 1 2.0\nval d 0 1.0\nval e 1 2.0\n" + test_rows)
+        rc = main(["run", "--dataset", str(ds), "--method", "supervised", "--seeds", "1",
+                   "--output-dir", str(tmp_path / "o")])
+        assert rc == 3
+        assert capsys.readouterr().err == f"error: {message} (dataset file {ds})\n"
+
     @pytest.mark.parametrize("flags, spec", [
         (["--dim", "5"], DatasetSpec(n_per_class=30, dim=5)),
         (["--dim", "12", "--grid", "3", "4"],

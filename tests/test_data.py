@@ -117,6 +117,12 @@ class TestSplit:
             assert (part.hidden == -1).all()
             assert part.y.tolist() == [by_id[i] for i in part.ids]
 
+    def test_source_with_hidden_labels_rejected(self):
+        samples = generate_overlapping_gaussians(10, 2, 1.0, seed=0)
+        samples.y[:] = -1
+        with pytest.raises(ValueError, match="^labeled_train must be fully labeled$"):
+            split_dataset(samples, 0.5, (0.6, 0.2, 0.2), seed=0)
+
     def test_bad_fractions_rejected(self):
         samples = generate_overlapping_gaussians(10, 2, 1.0, seed=0)
         with pytest.raises(ValueError):
@@ -159,6 +165,17 @@ class TestQcFilter:
         assert report.n_retained == 1
         assert report.excluded_low_signal == 1
         assert report.excluded_false_positive == 1
+
+    @pytest.mark.parametrize("record, message", [
+        ((11, 0.0, 0.0, 0.0), "signal strength must be in \\[0, 10\\]"),
+        ((-1, 0.0, 0.0, 0.0), "signal strength must be in \\[0, 10\\]"),
+        ((6, 1.5, 0.0, 0.0), "rates must be in \\[0, 1\\]"),
+        ((6, 0.0, -0.1, 0.0), "rates must be in \\[0, 1\\]"),
+        ((6, 0.0, 0.0, math.nan), "rates must be in \\[0, 1\\]"),
+    ])
+    def test_out_of_range_record_rejected(self, record, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            QcRecord(*record)
 
     def test_every_rule_broken_counts_once_under_each(self):
         records = [self.make(fix=0.33, fp=0.20, fn=0.20),
@@ -224,6 +241,17 @@ class TestProgression:
             derive_progression_labels(
                 self.series([0.0], np.zeros((1, 52)), [0.0])
             )
+
+    @pytest.mark.parametrize("t, td_shape, md_len, message", [
+        ([0.0, 1.0, 1.0], (3, 52), 3, "timestamps must be strictly increasing"),
+        ([1.0, 0.0], (2, 52), 2, "timestamps must be strictly increasing"),
+        ([0.0, 1.0], (2, 51), 2, "td_values must be \\[visits x 52\\]"),
+        ([0.0, 1.0], (52,), 2, "td_values must be \\[visits x 52\\]"),
+        ([0.0, 1.0], (2, 52), 3, "md_values must have one entry per visit"),
+    ])
+    def test_malformed_series_rejected(self, t, td_shape, md_len, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            self.series(t, np.zeros(td_shape), np.zeros(md_len))
 
     def test_td_range_enforced(self):
         with pytest.raises(ValueError):
@@ -629,6 +657,29 @@ class TestChunkedReaderMatchesFloat:
         loaded = np.concatenate([splits.labeled_train.X, splits.validation.X, splits.test.X])
         assert sorted(loaded[:, 0].tolist()) == [i + 0.5 for i in range(n_rows)]
 
+    def test_interleaved_tags_keep_file_order_per_split(self, tmp_path):
+        tags = ("trainL", "trainU", "val", "test")
+        rng = np.random.default_rng(29)
+        n = 2 * _CHUNK_ROWS + 37  # three parse chunks
+        line_tags = [tags[k] for k in rng.integers(0, 4, n)]
+        assert all(len(set(line_tags[k : k + _CHUNK_ROWS])) == 4 for k in range(0, n, _CHUNK_ROWS))
+        ids = [f"r{k:05d}" for k in rng.permutation(n)]  # file order is not id order
+        x = rng.standard_normal((n, 2))
+        y = np.where(np.array(line_tags) == "trainU", -1, rng.integers(0, 2, n))
+        rows = [f"{tag} {sid} {'?' if label < 0 else label} {a!r} {b!r}"
+                for tag, sid, label, (a, b) in zip(line_tags, ids, y.tolist(), x.tolist())]
+        loaded = load_dataset(_write(tmp_path, rows))
+        # each split as its rows stand in the file, in file order
+        whole = Split(np.array(ids), x, y, np.full(n, -1))
+        source = DatasetSplits(*(whole.take([i for i in range(n) if line_tags[i] == tag])
+                                 for tag in tags))
+        for part, new in zip((source.labeled_train, source.unlabeled_train,
+                              source.validation, source.test),
+                             (loaded.labeled_train, loaded.unlabeled_train,
+                              loaded.validation, loaded.test)):
+            assert new.ids.tolist() == part.ids.tolist()
+        assert splits_digest(loaded) == splits_digest(source)
+
     def test_body_without_rows_never_reaches_the_parser(self, tmp_path):
         # np.loadtxt warns on empty input, and the test settings make that an error
         with pytest.raises(DatasetFormatError, match="d.txt: no trainL rows$"):
@@ -660,6 +711,10 @@ def _grid_beyond_features(s):
     s.grid = (3, 3)
 
 
+def _test_split_narrower(s):
+    s.test.X = s.test.X[:, :5]
+
+
 def _no_features(s):
     s.grid = None
     for part in (s.labeled_train, s.unlabeled_train, s.validation, s.test):
@@ -685,8 +740,10 @@ class TestSaveDatasetRules:
         (_grid_beyond_features, "cannot save grid 3x3: it needs sides >= 1 and at most "
                                 "6 cells"),
         (_no_features, "cannot save rows without features"),
+        (_test_split_narrower, "inconsistent feature lengths across splits"),
     ], ids=["space_in_id", "id_in_two_splits", "unlabeled_row_in_labeled_split",
-            "nan_feature", "empty_validation", "grid_beyond_features", "no_features"])
+            "nan_feature", "empty_validation", "grid_beyond_features", "no_features",
+            "test_split_narrower"])
     def test_rejected_before_writing(self, tmp_path, edit, message):
         splits = self.splits()
         edit(splits)

@@ -122,6 +122,11 @@ class TestDiscountedReturn:
         with pytest.raises(ValueError):
             discounted_return([1.0], 0.9, 1)
 
+    @pytest.mark.parametrize("gamma", [-0.1, 1.5, math.nan])
+    def test_gamma_out_of_range(self, gamma):
+        with pytest.raises(ValueError, match=r"^gamma must be in \[0, 1\]$"):
+            discounted_return([1.0, 2.0], gamma, 0)
+
 
 class TestSamplePseudoLabels:
     def test_near_deterministic_distribution(self):

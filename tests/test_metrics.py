@@ -163,6 +163,20 @@ class TestCorrelationDensity:
         with pytest.raises(ValueError):
             correlation_density(x[:3], y[:3])
 
+    def test_unlabeled_rows_rejected(self):
+        x, y = self.samples()
+        y[3] = -1
+        with pytest.raises(ValueError, match="^correlation_density requires labeled rows$"):
+            correlation_density(x, y)
+
+    def test_empty_group_density_is_zero(self):
+        x, _ = self.samples()
+        density = correlation_density(x, np.zeros(len(x), dtype=np.int64))
+        assert len(density.between_group) == 0
+        np.testing.assert_array_equal(density.density("between"), np.zeros(50))
+        width = density.bin_edges[1] - density.bin_edges[0]
+        assert density.density("within").sum() * width == pytest.approx(1.0)
+
     def test_density_integrates_to_one(self):
         density = correlation_density(*self.samples())
         width = density.bin_edges[1] - density.bin_edges[0]

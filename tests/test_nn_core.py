@@ -206,6 +206,19 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(ValueError):
             softmax_cross_entropy(np.zeros((2, 2)), np.array([0, 2]))
 
+    @pytest.mark.parametrize("logits_shape, n_labels, n_weights, message", [
+        ((4,), 4, None, "logits must be \\[B x C\\] with one label per row"),
+        ((2, 3, 2), 2, None, "logits must be \\[B x C\\] with one label per row"),
+        ((3, 2), 2, None, "logits must be \\[B x C\\] with one label per row"),
+        ((3, 2), 3, 2, "weights must hold one value per row"),
+        ((3, 2), 3, 4, "weights must hold one value per row"),
+    ])
+    def test_shapes_checked(self, logits_shape, n_labels, n_weights, message):
+        weights = None if n_weights is None else np.ones(n_weights)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            softmax_cross_entropy(np.zeros(logits_shape), np.zeros(n_labels, dtype=int),
+                                  weights)
+
     def test_softmax_rows_sum_to_one(self):
         rng = np.random.default_rng(5)
         probs = np.exp(log_softmax(rng.normal(size=(10, 4)) * 50))
@@ -474,6 +487,21 @@ class TestCheckpoint:
         path.write_text("mlp 2 2\n" + "0.5\n" * 3 + "abc\n" + "0.5\n" * 2)
         with pytest.raises(ValueError, match="bad.ckpt: line 5: non-numeric value 'abc'"):
             load_model(str(path))
+
+    @pytest.mark.parametrize("value", ["1_0", "\u0663"])
+    def test_python_only_number_form_is_non_numeric(self, tmp_path, value):
+        path = tmp_path / "bad.ckpt"
+        path.write_text("mlp 2 2\n" + "0.5\n" * 3 + value + "\n" + "0.5\n" * 2,
+                        encoding="utf-8")
+        with pytest.raises(ValueError, match=f"bad.ckpt: line 5: non-numeric value {value!r}$"):
+            load_model(str(path))
+
+    def test_plain_number_forms_load(self, tmp_path):
+        path = tmp_path / "ok.ckpt"
+        path.write_text("mlp 2 2\n+2\n.5\n-0\n1e5\n-1.5E-3\n7\n")
+        loaded = load_model(str(path))
+        assert loaded.flat.tolist() == [2.0, 0.5, 0.0, 1e5, -1.5e-3, 7.0]
+        assert math.copysign(1.0, loaded.flat[2]) == -1.0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_value_names_path_and_line(self, tmp_path, value):
