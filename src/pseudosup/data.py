@@ -380,15 +380,22 @@ def save_dataset(splits: DatasetSplits, path: str) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _header_ints(path: str, lineno: int, line: str, key: str, count: int) -> tuple[int, ...]:
-    """The `count` positive integers after `key` on header line `lineno`, or a
-    DatasetFormatError."""
-    tokens = line.split()
+def _str_int(token: str) -> int | None:
+    """The integer `token` holds if it is written as `str` writes one, else
+    None: `+1`, `01`, `1_0` and non-ASCII digits are not."""
     try:
-        values = tuple(int(t) for t in tokens[1:])
+        value = int(token)
     except ValueError:
-        values = ()
-    if tokens[:1] != [key] or len(values) != count or min(values) < 1:
+        return None
+    return value if str(value) == token else None
+
+
+def _header_ints(path: str, lineno: int, line: str, key: str, count: int) -> tuple[int, ...]:
+    """The `count` positive integers after `key` on header line `lineno`,
+    each written as `str` writes it, or a DatasetFormatError."""
+    tokens = line.split()
+    values = tuple(_str_int(t) for t in tokens[1:])
+    if tokens[:1] != [key] or len(values) != count or None in values or min(values) < 1:
         raise DatasetFormatError(
             f"{path}: line {lineno}: expected '{key}' and {count} positive integer(s)"
         )
@@ -432,12 +439,8 @@ def _row_head(path: str, n_features: int, lineno: int, line: str) -> tuple[str, 
     elif label_tok == "?":
         label = -1
     else:
-        try:
-            label = int(label_tok)
-        except ValueError:
-            label = None
-        # only the form save_dataset writes, str(label), within int64
-        if label is None or str(label) != label_tok or label >= 2**63:
+        label = _str_int(label_tok)
+        if label is None or label >= 2**63:  # within int64
             problem = f"bad label {label_tok!r}"
         elif label < 0:
             problem = f"negative label {label}"

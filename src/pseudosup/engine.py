@@ -597,26 +597,25 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     yv = val.y[vidx].reshape(len(batches), n_v)
     nll = np.empty(2 * len(batches))  # [before_1, after_1, before_2, after_2, ...]
     rewards = np.empty(len(batches))
-    pending, scored = [], 0  # the validation logits of nll[scored:]
+    pending = []  # validation logits not yet scored, n_v rows per nll entry
 
-    def close() -> None:
-        """Score the pending logits with one log_softmax, reward in order each
-        step whose after-loss they complete, and if the last of these steps
-        ends a window, update the policy; a failure is named at its step."""
-        nonlocal scored
-        t = first = scored // 2
+    def close(hi: int) -> None:
+        """Score the pending logits, which complete nll[:hi], with one
+        log_softmax, reward in order each step whose after-loss they complete,
+        and if the last of these steps ends a window, update the policy; a
+        failure is named at its step."""
+        lo = hi - sum(map(len, pending)) // n_v
+        t = lo // 2
         try:
             if pending:
                 logits = np.concatenate(pending)
                 pending.clear()
-                k = len(logits) // n_v
-                labels = yv[np.arange(scored, scored + k) // 2].ravel()
+                labels = yv[np.arange(lo, hi) // 2].ravel()
                 picked = log_softmax(logits)[np.arange(len(labels)), labels]
-                nll[scored : scored + k] = _mean_nll(picked.reshape(k, n_v))
-                scored += k
-            for t in range(first + 1, scored // 2 + 1):
+                nll[lo:hi] = _mean_nll(picked.reshape(hi - lo, n_v))
+            for t in range(lo // 2 + 1, hi // 2 + 1):
                 rewards[t - 1] = compute_reward(*nll[2 * t - 2 : 2 * t].tolist())
-            if t > first and t % cfg.beta == 0:
+            if t > lo // 2 and t % cfg.beta == 0:
                 _, grad = _surrogate_grads(logits_p, cache_p, actions, rewards[t - cfg.beta : t],
                                            [len(actions) // cfg.beta] * cfg.beta, cfg.gamma)
                 opt_p.step(grad)  # descending -J ascends J
@@ -636,7 +635,7 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
             logits, cache = mlp_forward(classifier, np.concatenate([xs, v]))
             pending.append(logits[len(ys):])  # [v_{t-1}; v_t], or v_1
             if j == 0:  # the previous window's policy update, then this one's labels
-                close()
+                close(2 * step - 1)
                 logits_p = cache_p = None  # release the last window's forward before this one
                 logits_p, cache_p = mlp_forward(policy, x[is_u])
                 actions, _ = _inverse_cdf(log_softmax(logits_p), u)
@@ -645,9 +644,9 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
             if step % per_epoch == 0:
                 epochs.append(evaluate(classifier, splits.test))
         pending.append(mlp_forward(classifier, val.X[vidx[-n_v:]])[0])  # v_T
-        close()
+        close(2 * step)
     except NonFiniteError as exc:
-        close()
+        close(2 * step - 1)  # no NonFiniteError comes before a step's forward
         raise _diverged(cfg, f"step {step}", exc) from exc
     history = History([t // per_epoch + 1 for t in range(len(batches))],
                       [t % cfg.beta == 0 for t in range(1, len(batches) + 1)],

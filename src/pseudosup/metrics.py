@@ -125,28 +125,22 @@ def correlation_density(X: np.ndarray, y: np.ndarray, bins: int = 50) -> Correla
     y = np.asarray(y)
     if (y < 0).any():
         raise ValueError("correlation_density requires labeled rows")
-    counts = np.unique(y, return_counts=True)[1]
-    if (counts < 2).any():
+    if (np.unique(y, return_counts=True)[1] < 2).any():
         raise ValueError("need at least 2 samples per class")
     x = X - X.mean(axis=1, keepdims=True)
     sq = (x * x).sum(axis=1)
     gram = x @ x.T
     del x
     n = len(y)
-    n_pairs = n * (n - 1) // 2
-    n_within = int((counts * (counts - 1) // 2).sum())
-    within, between = np.empty(n_within), np.empty(n_pairs - n_within)
-    n_w = n_b = 0
+    within, between = [np.empty(0)], [np.empty(0)]  # np.concatenate([]) raises
     for i in range(n - 1):
         denom = np.sqrt(sq[i] * sq[i + 1 :])
         ok = denom != 0.0
         rho = gram[i, i + 1 :][ok] / denom[ok]
         same = y[i + 1 :][ok] == y[i]
-        w, b = rho[same], rho[~same]
-        within[n_w : n_w + len(w)] = w
-        between[n_b : n_b + len(b)] = b
-        n_w += len(w)
-        n_b += len(b)
-    skipped = n_pairs - n_w - n_b
-    within, between = within[:n_w], between[:n_b]
+        within.append(rho[same])
+        between.append(rho[~same])
+    del gram  # freed before the kept values are copied together, to hold the peak
+    within, between = np.concatenate(within), np.concatenate(between)
+    skipped = n * (n - 1) // 2 - len(within) - len(between)
     return CorrelationDensity(within, between, np.linspace(-1.0, 1.0, bins + 1), skipped)

@@ -258,14 +258,24 @@ def save_model(model: MlpModel, path: str) -> None:
 
 def load_model(path: str) -> MlpModel:
     """Read a `save_model` checkpoint; a malformed one raises a ValueError
-    naming the path (and, for a blank line or a bad value, the line). A value
-    is an ASCII decimal number: `+2`, `.5`, `-0` and `1e5` load, while `1_0`
-    and non-ASCII digits are non-numeric."""
+    naming the path (and, for a bad layer dim, a blank line or a bad value,
+    the line). A layer dim is an integer as `str` writes it: `+2`, `02` and
+    `2_0` are bad. A value is an ASCII decimal number: `+2`, `.5`, `-0` and
+    `1e5` load, while `1_0`, non-ASCII digits and bytes that are not UTF-8
+    are non-numeric."""
     values = []
-    with open(path) as fh:
+    # a byte that is not UTF-8 is kept as a lone surrogate, which no rule accepts
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().split()
         if not header or header[0] != "mlp":
             raise ValueError(f"{path}: not an mlp checkpoint")
+        for tok in header[1:]:
+            try:
+                if str(int(tok)) == tok:
+                    continue
+            except ValueError:
+                pass
+            raise ValueError(f"{path}: line 1: bad layer dim {tok!r}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 raise ValueError(f"{path}: line {lineno}: blank line")

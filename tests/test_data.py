@@ -461,6 +461,13 @@ class TestDatasetIO:
         ("n_features 1\nn_features 1\n", 3),
         ("n_features 1\ngrid 1 1\ngrid 1 1\n", 4),
         ("n_features 1\ngrid 2 2\n", 3),
+        # a header integer loads only as save_dataset writes it, str(n)
+        ("n_features \u0661\n", 2),
+        ("n_features 0_1\n", 2),
+        ("n_features +1\n", 2),
+        ("n_features 01\n", 2),
+        ("n_features 4\ngrid +2 2\n", 3),
+        ("n_features 4\ngrid 2 02\n", 3),
     ])
     def test_malformed_header_names_file_and_line(self, tmp_path, header, lineno):
         path = tmp_path / "d.txt"

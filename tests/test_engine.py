@@ -789,6 +789,86 @@ class TestStepByStepReference:
                                                              abs=0)
 
 
+def random_case(case):
+    """Splits and a config for `train` drawn from a fixed seed, over 20-90
+    rows per class at dim 20, label fraction 0.1-0.8, epochs 1-4, beta in
+    {1, 2, 3, 5, 7, 50}, batch sizes 1-24 and warmup 0-5, with augmentation
+    on a random grid in 30% of cases. Even cases redraw until every block
+    has a multiple of 4 rows (`four_row_rule`)."""
+    rng = np.random.default_rng([2026, case])
+    aligned = case % 2 == 0
+    while True:
+        splits = make_splits(n_per_class=int(rng.integers(20, 91)), dim=20,
+                             seed=int(rng.integers(1000)),
+                             label_fraction=float(rng.uniform(0.1, 0.8)))
+        h = int(rng.integers(1, 6))
+        splits = replace(splits, grid=(h, int(rng.integers(1, 20 // h + 1))))
+        unit = 4 if aligned else 1
+        batches = rng.integers(1, 24 // unit + 1, size=3) * unit
+        cfg = EngineConfig(
+            epochs=int(rng.integers(1, 5)), beta=int(rng.choice([1, 2, 3, 5, 7, 50])),
+            batch_labeled=int(batches[0]), batch_unlabeled=int(batches[1]),
+            batch_val=int(batches[2]), warmup_steps=int(rng.integers(0, 6)),
+            hidden_dims=[(8,), (16, 8)][rng.integers(2)],
+            pseudo_loss_weight=float(rng.choice([0.0, 0.5, 1.0])),
+            gamma=float(rng.choice([0.0, 0.9, 1.0])), policy_warm_start=bool(rng.integers(2)),
+            augment=bool(rng.random() < 0.3), classifier_lr=1e-2, policy_lr=1e-2,
+            seed=int(rng.integers(100)))
+        if np.unique(splits.test.y).size == 2 and (four_row_rule(splits, cfg) or not aligned):
+            return splits, cfg, rng
+
+
+def four_row_rule(splits, cfg):
+    """The module docstring's condition for `train` to equal the step-by-step
+    loop bit for bit: every update block, unlabeled batch and validation
+    batch has a multiple of 4 rows."""
+    n_l, b = len(splits.labeled_train), cfg.batch_labeled
+    m = min(cfg.batch_unlabeled, len(splits.unlabeled_train))
+    n_v = min(cfg.batch_val, len(splits.validation))
+    labeled = {min(b, n_l), n_l % b or min(b, n_l)}  # full batches and the last
+    blocks = {n + m if cfg.pseudo_loss_weight else n for n in labeled}
+    return all(k % 4 == 0 for k in (m, n_v, *blocks))
+
+
+@pytest.mark.parametrize("case", range(60))
+def test_train_matches_reference_at_random_shapes(tmp_path, monkeypatch, case):
+    """`train` against `reference_train`: equal update flags and epochs
+    everywhere, equal bytes where the 4-row rule holds, losses and rewards
+    within 1e-9 relative elsewhere. Every tenth case fails `compute_reward`
+    at a random call, and both loops must name the same step."""
+    splits, cfg, rng = random_case(case)
+    if case % 10 == 9:
+        n_steps = cfg.epochs * -(-len(splits.labeled_train) // cfg.batch_labeled)
+        fail_at = int(rng.integers(1, n_steps + 1))
+        errors, engine_reward = [], engine.compute_reward
+        for run in (train, reference_train):
+            calls = []
+
+            def failing(loss_before, loss_after):
+                calls.append(loss_before)
+                if len(calls) == fail_at:
+                    raise NonFiniteError("reward fails here")
+                return engine_reward(loss_before, loss_after)
+
+            with monkeypatch.context() as patch:
+                patch.setitem(globals(), "compute_reward", failing)  # reference_train's
+                patch.setattr(engine, "compute_reward", failing)
+                with pytest.raises(ValueError) as info:
+                    run(splits, cfg)
+            errors.append(str(info.value))
+        assert errors[0] == errors[1] == (f"training diverged at seed {cfg.seed}, "
+                                          f"step {fail_at}: reward fails here")
+        return
+    got, ref = train(splits, cfg), reference_train(splits, cfg)
+    assert got.history.epoch == ref.history.epoch
+    assert got.history.policy_update == ref.history.policy_update
+    if four_row_rule(splits, cfg):
+        TestStepByStepReference.assert_same_bytes(got, ref, tmp_path)
+    for name in ("loss_val_before", "loss_val_after", "reward"):
+        assert list(getattr(got.history, name)) == pytest.approx(
+            getattr(ref.history, name), rel=1e-9, abs=0)
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 class TestDivergence:
     """A loss or parameter that goes non-finite stops training with an error

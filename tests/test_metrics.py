@@ -177,6 +177,14 @@ class TestCorrelationDensity:
         width = density.bin_edges[1] - density.bin_edges[0]
         assert density.density("within").sum() * width == pytest.approx(1.0)
 
+    def test_zero_rows_give_empty_groups(self):
+        density = correlation_density(np.empty((0, 10)), np.empty(0, dtype=np.int64))
+        for group in ("within", "between"):
+            rho = getattr(density, f"{group}_group")
+            assert rho.dtype == np.float64 and rho.shape == (0,)
+            np.testing.assert_array_equal(density.density(group), np.zeros(50))
+        assert density.skipped_pairs == 0
+
     def test_density_integrates_to_one(self):
         density = correlation_density(*self.samples())
         width = density.bin_edges[1] - density.bin_edges[0]

@@ -471,7 +471,12 @@ class TestCheckpoint:
                                 ("mlp", "invalid layer dims []"),
                                 ("mlp 5", "invalid layer dims [5]"),
                                 ("mlp 2 0", "invalid layer dims [2, 0]"),
-                                ("mlp 2 -1", "invalid layer dims [2, -1]")]:
+                                ("mlp 2 -1", "invalid layer dims [2, -1]"),
+                                # a dim loads only as save_model writes it, str(d)
+                                ("mlp \u0662 3 2", "line 1: bad layer dim '\u0662'"),
+                                ("mlp 2 0_3 2", "line 1: bad layer dim '0_3'"),
+                                ("mlp +2 3 2", "line 1: bad layer dim '+2'"),
+                                ("mlp 02 3 2", "line 1: bad layer dim '02'")]:
             path.write_text(header + "\n")
             with pytest.raises(ValueError, match=re.escape(f"bad.ckpt: {message}")):
                 load_model(str(path))
@@ -486,6 +491,17 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_text("mlp 2 2\n" + "0.5\n" * 3 + "abc\n" + "0.5\n" * 2)
         with pytest.raises(ValueError, match="bad.ckpt: line 5: non-numeric value 'abc'"):
+            load_model(str(path))
+
+    @pytest.mark.parametrize("data, message", [
+        (b"mlp 2 2\n" + b"0.5\n" * 3 + b"0.5\xff\n" + b"0.5\n" * 2,
+         "line 5: non-numeric value '0.5\\udcff'"),
+        (b"mlp 2 2\xff\n" + b"0.5\n" * 6, "line 1: bad layer dim '2\\udcff'"),
+    ], ids=["value", "header"])
+    def test_byte_that_is_not_utf8_names_path_and_line(self, tmp_path, data, message):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=re.escape(f"bad.ckpt: {message}") + "$"):
             load_model(str(path))
 
     @pytest.mark.parametrize("value", ["1_0", "\u0663"])

@@ -33,3 +33,61 @@ class C:
 def test_counts_neither_blanks_nor_comments_nor_docstrings():
     # import, def f, the two lines of its return, class C, y, async def g
     assert code_lines.code_lines(SOURCE) == 7
+
+
+_spec = importlib.util.spec_from_file_location(
+    "drift", Path(__file__).resolve().parent.parent / "tools" / "drift.py")
+drift = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(drift)
+
+
+def write_tree(root, files):
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text)
+    return root
+
+
+def test_drift_reports_each_file(tmp_path, capsys):
+    common = {"config.ini": "[engine]\nseed = 1\n", "pseudo_sup/1/metrics.csv": "auc\n0.5\n"}
+    a = write_tree(tmp_path / "a", {
+        **common, "only_a.txt": "x\n", "notes.txt": "one\n",
+        "pseudo_sup/1/history.csv": "kind,step,loss,method\nstep,1,0.5,a\nstep,2,2.0,a\n"
+                                    "step,3,4.0,a\n",
+        "pseudo_sup/1/policy.ckpt": "mlp 2 1\n0.5\n-1\n3\n",
+        "pseudo_sup/1/classifier.ckpt": "mlp 2 1\n0.5\n-1\n3\n",
+        "summary.csv": "seed,auc\n1,0.5\n"})
+    b = write_tree(tmp_path / "b", {
+        **common, "only_b.txt": "y\n", "notes.txt": "two\n",
+        "pseudo_sup/1/history.csv": "kind,step,loss,method\nstep,1,0.5,a\nstep,2,2.5,b\n"
+                                    "step,3,3.0,a\n",
+        "pseudo_sup/1/policy.ckpt": "mlp 2 1\n0.5\n-1.5\n3\n",
+        "pseudo_sup/1/classifier.ckpt": "mlp 1 2\n0.5\n-1\n3\n",
+        "summary.csv": "seed,auc\n1,0.5\n2,0.5\n"})
+    assert drift.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "config.ini: equal",
+        "notes.txt: differs",
+        "only_a.txt: missing in B",
+        "only_b.txt: missing in A",
+        "pseudo_sup/1/classifier.ckpt: differs",  # other layer dims
+        "pseudo_sup/1/history.csv: column loss: max abs 1, max rel 0.25, first at row 2",
+        "pseudo_sup/1/history.csv: column method: non-numeric values differ, first at row 2",
+        "pseudo_sup/1/metrics.csv: equal",
+        "pseudo_sup/1/policy.ckpt: max abs 0.5, max rel 0.333, first at line 3",
+        "summary.csv: differs",  # another row count
+    ]
+
+
+def test_drift_exits_0_only_on_equal_bytes(tmp_path, capsys):
+    files = {"run/history.csv": "loss\n0.5\n", "run/classifier.ckpt": "mlp 1 1\n0\n0\n"}
+    a, b = write_tree(tmp_path / "a", files), write_tree(tmp_path / "b", files)
+    assert drift.main([str(a), str(b)]) == 0
+    assert capsys.readouterr().out.splitlines() == ["run/classifier.ckpt: equal",
+                                                    "run/history.csv: equal"]
+    (b / "run" / "history.csv").write_text("loss\n0.50\n")  # the same value, other bytes
+    assert drift.main([str(a), str(b)]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "run/history.csv: column loss: max abs 0, max rel 0, first at row 1")
+    assert drift.main([str(a), str(tmp_path / "none")]) == 2
