@@ -23,6 +23,7 @@ from typing import Any, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .data import (
+    VF_LOCATIONS,
     DatasetSplits,
     generate_multimodal_gaussians,
     generate_overlapping_gaussians,
@@ -61,7 +62,7 @@ class DatasetSpec:
     fractions: tuple[float, float, float] = (0.7, 0.1, 0.2)
     grid: tuple[int, int] | None = None
     multimodal: bool = False
-    vf_target_len: int = 52
+    vf_target_len: int = VF_LOCATIONS
 
 
 @dataclass(frozen=True)
@@ -185,14 +186,14 @@ def config_to_ini(cfg: ExperimentConfig) -> str:
     return buf.getvalue()
 
 
-def _ini_values(text: str) -> dict[_Field, Any]:
+def _ini_values(text: str, source: str = "<string>") -> dict[_Field, Any]:
     """The value of each schema field that the INI `text` sets, read as written
     (`%` is plain). Any other section, even an empty one, or key is a
     ConfigError, [DEFAULT] too: no header can name the default section "", so
-    [DEFAULT] is an ordinary one."""
+    [DEFAULT] is an ordinary one. A malformed text's error names `source`."""
     cp = configparser.ConfigParser(interpolation=None, default_section="")
     try:
-        cp.read_string(text)
+        cp.read_string(text, source)
     except configparser.Error as exc:
         raise ConfigError(f"malformed config: {exc}") from None
     fields = {(f.section, f.name): f for f in SCHEMA}
@@ -269,39 +270,40 @@ def _write_cell(out_dir: str, seed: int, result: TrainResult) -> None:
 def _run_cells(cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
                write_cells: bool = True) -> list[tuple[str, list[MetricsReport]]]:
     """Build the first seed's splits, which checks the dataset settings or
-    file, and check them against every cell's engine (`check_splits`; its
-    error names a dataset file the splits came from), then write config.ini;
-    per seed, build and digest the splits once (a dataset file: once in all)
-    and train every (method, engine) cell on them, writing each under
-    `<output_dir>/<method>/<seed>` if `write_cells`. Returns, per seed, the
-    `splits_digest` of its splits and one report per cell."""
+    file, and check them against every cell's engine (`check_splits`), then
+    write config.ini; per seed, build and digest the splits once (a dataset
+    file: once in all) and train every (method, engine) cell on them, writing
+    each under `<output_dir>/<method>/<seed>` if `write_cells`. Returns, per
+    seed, the `splits_digest` of its splits and one report per cell. A
+    ValueError raised once a dataset file is loaded, by a rule of the engine
+    or by a run that diverges on its values, ends with `(dataset file <path>)`."""
     splits = build_splits(cfg.dataset, cfg.seeds[0])
     try:
         for _, engine in cells:
             check_splits(splits, engine)
+        ini = config_to_ini(cfg)
+        os.makedirs(cfg.output_dir, exist_ok=True)
+        with open(os.path.join(cfg.output_dir, "config.ini"), "w", encoding="utf-8") as fh:
+            fh.write(ini)
+        split_hash = splits_digest(splits)
+        per_seed = []
+        for seed in cfg.seeds:
+            if seed != cfg.seeds[0] and cfg.dataset.path is None:
+                splits = build_splits(cfg.dataset, seed)
+                split_hash = splits_digest(splits)
+            reports = []
+            for method, engine in cells:
+                result = _run_method(method, splits, replace(engine, seed=seed),
+                                     cfg.confidence_threshold)
+                if write_cells:
+                    _write_cell(os.path.join(cfg.output_dir, method, str(seed)), seed, result)
+                reports.append(result.final_metrics)
+            per_seed.append((split_hash, reports))
+        return per_seed
     except ValueError as exc:
         if cfg.dataset.path is None:
             raise
         raise ValueError(f"{exc} (dataset file {cfg.dataset.path})") from None
-    ini = config_to_ini(cfg)
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    with open(os.path.join(cfg.output_dir, "config.ini"), "w") as fh:
-        fh.write(ini)
-    split_hash = splits_digest(splits)
-    per_seed = []
-    for seed in cfg.seeds:
-        if seed != cfg.seeds[0] and cfg.dataset.path is None:
-            splits = build_splits(cfg.dataset, seed)
-            split_hash = splits_digest(splits)
-        reports = []
-        for method, engine in cells:
-            result = _run_method(method, splits, replace(engine, seed=seed),
-                                 cfg.confidence_threshold)
-            if write_cells:
-                _write_cell(os.path.join(cfg.output_dir, method, str(seed)), seed, result)
-            reports.append(result.final_metrics)
-        per_seed.append((split_hash, reports))
-    return per_seed
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -398,10 +400,13 @@ def _config_from_args(args: argparse.Namespace) -> ExperimentConfig:
     values = {}
     if args.config:
         try:
-            with open(args.config) as fh:
-                values = _ini_values(fh.read())
+            with open(args.config, encoding="utf-8") as fh:
+                text = fh.read()
         except OSError as exc:
             raise ConfigError(f"cannot read config: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"cannot read config: {args.config}: {exc}") from None
+        values = _ini_values(text, args.config)
     return _override(ExperimentConfig(), values | _given(args, SCHEMA))
 
 

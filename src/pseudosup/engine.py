@@ -55,6 +55,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from itertools import chain, count, islice
 
 import numpy as np
 
@@ -304,16 +305,13 @@ def warmup_supervised(
     if len(labeled) == 0:
         raise ValueError("warmup requires a non-empty labeled set")
     x, y = labeled.X, labeled.y
-    steps_done = 0
-    try:
-        while steps_done < cfg.warmup_steps:
-            for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rng):
-                if steps_done >= cfg.warmup_steps:
-                    break
-                classifier_step(classifier, x[idx], y[idx], optimizer)
-                steps_done += 1
-    except NonFiniteError as exc:
-        raise _diverged(cfg, f"warmup step {steps_done + 1}", exc) from exc
+    # each epoch's permutation is drawn only when its first batch is taken
+    epochs = (_labeled_batches(len(labeled), cfg.batch_labeled, rng) for _ in count())
+    for step, idx in enumerate(islice(chain.from_iterable(epochs), cfg.warmup_steps), 1):
+        try:
+            classifier_step(classifier, x[idx], y[idx], optimizer)
+        except NonFiniteError as exc:
+            raise _diverged(cfg, f"warmup step {step}", exc) from exc
     return classifier
 
 

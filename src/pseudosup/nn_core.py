@@ -27,6 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import _str_int
+
 __all__ = [
     "NonFiniteError",
     "MlpModel",
@@ -249,8 +251,14 @@ class AdamW:
 
 
 def save_model(model: MlpModel, path: str) -> None:
-    """Text checkpoint: header then one value per line, 17 significant digits."""
+    """Text checkpoint: header then one value per line, 17 significant digits.
+    A NaN or infinite value, which `load_model` would reject, raises a
+    ValueError naming the path and its line before anything is written."""
     values = tuple(model.flat.tolist())
+    bad = np.flatnonzero(~np.isfinite(model.flat))
+    if bad.size:
+        raise ValueError(f"cannot save {path}: line {bad[0] + 2}: non-finite value "
+                         f"{values[bad[0]]}")
     with open(path, "w") as fh:
         fh.write(f"mlp {' '.join(str(d) for d in model.layer_dims)}\n")
         fh.write(("%.17g\n" * len(values)) % values)
@@ -269,13 +277,9 @@ def load_model(path: str) -> MlpModel:
         header = fh.readline().split()
         if not header or header[0] != "mlp":
             raise ValueError(f"{path}: not an mlp checkpoint")
-        for tok in header[1:]:
-            try:
-                if str(int(tok)) == tok:
-                    continue
-            except ValueError:
-                pass
-            raise ValueError(f"{path}: line 1: bad layer dim {tok!r}")
+        dims = [_str_int(tok) for tok in header[1:]]
+        if None in dims:
+            raise ValueError(f"{path}: line 1: bad layer dim {header[dims.index(None) + 1]!r}")
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 raise ValueError(f"{path}: line {lineno}: blank line")
@@ -291,6 +295,6 @@ def load_model(path: str) -> MlpModel:
                 raise ValueError(f"{path}: line {lineno}: non-finite value {value}")
             values.append(value)
     try:
-        return MlpModel([int(d) for d in header[1:]], np.array(values))
+        return MlpModel(dims, np.array(values))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from blas_kernel import PIN_KERNELS, openblas_core
 
 from pseudosup import cli, engine
 from pseudosup.cli import (
@@ -290,6 +291,23 @@ class TestConfigsCheckedWhenBuilt:
         assert main(["run", "--config", str(tmp_path / "absent.ini"),
                      "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("config error: cannot read config: ")
+        assert not out.exists()
+
+    def test_config_file_not_utf8_exits_2_naming_it(self, tmp_path, capsys):
+        path, out = tmp_path / "c.ini", tmp_path / "o"
+        path.write_bytes(b"[engine]\nbeta = 5\xff\n")
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith(
+            f"config error: cannot read config: {path}: 'utf-8' codec can't decode byte 0xff")
+        assert not out.exists()
+
+    def test_malformed_config_file_error_names_it(self, tmp_path, capsys):
+        path, out = tmp_path / "c.ini", tmp_path / "o"
+        path.write_bytes(b"beta = 5\n")
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr().err.splitlines()[:2] == [
+            "config error: malformed config: File contains no section headers.",
+            f"file: {str(path)!r}, line: 1"]
         assert not out.exists()
 
     @pytest.mark.parametrize("argv, message", [
@@ -654,6 +672,19 @@ class TestCliEntry:
         assert rc == 3
         assert capsys.readouterr().err == f"error: {message} (dataset file {ds})\n"
 
+    def test_divergence_on_a_dataset_file_names_the_file(self, tmp_path, capsys):
+        ds = tmp_path / "ds.txt"
+        ds.write_text("gdp-synth v1\nn_features 2\ntrainL a 0 0.5 -1.5\ntrainL b 1 1.5 2\n"
+                      "trainU c ? 1 0.25\nval d 0 -0.5 1\nval e 1 11111111111111111111 0\n"
+                      "test f 0 0 -1\ntest g 1 1.25 1\n")
+        rc = main(["run", "--dataset", str(ds), "--seeds", "1", "--epochs", "1",
+                   "--warmup-steps", "1", "--hidden-dims", "2", "--beta", "1",
+                   "--output-dir", str(tmp_path / "o")])
+        assert rc == 3
+        err = capsys.readouterr().err
+        assert err.startswith("error: training diverged at seed 1, step 1: reward overflows")
+        assert err.endswith(f" (dataset file {ds})\n")
+
     @pytest.mark.parametrize("flags, spec", [
         (["--dim", "5"], DatasetSpec(n_per_class=30, dim=5)),
         (["--dim", "12", "--grid", "3", "4"],
@@ -789,7 +820,14 @@ class TestCliEntry:
         for path in files:
             h.update(path.relative_to(out).as_posix().encode())
             h.update(path.read_bytes())
-        assert h.hexdigest() == digest
+        assert h.hexdigest() == digest, (
+            f"digest on OpenBLAS kernel {openblas_core()}; the pins are known to hold "
+            f"on {', '.join(PIN_KERNELS)}")
+
+    def test_openblas_core_is_unknown_without_the_library(self, tmp_path, monkeypatch):
+        assert openblas_core() != ""
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        assert openblas_core() == "unknown"
 
     def test_analyze_corr(self, tmp_path):
         ds = str(tmp_path / "ds.txt")

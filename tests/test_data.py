@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -24,6 +25,7 @@ from pseudosup.data import (
     split_dataset,
     splits_digest,
 )
+from pseudosup.cli import main
 from pseudosup.data import _CHUNK_ROWS
 from pseudosup.metrics import auc_roc
 
@@ -818,3 +820,68 @@ class TestSplitsDigest:
         edited.append(s)
         digests = [splits_digest(s) for s in edited]
         assert before not in digests and len(set(digests)) == len(digests)
+
+
+# A small valid file on which `run` exits 0, one token list per line
+_MUTATION_BASE = [
+    [b"gdp-synth", b"v1"], [b"n_features", b"2"], [b"grid", b"1", b"2"],
+    [b"trainL", b"a", b"0", b"0.5", b"-1.5"], [b"trainL", b"b", b"1", b"1.5", b"2"],
+    [b"trainU", b"c", b"?", b"1", b"0.25"], [b"val", b"d", b"0", b"-0.5", b"1"],
+    [b"val", b"e", b"1", b"2", b"0"], [b"test", b"f", b"0", b"0", b"-1"],
+    [b"test", b"g", b"1", b"1.25", b"1"],
+]
+_MUTANT_TOKENS = [b"", b"nan", b"1e999", b"-1", b"?", b"1" * 20, b"\xff"]
+
+
+def _mutants(kind):
+    """(name, file bytes) of each mutant of _MUTATION_BASE of one kind: a token
+    replaced by one of _MUTANT_TOKENS, a line deleted or a line duplicated."""
+    lines = [b" ".join(tokens) for tokens in _MUTATION_BASE]
+    for i, tokens in enumerate(_MUTATION_BASE):
+        if kind == "delete":
+            yield f"line {i + 1} deleted", lines[:i] + lines[i + 1:]
+        elif kind == "duplicate":
+            yield f"line {i + 1} doubled", lines[:i + 1] + lines[i:]
+        else:
+            for j in range(len(tokens)):
+                mutant = b" ".join(tokens[:j] + [kind] + tokens[j + 1:])
+                yield f"line {i + 1} token {j + 1}", lines[:i] + [mutant] + lines[i + 1:]
+
+
+class TestLoaderMutations:
+    """Every one-token, one-line mutation of a valid file loads, or is rejected
+    with an error naming the file and a line (or, for a whole-file rule, the
+    split it lacks); `run` on one that loads exits 0, or 3 naming the file."""
+
+    def test_base_file_runs(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_bytes(b"".join(b" ".join(t) + b"\n" for t in _MUTATION_BASE))
+        assert self.run(path, tmp_path / "o") == 0
+
+    @staticmethod
+    def run(path, out):
+        return main(["run", "--dataset", str(path), "--seeds", "1", "--epochs", "1",
+                     "--warmup-steps", "1", "--hidden-dims", "2", "--beta", "1",
+                     "--output-dir", str(out)])
+
+    @pytest.mark.parametrize("kind", [*_MUTANT_TOKENS, "delete", "duplicate"],
+                             ids=["empty", "nan", "1e999", "-1", "?", "20-digit",
+                                  "not-utf8", "delete", "duplicate"])
+    def test_each_mutant_loads_or_names_file_and_line(self, tmp_path, capsys, kind):
+        bad = []
+        for n, (name, lines) in enumerate(_mutants(kind)):
+            path = tmp_path / f"m{n}.txt"
+            path.write_bytes(b"".join(line + b"\n" for line in lines))
+            try:
+                load_dataset(str(path))
+            except DatasetFormatError as exc:
+                named = re.escape(str(path)) + r": (line \d+: |no (trainL|val|test) rows$)"
+                if not re.match(named, str(exc)):
+                    bad.append(f"{name}: {exc}")
+                continue
+            capsys.readouterr()
+            rc = self.run(path, tmp_path / f"o{n}")
+            err = capsys.readouterr().err
+            if rc not in (0, 3) or (rc == 3 and str(path) not in err):
+                bad.append(f"{name}: run exited {rc}: {err}")
+        assert bad == []

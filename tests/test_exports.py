@@ -1,11 +1,13 @@
 import importlib
 import inspect
 import re
+import shlex
 from pathlib import Path
 
 import pytest
 
 import pseudosup
+from pseudosup.cli import build_parser
 
 MODULES = ["data", "engine", "metrics", "nn_core"]
 
@@ -59,3 +61,17 @@ def test_readme_library_use_runs_as_its_comment_says(capsys):
     shapes, auc = capsys.readouterr().out.splitlines()
     assert shapes == "(175, 20) [-1 -1 -1]"
     assert 0.5 < float(auc) <= 1.0
+
+
+def test_readme_cli_examples_parse():
+    """Every `pseudosup` line of the README's `sh` blocks parses, so a renamed
+    flag cannot leave an example behind."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    lines = "".join(re.findall(r"```sh\n(.*?)```", readme, re.S)).replace("\\\n", "").splitlines()
+    commands = [shlex.split(line) for line in lines if line.startswith("pseudosup ")]
+    assert len(commands) == 6
+    for argv in commands:
+        try:
+            build_parser().parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")

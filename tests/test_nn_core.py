@@ -476,7 +476,8 @@ class TestCheckpoint:
                                 ("mlp \u0662 3 2", "line 1: bad layer dim '\u0662'"),
                                 ("mlp 2 0_3 2", "line 1: bad layer dim '0_3'"),
                                 ("mlp +2 3 2", "line 1: bad layer dim '+2'"),
-                                ("mlp 02 3 2", "line 1: bad layer dim '02'")]:
+                                ("mlp 02 3 2", "line 1: bad layer dim '02'"),
+                                ("mlp +2 0_3 2", "line 1: bad layer dim '+2'")]:
             path.write_text(header + "\n")
             with pytest.raises(ValueError, match=re.escape(f"bad.ckpt: {message}")):
                 load_model(str(path))
@@ -518,6 +519,15 @@ class TestCheckpoint:
         loaded = load_model(str(path))
         assert loaded.flat.tolist() == [2.0, 0.5, 0.0, 1e5, -1.5e-3, 7.0]
         assert math.copysign(1.0, loaded.flat[2]) == -1.0
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_save_refuses_non_finite_value_before_writing(self, tmp_path, value):
+        path = tmp_path / "bad.ckpt"
+        model = MlpModel([2, 2], [1.0, value, 0.0, 0.0, 0.0, 0.0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"cannot save {path}: line 3: non-finite value {value}") + "$"):
+            save_model(model, str(path))
+        assert not path.exists()
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
     def test_non_finite_value_names_path_and_line(self, tmp_path, value):
