@@ -460,8 +460,11 @@ def _cmd_analyze_corr(args: argparse.Namespace) -> None:
         raise ConfigError(f"bins must be >= 1, got {args.bins}")
     splits = load_dataset(args.dataset)
     labeled = (splits.labeled_train, splits.validation, splits.test)
-    density = correlation_density(np.concatenate([p.X for p in labeled]),
-                                  np.concatenate([p.y for p in labeled]), bins=args.bins)
+    try:
+        density = correlation_density(np.concatenate([p.X for p in labeled]),
+                                      np.concatenate([p.y for p in labeled]), bins=args.bins)
+    except ValueError as exc:
+        raise ValueError(f"{exc} (dataset file {args.dataset})") from None
     os.makedirs(args.out_dir, exist_ok=True)
     centers = density.bin_centers()
     for group in ("within", "between"):

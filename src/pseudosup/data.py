@@ -4,6 +4,7 @@ multimodal concatenation, weak augmentation, and dataset file I/O."""
 from __future__ import annotations
 
 import hashlib
+import io
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -326,58 +327,33 @@ def splits_digest(splits: DatasetSplits) -> str:
     return h.hexdigest()
 
 
-def _row_problem(tag: str, sid: str, label: int, finite: bool,
-                 seen: dict[str, str], where: str) -> str | None:
-    """The first rule of the dataset format that a row breaks, or None. Its
-    id must be new to `seen`, which records it at `where`; a row outside
-    trainU must be labeled; its features must all be finite, as `finite`
-    says. `save_dataset` and `load_dataset` both check every row with it."""
-    if sid in seen:
-        return f"duplicate id {sid!r} (first on {seen[sid]})"
-    seen[sid] = where
-    if label < 0 and tag != "trainU":
-        return f"{tag} samples must be labeled"
-    if not finite:
-        return "non-finite feature value"
-    return None
-
-
 def save_dataset(splits: DatasetSplits, path: str) -> None:
     """Write the text format: `gdp-synth v1` header, feature count, optional grid
     dims, then one `<tag> <id> <label-or-?> <17-digit features...>` line per row.
-    Splits that `load_dataset` would reject raise ValueError, naming the
-    split and the row, before anything is written."""
+    The text is first read back by `load_dataset`'s own reader; splits it
+    rejects raise ValueError `cannot save <path>: line N: <rule>`, naming the
+    line the row would go on, before `path` is opened. So does an id that is
+    not one token without whitespace, which the reader cannot tell from a
+    field-count error."""
     parts = (splits.labeled_train, splits.unlabeled_train, splits.validation, splits.test)
-    widths = {part.X.shape[1] for part in parts}
-    if len(widths) != 1:
-        raise ValueError("inconsistent feature lengths across splits")
-    n_features = widths.pop()
-    if n_features < 1:
-        raise ValueError("cannot save rows without features")
-    lines = ["gdp-synth v1", f"n_features {n_features}"]
+    lines = ["gdp-synth v1", f"n_features {splits.labeled_train.X.shape[1]}"]
     if splits.grid is not None:
         h, w = splits.grid
-        if min(h, w) < 1 or h * w > n_features:
-            raise ValueError(f"cannot save grid {h}x{w}: it needs sides >= 1 and at most "
-                             f"{n_features} cells")
         lines.append(f"grid {h} {w}")
-    seen: dict[str, str] = {}
     for tag, part in zip(_SPLIT_TAGS, parts):
-        if tag != "trainU" and not len(part):
-            raise ValueError(f"cannot save splits with no {tag} rows")
-        finite = np.isfinite(part.X).all(axis=1).tolist()
-        rows = zip(part.ids.tolist(), part.y.tolist(), part.X, finite)
-        for i, (sid, label, x, x_finite) in enumerate(rows):
-            if sid.split() != [sid]:  # the loader splits its lines on whitespace
-                problem = f"id {sid!r} is empty or holds whitespace"
-            else:
-                problem = _row_problem(tag, sid, label, x_finite, seen, f"{tag} row {i}")
-            if problem:
-                raise ValueError(f"cannot save {tag} row {i}: {problem}")
+        for i, (sid, label, x) in enumerate(zip(part.ids.tolist(), part.y.tolist(), part.X)):
+            if sid.split() != [sid]:  # the reader splits its lines on whitespace
+                raise ValueError(f"cannot save {tag} row {i}: id {sid!r} is empty or "
+                                 f"holds whitespace")
             feats = " ".join(f"{v:.17g}" for v in x.tolist())
             lines.append(f"{tag} {sid} {'?' if label < 0 else label} {feats}")
+    text = "\n".join(lines) + "\n"
+    try:
+        _read(path, io.StringIO(text, newline=None))  # splits lines as `open` does
+    except DatasetFormatError as exc:
+        raise ValueError(f"cannot save {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:  # the encoding load_dataset reads
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)
 
 
 def _str_int(token: str) -> int | None:
@@ -451,12 +427,14 @@ def _row_head(path: str, n_features: int, lineno: int, line: str) -> tuple[str, 
 
 
 def _parse_rows(path: str, n_features: int, rows: list, texts: list[str],
-                seen: dict[str, str]) -> np.ndarray:
+                seen: dict[str, int]) -> np.ndarray:
     """The features of body lines in file order, as one float64 block: `rows`
     holds their (lineno, tag, id, label) and `texts` their feature texts. Each
-    row must pass the rules that need its values, in file order. One np.loadtxt
-    call parses the block; if it fails, each line is parsed alone by the same
-    reader, so the first bad line is the one named."""
+    row must then pass, in file order, the rules that need its values: an id
+    new to `seen` (which maps each id to its line), a label outside trainU, and
+    finite features. One np.loadtxt call parses the block; if it fails, each
+    line is parsed alone by the same reader, so the first bad line is the one
+    named."""
     try:
         x = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
@@ -468,10 +446,62 @@ def _parse_rows(path: str, n_features: int, rows: list, texts: list[str],
         problem = _fields_problem(n_features, texts[0]) or "non-numeric feature value"
         raise DatasetFormatError(f"{path}: line {rows[0][0]}: {problem}")
     for (lineno, tag, sid, label), finite in zip(rows, np.isfinite(x).all(axis=1).tolist()):
-        problem = _row_problem(tag, sid, label, finite, seen, f"line {lineno}")
-        if problem:
-            raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
+        if sid in seen:
+            problem = f"duplicate id {sid!r} (first on line {seen[sid]})"
+        elif label < 0 and tag != "trainU":
+            problem = f"{tag} samples must be labeled"
+        elif not finite:
+            problem = "non-finite feature value"
+        else:
+            seen[sid] = lineno
+            continue
+        raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
     return x
+
+
+def _read(path: str, fh) -> DatasetSplits:
+    """The splits of the dataset text that `fh` streams, read as `load_dataset`
+    describes; `path` names the file in errors. `fh` may be an open file or an
+    `io.StringIO`: it is read with `readline`, `tell`, `seek` and iteration."""
+    rows, texts = [], []  # (lineno, tag, id, label) per body line; this chunk's feature texts
+    seen: dict[str, int] = {}  # id -> its line
+    blocks = []  # parsed feature blocks
+    if _text(path, 1, fh.readline()).rstrip("\n") != "gdp-synth v1":
+        raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
+    (n_features,) = _header_ints(path, 2, _text(path, 2, fh.readline()), "n_features", 1)
+    grid, body_start = None, fh.tell()
+    line = _text(path, 3, fh.readline())
+    if line.split()[:1] == ["grid"]:
+        grid = _header_ints(path, 3, line, "grid", 2)
+        if grid[0] * grid[1] > n_features:
+            raise DatasetFormatError(f"{path}: line 3: grid {grid[0]}x{grid[1]} "
+                                     f"exceeds {n_features} features")
+    else:
+        fh.seek(body_start)
+    for lineno, line in enumerate(fh, start=3 if grid is None else 4):
+        try:
+            tag, sid, label, rest = _row_head(path, n_features, lineno, line)
+        except DatasetFormatError:
+            if texts:  # a bad line before this one is named first
+                _parse_rows(path, n_features, rows[-len(texts):], texts, seen)
+            raise
+        rows.append((lineno, tag, sid, label))
+        texts.append(rest)
+        if len(texts) == _CHUNK_ROWS:
+            blocks.append(_parse_rows(path, n_features, rows[-_CHUNK_ROWS:], texts, seen))
+            texts = []
+    if texts:
+        blocks.append(_parse_rows(path, n_features, rows[-len(texts):], texts, seen))
+    tags = np.array([row[1] for row in rows], dtype=str)
+    for tag in _SPLIT_TAGS:
+        if tag != "trainU" and tag not in tags:
+            raise DatasetFormatError(f"{path}: no {tag} rows")
+    x = np.concatenate(blocks)
+    del blocks  # freed before the per-split copies, which lowers the peak
+    whole = Split(np.array([row[2] for row in rows], dtype=str), x,
+                  np.array([row[3] for row in rows], dtype=np.int64),
+                  np.full(len(x), -1, dtype=np.int64))
+    return DatasetSplits(*(whole.take(tags == tag) for tag in _SPLIT_TAGS), grid=grid)
 
 
 def load_dataset(path: str) -> DatasetSplits:
@@ -485,44 +515,7 @@ def load_dataset(path: str) -> DatasetSplits:
     an ASCII decimal number with an optional sign, point and exponent, rounded
     to the nearest double as `float` rounds it: `+2`, `.5`, `-0` and `1e5` load.
     `1_0`, `0x10`, `1,5`, `1e`, `nan(1)` and non-ASCII digits are non-numeric;
-    `nan`, `inf` and `Infinity` parse but are rejected as non-finite."""
-    rows, texts = [], []  # (lineno, tag, id, label) per body line; this chunk's feature texts
-    seen: dict[str, str] = {}  # id -> its line
-    blocks = []  # parsed feature blocks
+    `nan`, `inf` and `Infinity` parse but are rejected as non-finite.
+    `save_dataset` checks its text with the same reader."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        if _text(path, 1, fh.readline()).rstrip("\n") != "gdp-synth v1":
-            raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
-        (n_features,) = _header_ints(path, 2, _text(path, 2, fh.readline()), "n_features", 1)
-        grid, body_start = None, fh.tell()
-        line = _text(path, 3, fh.readline())
-        if line.split()[:1] == ["grid"]:
-            grid = _header_ints(path, 3, line, "grid", 2)
-            if grid[0] * grid[1] > n_features:
-                raise DatasetFormatError(f"{path}: line 3: grid {grid[0]}x{grid[1]} "
-                                         f"exceeds {n_features} features")
-        else:
-            fh.seek(body_start)
-        for lineno, line in enumerate(fh, start=3 if grid is None else 4):
-            try:
-                tag, sid, label, rest = _row_head(path, n_features, lineno, line)
-            except DatasetFormatError:
-                if texts:  # a bad line before this one is named first
-                    _parse_rows(path, n_features, rows[-len(texts):], texts, seen)
-                raise
-            rows.append((lineno, tag, sid, label))
-            texts.append(rest)
-            if len(texts) == _CHUNK_ROWS:
-                blocks.append(_parse_rows(path, n_features, rows[-_CHUNK_ROWS:], texts, seen))
-                texts = []
-        if texts:
-            blocks.append(_parse_rows(path, n_features, rows[-len(texts):], texts, seen))
-    tags = np.array([row[1] for row in rows], dtype=str)
-    for tag in _SPLIT_TAGS:
-        if tag != "trainU" and tag not in tags:
-            raise DatasetFormatError(f"{path}: no {tag} rows")
-    x = np.concatenate(blocks)
-    del blocks  # freed before the per-split copies, which lowers the peak
-    whole = Split(np.array([row[2] for row in rows], dtype=str), x,
-                  np.array([row[3] for row in rows], dtype=np.int64),
-                  np.full(len(x), -1, dtype=np.int64))
-    return DatasetSplits(*(whole.take(tags == tag) for tag in _SPLIT_TAGS), grid=grid)
+        return _read(path, fh)

@@ -1,4 +1,5 @@
 import configparser
+import contextlib
 import dataclasses
 import gc
 import hashlib
@@ -6,6 +7,8 @@ import importlib
 import json
 import os
 import re
+import subprocess
+import sys
 import weakref
 from pathlib import Path
 
@@ -105,6 +108,56 @@ TRAIN_FLAGS = [
     "--batch-labeled", "4", "--batch-unlabeled", "16", "--batch-val", "16",
     "--classifier-lr", "0.01", "--policy-lr", "0.01",
 ]
+
+# sha256 over each cell's history.csv, metrics.csv and checkpoints; pins
+# every training RNG stream and floating-point operation of the four
+# methods. Last re-recorded when metrics.csv lost its constant
+# positive_class column; the files written before, with that column
+# stripped, give these same digests.
+TRAINING_PINS = [
+    ("pseudo_sup", [],
+     "de4f853ea1b169969009b235d597d053c947bc20cf63de33dd6f0b513e533f30"),
+    ("pseudo_sup_aug", ["--grid", "2", "2"],
+     "95de9b384502d58a4137c97abfe0af3a0ba1e36bd161e45376ec0497aa9a15a7"),
+    ("supervised", [],
+     "b2950aea8f9dd65a6ec1df4ba99e2f51c7765939033cdbf976e7f0426f75427b"),
+    ("self_training", ["--confidence-threshold", "0.6"],
+     "f48022589c7d04a4b22cc322d53ec1e8018ba70b0575e13e84dfd973714a94c6"),
+    ("pseudo_sup", ["--no-policy-warm-start"],
+     "d8a085018a35aed8ebf956b7cd83b524535c2ccf0ad63971baefc410e9c9d555"),
+    # sides of 4 and 5 can be cropped at the default crop_scale_min 0.8;
+    # sides of 2, as in the row above, only ever flip
+    ("pseudo_sup_aug", ["--dim", "20", "--grid", "4", "5"],
+     "f8b79bb5448133b0d5f37d6b013a52d73f9b303b65a245547bd94173248d09e9"),
+]
+
+
+def pin_digest(out: Path, method: str, flags: list[str]) -> str:
+    """The digest of a TRAINING_PINS row: `run --method <method>` with
+    TRAIN_FLAGS and `flags` into `out`, then sha256 over each written file's
+    path under `out` and its bytes, in sorted order."""
+    assert main(["run", "--method", method, *TRAIN_FLAGS, *flags,
+                 "--output-dir", str(out)]) == 0
+    files = sorted(p for p in (out / method).rglob("*") if p.is_file())
+    assert len(files) == (8 if method.startswith("pseudo_sup") else 6)
+    h = hashlib.sha256()
+    for path in files:
+        h.update(path.relative_to(out).as_posix().encode())
+        h.update(path.read_bytes())
+    return h.hexdigest()
+
+
+# Run as `python -c _KERNEL_CHILD OUT_DIR I...`: the TRAINING_PINS rows I into
+# OUT_DIR, then, as the last stdout line, JSON of the OpenBLAS core and their digests
+_KERNEL_CHILD = """
+import json, sys
+from pathlib import Path
+from blas_kernel import openblas_core
+from test_cli import TRAINING_PINS, pin_digest
+digests = [pin_digest(Path(sys.argv[1]) / i, *TRAINING_PINS[int(i)][:2]) for i in sys.argv[2:]]
+print(json.dumps({"core": openblas_core(), "digests": digests}))
+"""
+
 
 # config.ini as written before the schema was derived from the dataclasses
 # (`grid` last in [dataset]); such files must keep parsing.
@@ -789,40 +842,38 @@ class TestCliEntry:
         assert "no test rows" in capsys.readouterr().err
         assert not out.exists()
 
-    # sha256 over each cell's history.csv, metrics.csv and checkpoints; pins
-    # every training RNG stream and floating-point operation of the four
-    # methods. Last re-recorded when metrics.csv lost its constant
-    # positive_class column; the files written before, with that column
-    # stripped, give these same digests.
-    @pytest.mark.parametrize("method, flags, digest", [
-        ("pseudo_sup", [],
-         "de4f853ea1b169969009b235d597d053c947bc20cf63de33dd6f0b513e533f30"),
-        ("pseudo_sup_aug", ["--grid", "2", "2"],
-         "95de9b384502d58a4137c97abfe0af3a0ba1e36bd161e45376ec0497aa9a15a7"),
-        ("supervised", [],
-         "b2950aea8f9dd65a6ec1df4ba99e2f51c7765939033cdbf976e7f0426f75427b"),
-        ("self_training", ["--confidence-threshold", "0.6"],
-         "f48022589c7d04a4b22cc322d53ec1e8018ba70b0575e13e84dfd973714a94c6"),
-        ("pseudo_sup", ["--no-policy-warm-start"],
-         "d8a085018a35aed8ebf956b7cd83b524535c2ccf0ad63971baefc410e9c9d555"),
-        # sides of 4 and 5 can be cropped at the default crop_scale_min 0.8;
-        # sides of 2, as in the row above, only ever flip
-        ("pseudo_sup_aug", ["--dim", "20", "--grid", "4", "5"],
-         "f8b79bb5448133b0d5f37d6b013a52d73f9b303b65a245547bd94173248d09e9"),
-    ])
+    @pytest.mark.parametrize("method, flags, digest", TRAINING_PINS)
     def test_training_digest_pinned(self, tmp_path, method, flags, digest):
-        out = tmp_path / "o"
-        assert main(["run", "--method", method, *TRAIN_FLAGS, *flags,
-                     "--output-dir", str(out)]) == 0
-        files = sorted(p for p in (out / method).rglob("*") if p.is_file())
-        assert len(files) == (8 if method.startswith("pseudo_sup") else 6)
-        h = hashlib.sha256()
-        for path in files:
-            h.update(path.relative_to(out).as_posix().encode())
-            h.update(path.read_bytes())
-        assert h.hexdigest() == digest, (
+        assert pin_digest(tmp_path / "o", method, flags) == digest, (
             f"digest on OpenBLAS kernel {openblas_core()}; the pins are known to hold "
             f"on {', '.join(PIN_KERNELS)}")
+
+    def test_pins_hold_on_each_pin_kernel(self, tmp_path):
+        # the pseudo_sup pin and the cropping pseudo_sup_aug pin, run in one
+        # child process per kernel; a kernel the CPU cannot run falls back to
+        # another core, which the child reports, and is skipped
+        picked = (0, 5)
+        path = os.pathsep.join([str(ROOT / "src"), str(ROOT / "tests")])
+        with contextlib.ExitStack() as stack:
+            children = {kernel: stack.enter_context(subprocess.Popen(
+                [sys.executable, "-c", _KERNEL_CHILD, str(tmp_path / kernel), *map(str, picked)],
+                env={**os.environ, "OPENBLAS_CORETYPE": kernel, "OPENBLAS_NUM_THREADS": "1",
+                     "PYTHONPATH": path},
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True))
+                for kernel in PIN_KERNELS}
+            outputs = {kernel: child.communicate(timeout=300)
+                       for kernel, child in children.items()}
+        ran, skipped = {}, {}
+        for kernel, (out, err) in outputs.items():
+            assert children[kernel].returncode == 0, err
+            report = json.loads(out.splitlines()[-1])
+            if report["core"] == kernel:
+                ran[kernel] = report["digests"]
+            else:
+                skipped[kernel] = report["core"]
+        if not ran:
+            pytest.skip(f"no pin kernel runs here: {skipped}")
+        assert ran == dict.fromkeys(ran, [TRAINING_PINS[i][2] for i in picked]), skipped
 
     def test_openblas_core_is_unknown_without_the_library(self, tmp_path, monkeypatch):
         assert openblas_core() != ""
@@ -841,6 +892,16 @@ class TestCliEntry:
                 lines = fh.read().splitlines()
             assert lines[0] == "bin_center,density"
             assert len(lines) == 11
+
+    def test_analyze_corr_rule_names_the_dataset_file(self, tmp_path, capsys):
+        ds = tmp_path / "ds.txt"
+        ds.write_text("gdp-synth v1\nn_features 2\ntrainL a 0 0.5 -1.5\ntrainL b 0 1.5 2\n"
+                      "trainU c ? 1 0.25\nval d 0 -0.5 1\ntest e 1 0 -1\n")
+        out = tmp_path / "corr"
+        assert main(["analyze-corr", "--dataset", str(ds), "--out-dir", str(out)]) == 3
+        assert capsys.readouterr() == (
+            "", f"error: need at least 2 samples per class (dataset file {ds})\n")
+        assert not out.exists()
 
     # sha256 over corr_within.csv then corr_between.csv; pins the Gram-product
     # correlations, their routing by label and the histogram densities

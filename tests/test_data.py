@@ -730,6 +730,70 @@ def _no_features(s):
         part.X = part.X[:, :0]
 
 
+def _surrogate_in_id(s):
+    s.test.ids = s.test.ids.astype("<U8")
+    s.test.ids[2] = "s\udcff"
+
+
+def _float_grid(s):
+    s.grid = (2.0, 3.0)
+
+
+_PARTS = ("labeled_train", "unlabeled_train", "validation", "test")
+_ODD_IDS = ["s 1", "s\r1", "s\x851", "s\u20281", "", "s\udcff", "é-ü_1,?", "?"]
+_EDGE_FEATURES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, np.finfo(float).max]
+_EDGE_GRIDS = [None, (0, 2), (2, 0), (3, 2), (2.0, 2.0), (True, 2), (2, False),
+               (np.int64(2), np.int64(2)), (np.int64(1), np.int64(3))]
+
+
+def _row_of(s, rng):
+    """A random (split, row index) among the non-empty splits of `s`."""
+    parts = [getattr(s, name) for name in _PARTS if len(getattr(s, name))]
+    part = parts[rng.integers(len(parts))]
+    return part, rng.integers(len(part))
+
+
+def _odd_id(s, rng):
+    part, i = _row_of(s, rng)
+    part.ids = part.ids.astype("<U8")
+    part.ids[i] = _ODD_IDS[rng.integers(len(_ODD_IDS))]
+
+
+def _shared_id(s, rng):
+    (a, i), (b, j) = _row_of(s, rng), _row_of(s, rng)
+    b.ids[j] = a.ids[i]
+
+
+def _unlabeled(s, rng):
+    part, i = _row_of(s, rng)
+    part.y[i] = -1
+
+
+def _edge_feature(s, rng):
+    part, i = _row_of(s, rng)
+    part.X[i, rng.integers(part.X.shape[1])] = _EDGE_FEATURES[rng.integers(len(_EDGE_FEATURES))]
+
+
+def _width(s, rng):
+    if rng.random() < 0.25:
+        _no_features(s)
+        return
+    part = getattr(s, _PARTS[rng.integers(4)])
+    part.X = part.X[:, :-1] if rng.random() < 0.5 else np.hstack([part.X, part.X[:, :1]])
+
+
+def _edge_grid(s, rng):
+    s.grid = _EDGE_GRIDS[rng.integers(len(_EDGE_GRIDS))]
+
+
+def _empty_split(s, rng):
+    name = _PARTS[rng.integers(4)]
+    setattr(s, name, getattr(s, name).take([]))
+
+
+_EDITS = (_odd_id, _shared_id, _unlabeled, _edge_feature, _width, _edge_grid, _empty_split)
+
+
 class TestSaveDatasetRules:
     """save_dataset writes only files that load_dataset accepts."""
 
@@ -738,28 +802,43 @@ class TestSaveDatasetRules:
         samples = generate_overlapping_gaussians(20, 6, 1.0, seed=4, grid_dims=(2, 3))
         return split_dataset(samples, 0.5, (0.7, 0.1, 0.2), seed=4, grid=grid)
 
+    # {path} stands for the path being saved to
     @pytest.mark.parametrize("edit, message", [
         (_space_in_id, "cannot save test row 2: id 's 1' is empty or holds whitespace"),
-        (_id_in_two_splits, "cannot save val row 1: duplicate id '(s\\d+)' "
-                            "\\(first on trainL row 3\\)"),
+        (_id_in_two_splits, "cannot save {path}: line 33: duplicate id 's00039' "
+                            "\\(first on line 7\\)"),
         (_unlabeled_row_in_labeled_split,
-         "cannot save trainL row 0: trainL samples must be labeled"),
-        (_nan_feature, "cannot save trainU row 4: non-finite feature value"),
-        (_empty_validation, "cannot save splits with no val rows"),
-        (_grid_beyond_features, "cannot save grid 3x3: it needs sides >= 1 and at most "
-                                "6 cells"),
-        (_no_features, "cannot save rows without features"),
-        (_test_split_narrower, "inconsistent feature lengths across splits"),
+         "cannot save {path}: line 4: trainL samples must be labeled"),
+        (_nan_feature, "cannot save {path}: line 22: non-finite feature value"),
+        (_empty_validation, "cannot save {path}: no val rows"),
+        (_grid_beyond_features, "cannot save {path}: line 3: grid 3x3 exceeds 6 features"),
+        (_no_features, "cannot save {path}: line 2: expected 'n_features' and 1 positive "
+                       "integer\\(s\\)"),
+        (_test_split_narrower, "cannot save {path}: line 36: expected 9 fields, got 8"),
+        (_surrogate_in_id, "cannot save {path}: line 38: not UTF-8 text"),
+        (_float_grid, "cannot save {path}: line 3: expected 'grid' and 2 positive "
+                      "integer\\(s\\)"),
     ], ids=["space_in_id", "id_in_two_splits", "unlabeled_row_in_labeled_split",
             "nan_feature", "empty_validation", "grid_beyond_features", "no_features",
-            "test_split_narrower"])
+            "test_split_narrower", "surrogate_in_id", "float_grid"])
     def test_rejected_before_writing(self, tmp_path, edit, message):
         splits = self.splits()
         edit(splits)
         path = tmp_path / "d.txt"
-        with pytest.raises(ValueError, match=f"^{message}$"):
+        with pytest.raises(ValueError, match=f"^{message.format(path=re.escape(str(path)))}$"):
             save_dataset(splits, str(path))
         assert not path.exists()
+
+    def test_refused_save_leaves_an_existing_file_as_it_was(self, tmp_path):
+        path = tmp_path / "d.txt"
+        save_dataset(self.splits(), str(path))
+        before = path.read_bytes()
+        for edit in (_space_in_id, _nan_feature, _surrogate_in_id, _float_grid):
+            splits = self.splits()
+            edit(splits)
+            with pytest.raises(ValueError, match="^cannot save "):
+                save_dataset(splits, str(path))
+            assert path.read_bytes() == before
 
     @pytest.mark.parametrize("grid", [(2, 3), None])
     def test_accepted_edge_splits_load_back_with_the_same_digest(self, tmp_path, grid):
@@ -780,6 +859,29 @@ class TestSaveDatasetRules:
         loaded = load_dataset(path)
         assert loaded.unlabeled_train.y[0] == 1
         assert splits_digest(loaded) == splits_digest(splits)
+
+    def test_each_edit_round_trips_or_is_refused_leaving_no_file(self, tmp_path):
+        # 200 seeded splits sets of 16 rows, each with one or two edits drawn
+        # from the edge cases of ids, labels, features, widths, grids and
+        # empty splits
+        outcomes = {"refused": 0, "round trip": 0}
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            data = generate_overlapping_gaussians(8, 4, 1.0, seed=seed, grid_dims=(2, 2))
+            splits = split_dataset(data, 0.5, (0.5, 0.25, 0.25), seed=seed, grid=(2, 2))
+            for _ in range(rng.integers(1, 3)):
+                _EDITS[rng.integers(len(_EDITS))](splits, rng)
+            path = tmp_path / f"d{seed}.txt"
+            try:
+                save_dataset(splits, str(path))
+            except ValueError as exc:
+                assert str(exc).startswith("cannot save "), exc
+                assert not path.exists(), f"seed {seed}: {exc}"
+                outcomes["refused"] += 1
+                continue
+            assert splits_digest(load_dataset(str(path))) == splits_digest(splits), seed
+            outcomes["round trip"] += 1
+        assert min(outcomes.values()) >= 20, outcomes  # neither side is vacuous
 
 
 class TestSplitsDigest:
