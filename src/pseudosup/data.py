@@ -4,7 +4,7 @@ multimodal concatenation, weak augmentation, and dataset file I/O."""
 from __future__ import annotations
 
 import hashlib
-import io
+import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -330,30 +330,30 @@ def splits_digest(splits: DatasetSplits) -> str:
 def save_dataset(splits: DatasetSplits, path: str) -> None:
     """Write the text format: `gdp-synth v1` header, feature count, optional grid
     dims, then one `<tag> <id> <label-or-?> <17-digit features...>` line per row.
-    The text is first read back by `load_dataset`'s own reader; splits it
-    rejects raise ValueError `cannot save <path>: line N: <rule>`, naming the
-    line the row would go on, before `path` is opened. So does an id that is
-    not one token without whitespace, which the reader cannot tell from a
-    field-count error."""
+    The formatted lines are first read back by `load_dataset`'s own reader;
+    splits it rejects raise ValueError `cannot save <path>: line N: <rule>`,
+    naming the line the row would go on, before `path` is opened. So does an
+    id that is not one token without whitespace: the reader splits its lines
+    on whitespace, so such an id would read as another field count, or, with
+    only leading or trailing whitespace (`' s'`), load back as another id."""
     parts = (splits.labeled_train, splits.unlabeled_train, splits.validation, splits.test)
     lines = ["gdp-synth v1", f"n_features {splits.labeled_train.X.shape[1]}"]
     if splits.grid is not None:
         h, w = splits.grid
         lines.append(f"grid {h} {w}")
     for tag, part in zip(_SPLIT_TAGS, parts):
-        for i, (sid, label, x) in enumerate(zip(part.ids.tolist(), part.y.tolist(), part.X)):
-            if sid.split() != [sid]:  # the reader splits its lines on whitespace
-                raise ValueError(f"cannot save {tag} row {i}: id {sid!r} is empty or "
-                                 f"holds whitespace")
+        for sid, label, x in zip(part.ids.tolist(), part.y.tolist(), part.X):
+            if sid.split() != [sid]:  # also keeps `\n` and `\r` out of every line
+                raise ValueError(f"cannot save {path}: line {len(lines) + 1}: id {sid!r} "
+                                 f"is empty or holds whitespace")
             feats = " ".join(f"{v:.17g}" for v in x.tolist())
             lines.append(f"{tag} {sid} {'?' if label < 0 else label} {feats}")
-    text = "\n".join(lines) + "\n"
     try:
-        _read(path, io.StringIO(text, newline=None))  # splits lines as `open` does
+        _read(path, lines)  # the file's lines, as `open` will yield them but for the `\n`
     except DatasetFormatError as exc:
         raise ValueError(f"cannot save {exc}") from None
     with open(path, "w", encoding="utf-8") as fh:  # the encoding load_dataset reads
-        fh.write(text)
+        fh.writelines(line + "\n" for line in lines)
 
 
 def _str_int(token: str) -> int | None:
@@ -459,26 +459,27 @@ def _parse_rows(path: str, n_features: int, rows: list, texts: list[str],
     return x
 
 
-def _read(path: str, fh) -> DatasetSplits:
-    """The splits of the dataset text that `fh` streams, read as `load_dataset`
-    describes; `path` names the file in errors. `fh` may be an open file or an
-    `io.StringIO`: it is read with `readline`, `tell`, `seek` and iteration."""
+def _read(path: str, lines) -> DatasetSplits:
+    """The splits of the dataset text whose lines `lines` yields, read as
+    `load_dataset` describes; `path` names the file in errors. `lines` may be an
+    open file or a list of lines without their line endings: any iterable of
+    non-empty lines, read once, in order."""
     rows, texts = [], []  # (lineno, tag, id, label) per body line; this chunk's feature texts
     seen: dict[str, int] = {}  # id -> its line
     blocks = []  # parsed feature blocks
-    if _text(path, 1, fh.readline()).rstrip("\n") != "gdp-synth v1":
+    lines = iter(lines)
+    if _text(path, 1, next(lines, "")).rstrip("\n") != "gdp-synth v1":
         raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
-    (n_features,) = _header_ints(path, 2, _text(path, 2, fh.readline()), "n_features", 1)
-    grid, body_start = None, fh.tell()
-    line = _text(path, 3, fh.readline())
+    (n_features,) = _header_ints(path, 2, _text(path, 2, next(lines, "")), "n_features", 1)
+    grid, line = None, _text(path, 3, next(lines, ""))
     if line.split()[:1] == ["grid"]:
         grid = _header_ints(path, 3, line, "grid", 2)
         if grid[0] * grid[1] > n_features:
             raise DatasetFormatError(f"{path}: line 3: grid {grid[0]}x{grid[1]} "
                                      f"exceeds {n_features} features")
-    else:
-        fh.seek(body_start)
-    for lineno, line in enumerate(fh, start=3 if grid is None else 4):
+    elif line:  # the first body line
+        lines = itertools.chain([line], lines)
+    for lineno, line in enumerate(lines, start=3 if grid is None else 4):
         try:
             tag, sid, label, rest = _row_head(path, n_features, lineno, line)
         except DatasetFormatError:
@@ -516,6 +517,6 @@ def load_dataset(path: str) -> DatasetSplits:
     to the nearest double as `float` rounds it: `+2`, `.5`, `-0` and `1e5` load.
     `1_0`, `0x10`, `1,5`, `1e`, `nan(1)` and non-ASCII digits are non-numeric;
     `nan`, `inf` and `Infinity` parse but are rejected as non-finite.
-    `save_dataset` checks its text with the same reader."""
+    `save_dataset` reads the lines it formats with the same reader."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return _read(path, fh)

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -735,12 +736,17 @@ def _surrogate_in_id(s):
     s.test.ids[2] = "s\udcff"
 
 
+def _high_surrogate_in_id(s):
+    s.test.ids = s.test.ids.astype("<U8")
+    s.test.ids[2] = "s\ud800"  # outside surrogateescape's U+DC80-U+DCFF
+
+
 def _float_grid(s):
     s.grid = (2.0, 3.0)
 
 
 _PARTS = ("labeled_train", "unlabeled_train", "validation", "test")
-_ODD_IDS = ["s 1", "s\r1", "s\x851", "s\u20281", "", "s\udcff", "é-ü_1,?", "?"]
+_ODD_IDS = ["s 1", "s\r1", "s\x851", "s\u20281", "", "s\udcff", "s\ud800", "é-ü_1,?", "?"]
 _EDGE_FEATURES = [np.nan, np.inf, -np.inf, -0.0, 5e-324, np.finfo(float).max]
 _EDGE_GRIDS = [None, (0, 2), (2, 0), (3, 2), (2.0, 2.0), (True, 2), (2, False),
                (np.int64(2), np.int64(2)), (np.int64(1), np.int64(3))]
@@ -804,7 +810,7 @@ class TestSaveDatasetRules:
 
     # {path} stands for the path being saved to
     @pytest.mark.parametrize("edit, message", [
-        (_space_in_id, "cannot save test row 2: id 's 1' is empty or holds whitespace"),
+        (_space_in_id, "cannot save {path}: line 38: id 's 1' is empty or holds whitespace"),
         (_id_in_two_splits, "cannot save {path}: line 33: duplicate id 's00039' "
                             "\\(first on line 7\\)"),
         (_unlabeled_row_in_labeled_split,
@@ -818,9 +824,10 @@ class TestSaveDatasetRules:
         (_surrogate_in_id, "cannot save {path}: line 38: not UTF-8 text"),
         (_float_grid, "cannot save {path}: line 3: expected 'grid' and 2 positive "
                       "integer\\(s\\)"),
+        (_high_surrogate_in_id, "cannot save {path}: line 38: not UTF-8 text"),
     ], ids=["space_in_id", "id_in_two_splits", "unlabeled_row_in_labeled_split",
             "nan_feature", "empty_validation", "grid_beyond_features", "no_features",
-            "test_split_narrower", "surrogate_in_id", "float_grid"])
+            "test_split_narrower", "surrogate_in_id", "float_grid", "high_surrogate_in_id"])
     def test_rejected_before_writing(self, tmp_path, edit, message):
         splits = self.splits()
         edit(splits)
@@ -859,6 +866,27 @@ class TestSaveDatasetRules:
         loaded = load_dataset(path)
         assert loaded.unlabeled_train.y[0] == 1
         assert splits_digest(loaded) == splits_digest(splits)
+
+    def test_save_holds_at_most_four_times_the_file_size(self, tmp_path):
+        data = generate_multimodal_gaussians(50, (16, 16), 1.0, 1)
+        splits = split_dataset(data, 0.5, (0.7, 0.1, 0.2), 1, (16, 16))
+        path = tmp_path / "d.txt"
+        tracemalloc.start()
+        try:
+            save_dataset(splits, str(path))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * path.stat().st_size, (peak, path.stat().st_size)
+
+    @pytest.mark.parametrize("grid", [(2, 3), None])
+    @pytest.mark.parametrize("ending", [b"\r\n", b"\r"], ids=["crlf", "cr"])
+    def test_other_line_endings_load_with_the_same_digest(self, tmp_path, grid, ending):
+        splits = self.splits(grid)
+        path = tmp_path / "d.txt"
+        save_dataset(splits, str(path))
+        path.write_bytes(path.read_bytes().replace(b"\n", ending))
+        assert splits_digest(load_dataset(str(path))) == splits_digest(splits)
 
     def test_each_edit_round_trips_or_is_refused_leaving_no_file(self, tmp_path):
         # 200 seeded splits sets of 16 rows, each with one or two edits drawn

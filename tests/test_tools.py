@@ -1,4 +1,5 @@
 import importlib.util
+import re
 from pathlib import Path
 
 _spec = importlib.util.spec_from_file_location(
@@ -91,3 +92,26 @@ def test_drift_exits_0_only_on_equal_bytes(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[1] == (
         "run/history.csv: column loss: max abs 0, max rel 0, first at row 1")
     assert drift.main([str(a), str(tmp_path / "none")]) == 2
+
+
+_spec = importlib.util.spec_from_file_location(
+    "cli_cost", Path(__file__).resolve().parent.parent / "tools" / "cli_cost.py")
+cli_cost = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_cost)
+
+_RUN = r"run (\d): exit (\d+), (\S+) s after import, peak RSS (\S+) MB"
+
+
+def test_cli_cost_reports_each_run_in_a_fresh_process(tmp_path, capsys):
+    out = tmp_path / "d.txt"
+    gen = ["gen-data", "--out", str(out), "--n-per-class", "5", "--dim", "2"]
+    assert cli_cost.main(["--runs", "2", "--", *gen]) == 0
+    runs = [re.fullmatch(_RUN, line).groups()
+            for line in capsys.readouterr().out.splitlines()]
+    assert [run[:2] for run in runs] == [("1", "0"), ("2", "0")]
+    for _, _, seconds, peak in runs:
+        assert float(seconds) >= 0 and float(peak) > 0
+    assert out.read_text().startswith("gdp-synth v1\nn_features 2\n")
+    # a run that fails still reports, and fails the tool
+    assert cli_cost.main(["--runs", "1", "--", *gen[:3], "--n-per-class", "0"]) == 1
+    assert re.fullmatch(_RUN, capsys.readouterr().out.strip()).group(2) == "2"
