@@ -16,8 +16,8 @@ import io
 import os
 import sys
 import types
-from collections.abc import Callable, Iterable
-from dataclasses import dataclass, field, is_dataclass, replace
+from collections.abc import Callable, Iterable, Sequence
+from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Any, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -37,6 +37,7 @@ from .engine import (
     EngineConfig,
     TrainResult,
     check_splits,
+    csv_text,
     train,
     train_self_training,
     train_supervised_only,
@@ -255,13 +256,17 @@ def _run_method(method: str, splits: DatasetSplits, engine: EngineConfig,
     return train(splits, engine)  # pseudo_sup and pseudo_sup_aug
 
 
+def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
+    with open(path, "w") as fh:
+        fh.write(csv_text(header, rows))
+
+
 def _write_cell(out_dir: str, seed: int, result: TrainResult) -> None:
     os.makedirs(out_dir, exist_ok=True)
     with open(os.path.join(out_dir, "history.csv"), "w") as fh:
         fh.write(result.history.to_csv())
-    with open(os.path.join(out_dir, "metrics.csv"), "w") as fh:
-        fh.write("seed," + MetricsReport.CSV_HEADER + "\n")
-        fh.write(f"{seed},{result.final_metrics.to_csv_row()}\n")
+    report = asdict(result.final_metrics)
+    _write_csv(os.path.join(out_dir, "metrics.csv"), ["seed", *report], [[seed, *report.values()]])
     save_model(result.classifier, os.path.join(out_dir, "classifier.ckpt"))
     if result.policy is not None:
         save_model(result.policy, os.path.join(out_dir, "policy.ckpt"))
@@ -312,20 +317,20 @@ def _mean_std(values: list[float]) -> tuple[float, float]:
     return float(arr.mean()), std
 
 
-SUMMARY_HEADER = "method,n_seeds,accuracy_mean,accuracy_std,f1_mean,f1_std,auc_mean,auc_std"
+SUMMARY_HEADER = ["method", "n_seeds", "accuracy_mean", "accuracy_std", "f1_mean", "f1_std",
+                  "auc_mean", "auc_std"]
 
 
-def _summary_row(method: str, reports: list[MetricsReport]) -> str:
+def _summary_row(method: str, reports: list[MetricsReport]) -> list:
     stats = (_mean_std([getattr(r, m) for r in reports]) for m in ("accuracy", "f1", "auc"))
-    return ",".join([method, str(len(reports))] + [f"{v:.17g}" for pair in stats for v in pair])
+    return [method, len(reports), *(v for pair in stats for v in pair)]
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsReport]:
     """One method over all seeds; per-seed cells plus a root summary.csv."""
     reports = [r for _, (r,) in _run_cells(cfg, [_cell(cfg.method, cfg.engine)])]
-    with open(os.path.join(cfg.output_dir, "summary.csv"), "w") as fh:
-        fh.write(SUMMARY_HEADER + "\n")
-        fh.write(_summary_row(cfg.method, reports) + "\n")
+    _write_csv(os.path.join(cfg.output_dir, "summary.csv"), SUMMARY_HEADER,
+               [_summary_row(cfg.method, reports)])
     return reports
 
 
@@ -339,11 +344,9 @@ def compare_methods(cfg: ExperimentConfig, methods: list[str]) -> str:
     per_seed = _run_cells(cfg, [_cell(m, cfg.engine) for m in methods])
     combined = hashlib.sha256("".join(h for h, _ in per_seed).encode()).hexdigest()
     path = os.path.join(cfg.output_dir, "comparison.csv")
-    with open(path, "w") as fh:
-        fh.write(SUMMARY_HEADER + ",split_hash\n")
-        for i, method in enumerate(methods):
-            row = _summary_row(method, [reports[i] for _, reports in per_seed])
-            fh.write(row + f",{combined}\n")
+    _write_csv(path, [*SUMMARY_HEADER, "split_hash"],
+               [[*_summary_row(method, [reports[i] for _, reports in per_seed]), combined]
+                for i, method in enumerate(methods)])
     return path
 
 
@@ -363,17 +366,13 @@ def run_ablation(cfg: ExperimentConfig, beta_grid: list[int],
     per_seed = _run_cells(cfg, cells, write_cells=False)
     aucs = [[reports[i].auc for _, reports in per_seed] for i in range(len(grid))]
     path = os.path.join(cfg.output_dir, "ablation.csv")
-    with open(path, "w") as fh:
-        fh.write("beta,gamma,seed,auc\n")
-        for (beta, gamma), cell_aucs in zip(grid, aucs):
-            for seed, auc in zip(cfg.seeds, cell_aucs):
-                fh.write(f"{beta},{gamma:.17g},{seed},{auc:.17g}\n")
+    _write_csv(path, ["beta", "gamma", "seed", "auc"],
+               [[beta, gamma, seed, auc] for (beta, gamma), cell_aucs in zip(grid, aucs)
+                for seed, auc in zip(cfg.seeds, cell_aucs)])
     mean_auc = {key: float(np.mean(a)) for key, a in zip(grid, aucs)}
-    with open(os.path.join(cfg.output_dir, "ablation_pivot.csv"), "w") as fh:
-        fh.write("beta," + ",".join(f"gamma={g:.17g}" for g in gamma_grid) + "\n")
-        for beta in beta_grid:
-            row = ",".join(f"{mean_auc[(beta, g)]:.17g}" for g in gamma_grid)
-            fh.write(f"{beta},{row}\n")
+    _write_csv(os.path.join(cfg.output_dir, "ablation_pivot.csv"),
+               ["beta", *(f"gamma={g:.17g}" for g in gamma_grid)],
+               [[beta, *(mean_auc[(beta, g)] for g in gamma_grid)] for beta in beta_grid])
     return path
 
 
@@ -469,10 +468,7 @@ def _cmd_analyze_corr(args: argparse.Namespace) -> None:
     centers = density.bin_centers()
     for group in ("within", "between"):
         path = os.path.join(args.out_dir, f"corr_{group}.csv")
-        with open(path, "w") as fh:
-            fh.write("bin_center,density\n")
-            for c, d in zip(centers, density.density(group)):
-                fh.write(f"{c:.17g},{d:.17g}\n")
+        _write_csv(path, ["bin_center", "density"], zip(centers, density.density(group)))
         print(f"wrote {path}")
 
 

@@ -53,7 +53,7 @@ the seed and the step.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, count, islice
 
@@ -80,6 +80,7 @@ __all__ = [
     "TrajectoryStep",
     "Trajectory",
     "History",
+    "csv_text",
     "TrainResult",
     "warmup_supervised",
     "sample_pseudo_labels",
@@ -172,12 +173,24 @@ class Trajectory:
         return len(self.steps)
 
 
+def csv_text(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """`header` and then each of `rows` as one comma-separated line, each line
+    ending in a newline. This is the one cell rule of every CSV table the
+    package writes: None is an empty cell; a float, np.float64 included, is
+    written with 17 significant digits, which `float()` reads back as the
+    same double; any other value is written as `str(v)`, so pass a bool as
+    int."""
+    def cell(v) -> str:
+        return "" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+
+    return "".join(",".join(map(cell, row)) + "\n" for row in chain([header], rows))
+
+
 @dataclass
 class History:
     """Per-step columns, one value per classifier step in run order, and
-    `epochs`, the test metrics after each epoch; `to_csv` numbers steps and
-    epochs from 1 by their position. The loss and reward columns are None
-    for a loop without a policy."""
+    `epochs`, the test metrics after each epoch. The loss and reward columns
+    are None for a loop without a policy."""
     epoch: Sequence[int]
     policy_update: Sequence[bool]
     loss_val_before: Sequence[float] | None = None
@@ -185,28 +198,24 @@ class History:
     reward: Sequence[float] | None = None
     epochs: list[MetricsReport] = field(default_factory=list)
 
-    CSV_HEADER = (
-        "record,step,epoch,loss_val_before,loss_val_after,reward,"
-        "policy_update_flag,accuracy,f1,auc"
-    )
+    CSV_HEADER = ["record", "step", "epoch", "loss_val_before", "loss_val_after", "reward",
+                  "policy_update_flag", "accuracy", "f1", "auc"]
 
     def to_csv(self) -> str:
-        """The step rows, then the epoch rows; columns of unequal length raise
-        ValueError."""
-        def fmt(column):
-            return [""] * len(self.epoch) if column is None else [f"{x:.17g}" for x in column]
+        """The table through `csv_text`: a `step` row per step, then an `epoch`
+        row per epoch, each numbered from 1 by its position; a cell a row has
+        no value for, such as a loss of a loop without a policy, is empty.
+        Columns of unequal length raise ValueError."""
+        def cells(column):
+            return [None] * len(self.epoch) if column is None else column
 
-        lines = [self.CSV_HEADER]
-        rows = zip(self.epoch, fmt(self.loss_val_before), fmt(self.loss_val_after),
-                   fmt(self.reward), self.policy_update, strict=True)
-        for step, (epoch, before, after, reward, updated) in enumerate(rows, start=1):
-            lines.append(f"step,{step},{epoch},{before},{after},{reward},{int(updated)},,,")
-        for epoch, m in enumerate(self.epochs, start=1):
-            lines.append(
-                f"epoch,,{epoch},,,,,"
-                f"{m.accuracy:.17g},{m.f1:.17g},{m.auc:.17g}"
-            )
-        return "\n".join(lines) + "\n"
+        steps = zip(self.epoch, cells(self.loss_val_before), cells(self.loss_val_after),
+                    cells(self.reward), self.policy_update, strict=True)
+        rows = [["step", i, epoch, before, after, reward, int(updated), None, None, None]
+                for i, (epoch, before, after, reward, updated) in enumerate(steps, start=1)]
+        rows += [["epoch", None, i, None, None, None, None, m.accuracy, m.f1, m.auc]
+                 for i, m in enumerate(self.epochs, start=1)]
+        return csv_text(self.CSV_HEADER, rows)
 
 
 @dataclass

@@ -21,15 +21,13 @@ __all__ = [
 
 @dataclass
 class MetricsReport:
+    """The test metrics of one evaluation. A cell's `metrics.csv` holds its
+    final report after a `seed` column, one column per field in field
+    order."""
     accuracy: float
     f1: float
     auc: float
     n_samples: int
-
-    CSV_HEADER = "accuracy,f1,auc,n_samples"
-
-    def to_csv_row(self) -> str:
-        return f"{self.accuracy:.17g},{self.f1:.17g},{self.auc:.17g},{self.n_samples}"
 
 
 def _check_lengths(predictions, labels):

@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import csv
 import dataclasses
 import gc
 import hashlib
@@ -950,3 +951,44 @@ class TestBenchmarkCommandLines:
                                   for a in workload.cli_args])
         if args.command == "run":
             _config_from_args(args)
+
+
+class TestCsvFiles:
+    """Every CSV table the commands write follows `engine.csv_text`'s cell
+    rule: each row is as wide as its header, and each number is written with
+    17 significant digits."""
+
+    def test_every_table_follows_the_cell_rule(self, tmp_path):
+        ds = str(tmp_path / "ds.txt")
+        for argv in (
+            ["run", "--method", "pseudo_sup", *TRAIN_FLAGS],
+            ["compare", "--methods", "supervised", "pseudo_sup", "self_training",
+             "--confidence-threshold", "0.9", *TRAIN_FLAGS],
+            ["ablate", "--beta-grid", "5", "--gamma-grid", "0.3", "0.9", *TRAIN_FLAGS],
+        ):
+            assert main([*argv, "--output-dir", str(tmp_path / argv[0])]) == 0
+        assert main(["gen-data", "--out", ds, "--n-per-class", "15", "--dim", "4"]) == 0
+        assert main(["analyze-corr", "--dataset", ds, "--bins", "10",
+                     "--out-dir", str(tmp_path / "analyze-corr")]) == 0
+        tables = {}
+        for path in sorted(tmp_path.rglob("*.csv")):
+            with open(path, newline="") as fh:
+                tables[path.relative_to(tmp_path).as_posix()] = list(csv.reader(fh))
+        assert {Path(name).name for name in tables} == {
+            "history.csv", "metrics.csv", "summary.csv", "comparison.csv", "ablation.csv",
+            "ablation_pivot.csv", "corr_within.csv", "corr_between.csv"}
+        bad = []
+        for name, (header, *rows) in tables.items():
+            for i, row in enumerate(rows, start=1):
+                if len(row) != len(header):
+                    bad.append((name, i, row))
+                for column, cell in zip(header, row):
+                    with contextlib.suppress(ValueError):
+                        if column != "split_hash" and cell != f"{float(cell):.17g}":
+                            bad.append((name, i, column, cell))
+        assert bad == []
+        # the cases the rule is there for: an empty cell and an inexact float
+        history = tables["compare/self_training/1/history.csv"]
+        assert history[1][history[0].index("loss_val_before")] == ""
+        assert {row[1] for row in tables["ablate/ablation.csv"][1:]} == {
+            "0.29999999999999999", "0.90000000000000002"}

@@ -460,6 +460,37 @@ class TestHistory:
             engine.History(**columns).to_csv()
 
 
+class TestCsvText:
+    # (cell, its text): every kind of cell the written tables hold
+    CELLS = [
+        (None, ""),
+        (0.1, "0.10000000000000001"),
+        (np.float64(0.1), "0.10000000000000001"),
+        (1.0, "1"),
+        (-0.0, "-0"),
+        (5e-324, "4.9406564584124654e-324"),
+        (1e16, "10000000000000000"),
+        (3, "3"),
+        (np.int64(3), "3"),
+    ]
+
+    def test_known_answers(self):
+        header = [f"c{i}" for i in range(len(self.CELLS))]
+        cells = [cell for cell, _ in self.CELLS]
+        assert engine.csv_text(header, [cells, cells[::-1]]) == (
+            ",".join(header) + "\n"
+            + ",".join(text for _, text in self.CELLS) + "\n"
+            + ",".join(text for _, text in self.CELLS[::-1]) + "\n")
+
+    def test_float_cells_read_back_as_the_same_double(self):
+        floats = [cell for cell, _ in self.CELLS if isinstance(cell, float)]
+        line = engine.csv_text(["x"] * len(floats), [floats]).splitlines()[1]
+        assert [float(text).hex() for text in line.split(",")] == [v.hex() for v in floats]
+
+    def test_header_only(self):
+        assert engine.csv_text(["a", "b"], []) == "a,b\n"
+
+
 class TestTrainLoop:
     def test_zero_epochs_rejected(self):
         with pytest.raises(ValueError, match="^epochs must be >= 1, got 0$"):
