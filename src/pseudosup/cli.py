@@ -28,6 +28,7 @@ from .data import (
     generate_multimodal_gaussians,
     generate_overlapping_gaussians,
     load_dataset,
+    row_line,
     save_dataset,
     split_dataset,
     splits_digest,
@@ -35,6 +36,7 @@ from .data import (
 from .engine import (
     ConfigError,
     EngineConfig,
+    RowError,
     TrainResult,
     check_splits,
     csv_text,
@@ -281,7 +283,9 @@ def _run_cells(cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
     each under `<output_dir>/<method>/<seed>` if `write_cells`. Returns, per
     seed, the `splits_digest` of its splits and one report per cell. A
     ValueError raised once a dataset file is loaded, by a rule of the engine
-    or by a run that diverges on its values, ends with `(dataset file <path>)`."""
+    or by a run that diverges on its values, ends with `(dataset file <path>)`,
+    or `(dataset file <path>, line N)` for a RowError, whose row's line is
+    looked up in the file on that path only."""
     splits = build_splits(cfg.dataset, cfg.seeds[0])
     try:
         for _, engine in cells:
@@ -306,9 +310,13 @@ def _run_cells(cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
             per_seed.append((split_hash, reports))
         return per_seed
     except ValueError as exc:
-        if cfg.dataset.path is None:
+        path = cfg.dataset.path
+        if path is None:
             raise
-        raise ValueError(f"{exc} (dataset file {cfg.dataset.path})") from None
+        where = f"dataset file {path}"
+        if isinstance(exc, RowError) and (line := row_line(path, exc.row_id)):
+            where += f", line {line}"
+        raise ValueError(f"{exc} ({where})") from None
 
 
 def _mean_std(values: list[float]) -> tuple[float, float]:
@@ -459,9 +467,10 @@ def _cmd_analyze_corr(args: argparse.Namespace) -> None:
         raise ConfigError(f"bins must be >= 1, got {args.bins}")
     splits = load_dataset(args.dataset)
     labeled = (splits.labeled_train, splits.validation, splits.test)
+    X, y = np.concatenate([p.X for p in labeled]), np.concatenate([p.y for p in labeled])
+    del splits, labeled  # every split, unlabeled rows too, freed before the pass
     try:
-        density = correlation_density(np.concatenate([p.X for p in labeled]),
-                                      np.concatenate([p.y for p in labeled]), bins=args.bins)
+        density = correlation_density(X, y, bins=args.bins)
     except ValueError as exc:
         raise ValueError(f"{exc} (dataset file {args.dataset})") from None
     os.makedirs(args.out_dir, exist_ok=True)

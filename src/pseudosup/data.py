@@ -29,6 +29,7 @@ __all__ = [
     "splits_digest",
     "save_dataset",
     "load_dataset",
+    "row_line",
 ]
 
 
@@ -520,3 +521,14 @@ def load_dataset(path: str) -> DatasetSplits:
     `save_dataset` reads the lines it formats with the same reader."""
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         return _read(path, fh)
+
+
+def row_line(path: str, row_id: str) -> int | None:
+    """The line of dataset file `path` that holds the row with id `row_id`, or
+    None. It reads the file again, so a `Split` need carry no line numbers."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split(None, 2)
+            if len(fields) > 1 and fields[0] in _SPLIT_TAGS and fields[1] == row_id:
+                return lineno
+    return None

@@ -76,6 +76,7 @@ from .nn_core import (
 
 __all__ = [
     "ConfigError",
+    "RowError",
     "EngineConfig",
     "TrajectoryStep",
     "Trajectory",
@@ -99,6 +100,14 @@ __all__ = [
 
 class ConfigError(ValueError):
     """A config value that breaks a rule of the class holding it."""
+
+
+class RowError(ValueError):
+    """A `check_splits` rule that one row breaks; `row_id` is the row's id."""
+
+    def __init__(self, message: str, row_id: str):
+        super().__init__(message)
+        self.row_id = row_id
 
 
 @dataclass(frozen=True)
@@ -241,15 +250,19 @@ def check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
     """Labeled splits non-empty with labels in [0, n_classes), class 1 and another
     in test (for its AUC); every non-empty split with labeled_train's feature
     count, all finite; grid dims if cfg.augment, and any grid with sides >= 1
-    and at most that many cells, as `load_dataset` requires."""
+    and at most that many cells, as `load_dataset` requires. A label outside
+    the range raises RowError naming the split and the first such row's id."""
     if cfg.augment and splits.grid is None:
         raise ValueError("augment requires splits with grid dims")
     for name in ("labeled_train", "validation", "test"):
         part = getattr(splits, name)
         if len(part) == 0:
             raise ValueError(f"{name} must be non-empty")
-        if ((part.y < 0) | (part.y >= cfg.n_classes)).any():
-            raise ValueError(f"{name} has a label outside [0, {cfg.n_classes})")
+        bad = np.flatnonzero((part.y < 0) | (part.y >= cfg.n_classes))
+        if len(bad):
+            sid = str(part.ids[bad[0]])
+            raise RowError(f"{name} has a label outside [0, {cfg.n_classes}): "
+                           f"{part.y[bad[0]]} at id {sid!r}", sid)
     if np.unique(splits.test.y == 1).size < 2:
         raise ValueError("test must hold class 1 and another class for the AUC")
     n_features = splits.labeled_train.X.shape[1]

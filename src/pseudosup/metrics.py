@@ -110,35 +110,45 @@ class CorrelationDensity:
         return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2.0
 
 
+# Rows per Gram block of `correlation_density`: a block of 64 rows by N
+# columns holds 0.5 KB per column, so the pass never holds an N x N matrix.
+_BLOCK_ROWS = 64
+
+
 def correlation_density(X: np.ndarray, y: np.ndarray, bins: int = 50) -> CorrelationDensity:
     """Pearson correlation for every unordered pair of rows of `X`, routed to
     the within-group or between-group array by equality of their labels `y`.
 
-    The rows are centred once and every pair's covariance comes from one Gram
-    product; the upper triangle is then walked one row at a time, so besides
-    the N x N Gram matrix only the kept correlations are held. A pair with a
-    zero-variance member is skipped and counted, as `pearson` would reject it.
-    `pearson` stays the per-pair reference; the sums run in another order, so
-    values agree with it to rounding."""
+    The rows are centred once and the covariances come from Gram products of
+    `_BLOCK_ROWS` rows at a time against every row from the block's first on;
+    each block's upper triangle is walked one row at a time, so besides one
+    block only the kept correlations are held. A pair with a zero-variance
+    member is skipped and counted, as `pearson` would reject it. `pearson`
+    stays the per-pair reference; the sums run in another order, so values
+    agree with it to rounding. An `X` that is not 2-D, or whose row count is
+    not `len(y)`, raises ValueError before any work."""
     y = np.asarray(y)
+    if np.ndim(X) != 2 or len(X) != len(y):
+        raise ValueError(f"X must be 2-D with one row per label: got shape "
+                         f"{np.shape(X)} for {len(y)} labels")
     if (y < 0).any():
         raise ValueError("correlation_density requires labeled rows")
     if (np.unique(y, return_counts=True)[1] < 2).any():
         raise ValueError("need at least 2 samples per class")
     x = X - X.mean(axis=1, keepdims=True)
     sq = (x * x).sum(axis=1)
-    gram = x @ x.T
-    del x
     n = len(y)
     within, between = [np.empty(0)], [np.empty(0)]  # np.concatenate([]) raises
-    for i in range(n - 1):
-        denom = np.sqrt(sq[i] * sq[i + 1 :])
-        ok = denom != 0.0
-        rho = gram[i, i + 1 :][ok] / denom[ok]
-        same = y[i + 1 :][ok] == y[i]
-        within.append(rho[same])
-        between.append(rho[~same])
-    del gram  # freed before the kept values are copied together, to hold the peak
+    for b in range(0, n - 1, _BLOCK_ROWS):
+        gram = x[b : b + _BLOCK_ROWS] @ x[b:].T  # pair (i, j) at gram[i - b, j - b]
+        for i in range(b, min(b + _BLOCK_ROWS, n - 1)):
+            denom = np.sqrt(sq[i] * sq[i + 1 :])
+            ok = denom != 0.0
+            rho = gram[i - b, i - b + 1 :][ok] / denom[ok]
+            same = y[i + 1 :][ok] == y[i]
+            within.append(rho[same])
+            between.append(rho[~same])
+    del x  # freed before the kept values are copied together, to hold the peak
     within, between = np.concatenate(within), np.concatenate(between)
     skipped = n * (n - 1) // 2 - len(within) - len(between)
     return CorrelationDensity(within, between, np.linspace(-1.0, 1.0, bins + 1), skipped)

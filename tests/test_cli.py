@@ -711,20 +711,36 @@ class TestCliEntry:
         assert "error: test must hold class 1 and another" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("test_rows, message", [
-        ("test f 0 1.0\ntest g 2 2.0\n", "test has a label outside [0, 2)"),
+    # a rule one row breaks names that row's line; a rule of the whole split cannot
+    @pytest.mark.parametrize("test_rows, message, line", [
+        ("test f 0 1.0\ntest g 2 2.0\n", "test has a label outside [0, 2): 2 at id 'g'",
+         ", line 8"),
         ("test f 0 1.0\ntest g 0 2.0\n",
-         "test must hold class 1 and another class for the AUC"),
+         "test must hold class 1 and another class for the AUC", ""),
     ], ids=["label_out_of_range", "single_class_test"])
     def test_engine_rule_on_a_dataset_file_names_the_file(self, tmp_path, capsys, test_rows,
-                                                          message):
+                                                          message, line):
         ds = tmp_path / "ds.txt"
         ds.write_text("gdp-synth v1\nn_features 1\n"
                       "trainL a 0 1.0\ntrainL b 1 2.0\nval d 0 1.0\nval e 1 2.0\n" + test_rows)
         rc = main(["run", "--dataset", str(ds), "--method", "supervised", "--seeds", "1",
                    "--output-dir", str(tmp_path / "o")])
         assert rc == 3
-        assert capsys.readouterr().err == f"error: {message} (dataset file {ds})\n"
+        assert capsys.readouterr().err == f"error: {message} (dataset file {ds}{line})\n"
+
+    def test_label_out_of_range_names_its_line_after_a_grid_header(self, tmp_path, capsys):
+        ds = tmp_path / "ds.txt"
+        ds.write_text("gdp-synth v1\nn_features 2\ngrid 1 2\n"
+                      "trainL a 0 1 2\ntrainU b ? 1 2\ntrainL c 1 2 1\nval d 0 1 2\n"
+                      "val e 1 2 1\nval f 3 1 1\ntest g 0 1 2\ntest h 1 2 1\n")
+        out = tmp_path / "o"
+        rc = main(["compare", "--dataset", str(ds), "--methods", "supervised", "pseudo_sup",
+                   "--seeds", "1", "--output-dir", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err == (
+            f"error: validation has a label outside [0, 2): 3 at id 'f' "
+            f"(dataset file {ds}, line 9)\n")
+        assert not out.exists()
 
     def test_divergence_on_a_dataset_file_names_the_file(self, tmp_path, capsys):
         ds = tmp_path / "ds.txt"
@@ -904,8 +920,8 @@ class TestCliEntry:
             "", f"error: need at least 2 samples per class (dataset file {ds})\n")
         assert not out.exists()
 
-    # sha256 over corr_within.csv then corr_between.csv; pins the Gram-product
-    # correlations, their routing by label and the histogram densities
+    # sha256 over corr_within.csv then corr_between.csv; pins the correlations
+    # from row-block Gram products, their routing by label and the histogram densities
     def test_analyze_corr_digest_pinned(self, tmp_path):
         ds = str(tmp_path / "ds.txt")
         assert main(["gen-data", "--out", ds, "--n-per-class", "30", "--grid", "3", "4",

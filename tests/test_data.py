@@ -22,6 +22,7 @@ from pseudosup.data import (
     generate_multimodal_gaussians,
     load_dataset,
     qc_filter,
+    row_line,
     save_dataset,
     split_dataset,
     splits_digest,
@@ -422,6 +423,16 @@ class TestDatasetIO:
             for field in ("ids", "X", "y"):
                 np.testing.assert_array_equal(getattr(orig, field), getattr(new, field))
             assert new.X.dtype == np.float64 and new.y.dtype == np.int64
+
+    def test_row_line_finds_body_rows_only(self, tmp_path):
+        # ids equal to a header's second token: line 1's `v1`, line 2's `4`, line 3's `2`
+        path = tmp_path / "d.txt"
+        path.write_text("gdp-synth v1\nn_features 4\ngrid 2 2\n"
+                        "trainU 4 ? 1 2 3 4\ntrainL v1 0 1 2 3 4\nval 2 1 1 2 3 4\n"
+                        "test test 0 1 2 3 4\n")
+        load_dataset(str(path))
+        assert [row_line(str(path), sid) for sid in ("4", "v1", "2", "test", "grid", "?")] == [
+            4, 5, 6, 7, None, None]
 
     def test_unlabeled_row_loads_label_absent(self, tmp_path):
         path = tmp_path / "d.txt"

@@ -15,11 +15,13 @@ from pseudosup.data import (
 from pseudosup.engine import (
     ConfigError,
     EngineConfig,
+    RowError,
     Trajectory,
     TrajectoryStep,
     _policy_loss_grads,
     _step_batch,
     _step_blocks,
+    check_splits,
     compute_reward,
     discounted_return,
     eval_val_loss,
@@ -548,6 +550,16 @@ class TestTrainLoop:
             train(splits, fast_cfg())
         with pytest.raises(ValueError, match=f"{name} has a label outside"):
             train_self_training(splits, fast_cfg(), 0.9)
+
+    @pytest.mark.parametrize("label", [-1, 2, 7])
+    def test_label_out_of_range_names_the_first_such_row(self, label):
+        splits = make_splits()
+        splits.validation.y[[1, 3]] = label
+        sid = str(splits.validation.ids[1])
+        with pytest.raises(RowError, match=rf"^validation has a label outside \[0, 2\): "
+                                           rf"{label} at id '{sid}'$") as exc:
+            check_splits(splits, fast_cfg())
+        assert exc.value.row_id == sid
 
     @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
     @pytest.mark.parametrize("label", [0, 1])

@@ -1,7 +1,11 @@
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from pseudosup.metrics import (
+    _BLOCK_ROWS,
     accuracy,
     auc_roc,
     correlation_density,
@@ -157,6 +161,66 @@ class TestCorrelationDensity:
         x = np.vstack([x, np.zeros(10), np.ones(10)])
         density = correlation_density(x, np.append(y, [0, 1]))
         assert density.skipped_pairs == 2 * 8 + 1
+
+    @pytest.mark.parametrize("shape, n_labels", [((10, 5), 6), ((6, 5), 10), ((10,), 10)],
+                             ids=["more_rows", "more_labels", "one_dim"])
+    def test_shape_mismatch_rejected_before_any_work(self, shape, n_labels):
+        x = np.random.default_rng(41).normal(size=shape)
+        y = np.arange(n_labels) % 2
+        with pytest.raises(ValueError, match=rf"^X must be 2-D with one row per label: got "
+                                             rf"shape {re.escape(str(shape))} for {n_labels} "
+                                             rf"labels$"):
+            correlation_density(x, y)
+
+    # Every pair (i, j), i < j, through `pearson` in that order; a pair that
+    # `pearson` rejects for a zero-variance member is counted as skipped.
+    @staticmethod
+    def pair_oracle(x, y):
+        within, between, skipped = [], [], 0
+        for i in range(len(x)):
+            for j in range(i + 1, len(x)):
+                try:
+                    rho = pearson(x[i], x[j])
+                except ValueError:
+                    skipped += 1
+                    continue
+                (within if y[i] == y[j] else between).append(rho)
+        return within, between, skipped
+
+    @pytest.mark.parametrize("n, constant_rows", [
+        (2, ()),
+        (_BLOCK_ROWS - 1, ()),
+        (_BLOCK_ROWS, (5,)),
+        (_BLOCK_ROWS + 1, (_BLOCK_ROWS - 1, _BLOCK_ROWS)),
+        (2 * _BLOCK_ROWS + 3, (3, 7, _BLOCK_ROWS + 2, 2 * _BLOCK_ROWS + 2)),
+    ])
+    def test_every_pair_matches_pearson(self, n, constant_rows):
+        rng = np.random.default_rng(n)
+        x = rng.normal(size=(n, 7))
+        x[list(constant_rows)] = 2.0  # a row whose centred values are exactly 0
+        y = rng.permutation(np.arange(n) % 3) if n > 5 else np.zeros(n, dtype=np.int64)
+        density = correlation_density(x, y)
+        within, between, skipped = self.pair_oracle(x, y)
+        assert density.skipped_pairs == skipped
+        for got, expected in ((density.within_group, within), (density.between_group, between)):
+            assert got.shape == (len(expected),)
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+    def test_peak_memory_below_the_gram_matrix(self):
+        """At N = 1,200 rows of 4 features an N x N Gram matrix (8 N^2 bytes)
+        held beside the kept correlations (4 N^2 bytes) passes 10 N^2 bytes;
+        with row blocks the peak is the kept correlations and their
+        concatenated copy, about 8 N^2."""
+        n = 1200
+        rng = np.random.default_rng(42)
+        x, y = rng.normal(size=(n, 4)), np.arange(n) % 2
+        tracemalloc.start()
+        try:
+            correlation_density(x, y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * n * n
 
     def test_needs_two_per_class(self):
         x, y = self.samples()
