@@ -422,37 +422,47 @@ _GEN_SCHEMA = tuple(f for f in SCHEMA
                     if f.section == "dataset" and f.name not in FLAG_NAMES)
 
 
-def build_parser() -> argparse.ArgumentParser:
+# command -> its help line, in the order `--help` lists them
+COMMANDS = {
+    "run": "run one method over the seed list",
+    "ablate": "beta/gamma grid ablation",
+    "compare": "compare methods on shared splits",
+    "gen-data": "generate a synthetic dataset file",
+    "analyze-corr": "within/between-group correlation densities",
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `pseudosup` parser, one subparser per entry of COMMANDS. Given a
+    command name, only that subparser gets its flags: all that an argv which
+    starts with the name needs, and what `main` builds. Given None or any
+    other string, every subparser gets its flags."""
     parser = argparse.ArgumentParser(
         prog="pseudosup",
         description="Pseudo-supervisor semi-supervised learning experiments",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def experiment_parser(name: str, summary: str) -> argparse.ArgumentParser:
+    for name, summary in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
-        p.add_argument("--config", help="INI config file; flags override its values")
-        _add_flags(p, SCHEMA)
-        return p
-
-    experiment_parser("run", "run one method over the seed list")
-    p_abl = experiment_parser("ablate", "beta/gamma grid ablation")
-    p_abl.add_argument("--beta-grid", type=int, nargs="+", default=[10, 50, 100])
-    p_abl.add_argument("--gamma-grid", type=float, nargs="+",
-                       default=[0.0, 0.5, 0.9, 1.0])
-    p_cmp = experiment_parser("compare", "compare methods on shared splits")
-    p_cmp.add_argument("--methods", nargs="+", default=["supervised", "pseudo_sup"])
-
-    p_gen = sub.add_parser("gen-data", help="generate a synthetic dataset file")
-    p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--seed", type=int, default=1)
-    _add_flags(p_gen, _GEN_SCHEMA)
-
-    p_corr = sub.add_parser("analyze-corr",
-                            help="within/between-group correlation densities")
-    p_corr.add_argument("--dataset", required=True)
-    p_corr.add_argument("--bins", type=int, default=50)
-    p_corr.add_argument("--out-dir", required=True)
+        if command in COMMANDS and command != name:
+            continue
+        if name in ("run", "ablate", "compare"):
+            p.add_argument("--config", help="INI config file; flags override its values")
+            _add_flags(p, SCHEMA)
+        if name == "ablate":
+            p.add_argument("--beta-grid", type=int, nargs="+", default=[10, 50, 100])
+            p.add_argument("--gamma-grid", type=float, nargs="+",
+                           default=[0.0, 0.5, 0.9, 1.0])
+        elif name == "compare":
+            p.add_argument("--methods", nargs="+", default=["supervised", "pseudo_sup"])
+        elif name == "gen-data":
+            p.add_argument("--out", required=True)
+            p.add_argument("--seed", type=int, default=1)
+            _add_flags(p, _GEN_SCHEMA)
+        elif name == "analyze-corr":
+            p.add_argument("--dataset", required=True)
+            p.add_argument("--bins", type=int, default=50)
+            p.add_argument("--out-dir", required=True)
     return parser
 
 
@@ -482,7 +492,8 @@ def _cmd_analyze_corr(args: argparse.Namespace) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         if args.command == "gen-data":
             _cmd_gen_data(args)

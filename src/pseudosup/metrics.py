@@ -110,8 +110,10 @@ class CorrelationDensity:
         return (self.bin_edges[:-1] + self.bin_edges[1:]) / 2.0
 
 
-# Rows per Gram block of `correlation_density`: a block of 64 rows by N
-# columns holds 0.5 KB per column, so the pass never holds an N x N matrix.
+# Rows per Gram block of `correlation_density`: a block holds a few arrays of
+# 64 rows by N columns at once (the Gram products and their denominators, 0.5
+# KB per column each, and the kept-pair mask), so the pass never holds an
+# N x N matrix.
 _BLOCK_ROWS = 64
 
 
@@ -121,12 +123,16 @@ def correlation_density(X: np.ndarray, y: np.ndarray, bins: int = 50) -> Correla
 
     The rows are centred once and the covariances come from Gram products of
     `_BLOCK_ROWS` rows at a time against every row from the block's first on;
-    each block's upper triangle is walked one row at a time, so besides one
-    block only the kept correlations are held. A pair with a zero-variance
-    member is skipped and counted, as `pearson` would reject it. `pearson`
+    each block's upper triangle is kept and divided in one vectorised pass,
+    so besides one block only the kept correlations are held. A pair is
+    skipped and counted when the product of the two rows' sums of squares is
+    0, as in `pearson`: a zero-variance member, or an underflow. `pearson`
     stays the per-pair reference; the sums run in another order, so values
-    agree with it to rounding. An `X` that is not 2-D, or whose row count is
-    not `len(y)`, raises ValueError before any work."""
+    agree with it to rounding. A `bins` that is not an int >= 1, an `X` that
+    is not 2-D, or one whose row count is not `len(y)`, raises ValueError
+    before any work."""
+    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+        raise ValueError(f"bins must be an int >= 1, got {bins!r}")
     y = np.asarray(y)
     if np.ndim(X) != 2 or len(X) != len(y):
         raise ValueError(f"X must be 2-D with one row per label: got shape "
@@ -140,14 +146,18 @@ def correlation_density(X: np.ndarray, y: np.ndarray, bins: int = 50) -> Correla
     n = len(y)
     within, between = [np.empty(0)], [np.empty(0)]  # np.concatenate([]) raises
     for b in range(0, n - 1, _BLOCK_ROWS):
-        gram = x[b : b + _BLOCK_ROWS] @ x[b:].T  # pair (i, j) at gram[i - b, j - b]
-        for i in range(b, min(b + _BLOCK_ROWS, n - 1)):
-            denom = np.sqrt(sq[i] * sq[i + 1 :])
-            ok = denom != 0.0
-            rho = gram[i - b, i - b + 1 :][ok] / denom[ok]
-            same = y[i + 1 :][ok] == y[i]
-            within.append(rho[same])
-            between.append(rho[~same])
+        rows = slice(b, b + _BLOCK_ROWS)
+        gram = x[rows] @ x[b:].T  # pair (i, j) at gram[i - b, j - b]
+        denom = np.sqrt(sq[rows, None] * sq[b:])
+        # the kept pairs: i < j and a non-zero denominator; boolean indexing
+        # reads them row-major, so in (i, j) order
+        ok = (np.arange(len(gram))[:, None] < np.arange(n - b)) & (denom != 0.0)
+        rho = gram[ok]
+        rho /= denom[ok]
+        same = (y[rows, None] == y[b:])[ok]
+        del gram, denom, ok  # freed before the next block is built
+        within.append(rho[same])
+        between.append(rho[~same])
     del x  # freed before the kept values are copied together, to hold the peak
     within, between = np.concatenate(within), np.concatenate(between)
     skipped = n * (n - 1) // 2 - len(within) - len(between)

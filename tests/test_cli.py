@@ -969,6 +969,62 @@ class TestBenchmarkCommandLines:
             _config_from_args(args)
 
 
+# One argv per command that sets every flag the command takes.
+EVERY_FLAG_ARGV = {
+    "run": [*NONDEFAULT_ARGV, "--config", "c.ini"],
+    "ablate": ["ablate", *NONDEFAULT_ARGV[1:], "--config", "c.ini",
+               "--beta-grid", "5", "9", "--gamma-grid", "0.3"],
+    "compare": ["compare", *NONDEFAULT_ARGV[1:], "--config", "c.ini",
+                "--methods", "supervised", "self_training"],
+    "gen-data": ["gen-data", "--out", "d.txt", "--seed", "4", "--n-per-class", "7",
+                 "--dim", "5", "--class-separation", "2.5", "--label-fraction", "0.25",
+                 "--fractions", "0.6", "0.2", "0.2", "--grid", "2", "3", "--multimodal",
+                 "--vf-target-len", "60"],
+    "analyze-corr": ["analyze-corr", "--dataset", "d.txt", "--bins", "7", "--out-dir", "o"],
+}
+
+
+class TestCommandParser:
+    """The parser `main` builds for the command it runs parses and explains
+    that command exactly as the parser of every command does."""
+
+    def test_every_command_has_an_argv(self):
+        assert list(EVERY_FLAG_ARGV) == list(cli.COMMANDS)
+
+    @pytest.mark.parametrize("command", list(EVERY_FLAG_ARGV))
+    def test_same_namespace(self, command):
+        argv = EVERY_FLAG_ARGV[command]
+        full = build_parser().parse_args(argv)
+        assert None not in vars(full).values()  # the argv sets every flag
+        assert build_parser(command).parse_args(argv) == full
+
+    @staticmethod
+    def help_text(capsys, parse, argv):
+        with pytest.raises(SystemExit) as exc:
+            parse(argv)
+        assert exc.value.code == 0
+        return capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", [["-h"], *([c, "-h"] for c in EVERY_FLAG_ARGV)])
+    def test_same_help(self, capsys, argv):
+        full = self.help_text(capsys, build_parser().parse_args, argv)
+        assert full.startswith("usage: pseudosup")
+        # the top-level help lists every command whichever one gets its flags
+        for command in EVERY_FLAG_ARGV if argv == ["-h"] else argv[:1]:
+            assert self.help_text(capsys, build_parser(command).parse_args, argv) == full
+        assert self.help_text(capsys, main, argv) == full
+
+    @pytest.mark.parametrize("argv", [[], ["runn", "--seeds", "1"], ["run", "--bogus"],
+                                      ["--bogus", "run"], ["analyze-corr", "--bins", "x"]])
+    def test_same_error(self, capsys, argv):
+        errors = []
+        for parse in (build_parser().parse_args, main):
+            with pytest.raises(SystemExit) as exc:
+                parse(argv)
+            errors.append((exc.value.code, capsys.readouterr()))
+        assert errors[0] == errors[1] and errors[0][0] == 2
+
+
 class TestCsvFiles:
     """Every CSV table the commands write follows `engine.csv_text`'s cell
     rule: each row is as wide as its header, and each number is written with

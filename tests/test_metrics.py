@@ -187,6 +187,74 @@ class TestCorrelationDensity:
                 (within if y[i] == y[j] else between).append(rho)
         return within, between, skipped
 
+    # `correlation_density`'s pass before its blocks were vectorised: the same
+    # 64-row Gram blocks, each row against the rows after it, one row at a
+    # time. The byte-level reference for the one-pass blocks.
+    @staticmethod
+    def row_walk(X, y):
+        x = X - X.mean(axis=1, keepdims=True)
+        sq = (x * x).sum(axis=1)
+        n = len(y)
+        within, between = [np.empty(0)], [np.empty(0)]
+        for b in range(0, n - 1, _BLOCK_ROWS):
+            gram = x[b : b + _BLOCK_ROWS] @ x[b:].T
+            for i in range(b, min(b + _BLOCK_ROWS, n - 1)):
+                denom = np.sqrt(sq[i] * sq[i + 1 :])
+                ok = denom != 0.0
+                rho = gram[i - b, i - b + 1 :][ok] / denom[ok]
+                same = y[i + 1 :][ok] == y[i]
+                within.append(rho[same])
+                between.append(rho[~same])
+        within, between = np.concatenate(within), np.concatenate(between)
+        return within, between, n * (n - 1) // 2 - len(within) - len(between)
+
+    def assert_matches_row_walk(self, x, y):
+        density = correlation_density(x, y)
+        within, between, skipped = self.row_walk(x, y)
+        assert density.within_group.tobytes() == within.tobytes()
+        assert density.between_group.tobytes() == between.tobytes()
+        assert density.skipped_pairs == skipped
+        return density
+
+    # every row count next to a block edge, with 2 and 3 classes (1 for 2 rows)
+    @pytest.mark.parametrize("n, classes", sorted({
+        (n, min(k, n // 2)) for n in (2, 63, 64, 65, 129, 131) for k in (2, 3)}))
+    @pytest.mark.parametrize("constant", [False, True], ids=["", "constant_rows"])
+    def test_blocks_match_row_walk_bytes(self, n, classes, constant):
+        rng = np.random.default_rng(100 * n + classes)
+        x = rng.normal(size=(n, 7))
+        if constant:  # pairs of them inside one block and across blocks
+            x[[r for r in (1, 5, _BLOCK_ROWS - 1, _BLOCK_ROWS, n - 1) if r < n]] = 2.0
+        y = rng.permutation(np.arange(n) % classes)
+        density = self.assert_matches_row_walk(x, y)
+        assert len(density.within_group) > 0 or constant
+
+    def test_underflowing_denominator_skipped(self):
+        """Two rows of values about 1e-160 each have a non-zero sum of
+        squares, but its product for the pair underflows to 0: the pair is
+        skipped by the denominator, not for a zero-variance row."""
+        rng = np.random.default_rng(44)
+        x = rng.normal(size=(2 * _BLOCK_ROWS + 3, 7))
+        tiny = [3, _BLOCK_ROWS + 5]
+        x[tiny] = 1e-160 * rng.normal(size=(2, 7))
+        centred = x[tiny] - x[tiny].mean(axis=1, keepdims=True)
+        sq = (centred * centred).sum(axis=1)
+        assert (sq > 0).all() and sq[0] * sq[1] == 0.0
+        density = self.assert_matches_row_walk(x, np.arange(len(x)) % 3)
+        assert density.skipped_pairs == 1
+
+    @pytest.mark.parametrize("bins", [0, -1, True, False, 2.0, "3", None])
+    def test_bad_bins_rejected_before_any_work(self, bins):
+        with pytest.raises(ValueError, match=rf"^bins must be an int >= 1, got "
+                                             rf"{re.escape(repr(bins))}$"):
+            correlation_density(np.zeros(3), np.zeros(5, dtype=np.int64), bins=bins)
+
+    @pytest.mark.parametrize("bins", [1, np.int64(7)])
+    def test_bins_give_equal_width_edges(self, bins):
+        density = correlation_density(*self.samples(), bins=bins)
+        np.testing.assert_array_equal(density.bin_edges, np.linspace(-1.0, 1.0, int(bins) + 1))
+        assert density.density("within").shape == (bins,)
+
     @pytest.mark.parametrize("n, constant_rows", [
         (2, ()),
         (_BLOCK_ROWS - 1, ()),
