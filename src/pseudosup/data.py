@@ -9,28 +9,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-__all__ = [
-    "Sample",
-    "Split",
-    "DatasetSplits",
-    "LongitudinalSeries",
-    "QcRecord",
-    "QcReport",
-    "ProgressionResult",
-    "DatasetFormatError",
-    "generate_overlapping_gaussians",
-    "generate_multimodal_gaussians",
-    "split_dataset",
-    "qc_filter",
-    "derive_progression_labels",
-    "concat_modalities",
-    "augment_weak",
-    "apply_crop_flip",
-    "splits_digest",
-    "save_dataset",
-    "load_dataset",
-    "row_line",
-]
+from . import _public_names
 
 
 @dataclass
@@ -532,3 +511,6 @@ def row_line(path: str, row_id: str) -> int | None:
             if len(fields) > 1 and fields[0] in _SPLIT_TAGS and fields[1] == row_id:
                 return lineno
     return None
+
+
+__all__ = _public_names(globals())

@@ -59,6 +59,7 @@ from itertools import chain, count, islice
 
 import numpy as np
 
+from . import _public_names
 from .data import DatasetSplits, Split, augment_weak
 from .metrics import MetricsReport, accuracy, auc_roc, f1_binary
 from .nn_core import (
@@ -73,29 +74,6 @@ from .nn_core import (
     mlp_forward,
     softmax_cross_entropy,
 )
-
-__all__ = [
-    "ConfigError",
-    "RowError",
-    "EngineConfig",
-    "TrajectoryStep",
-    "Trajectory",
-    "History",
-    "csv_text",
-    "TrainResult",
-    "warmup_supervised",
-    "sample_pseudo_labels",
-    "eval_val_loss",
-    "compute_reward",
-    "classifier_step",
-    "discounted_return",
-    "policy_update",
-    "train",
-    "train_supervised_only",
-    "train_self_training",
-    "evaluate",
-    "check_splits",
-]
 
 
 class ConfigError(ValueError):
@@ -367,14 +345,7 @@ def eval_val_loss(classifier: MlpModel, x: np.ndarray, y: np.ndarray) -> float:
     if len(x) == 0:
         raise ValueError("validation batch must be non-empty")
     logits, _ = mlp_forward(classifier, x)
-    return float(_mean_nll(log_softmax(logits)[np.arange(len(y)), y]))
-
-
-def _mean_nll(picked: np.ndarray) -> np.ndarray:
-    """Mean negative log-likelihood of each batch from the log-probabilities
-    logp[i, y_i] of its labels, one batch per row of `picked` (or one 1-D
-    batch)."""
-    return -picked.mean(axis=-1)
+    return float(-log_softmax(logits)[np.arange(len(y)), y].mean())
 
 
 def compute_reward(loss_before: float, loss_after: float) -> float:
@@ -632,7 +603,7 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
                 pending.clear()
                 labels = yv[np.arange(lo, hi) // 2].ravel()
                 picked = log_softmax(logits)[np.arange(len(labels)), labels]
-                nll[lo:hi] = _mean_nll(picked.reshape(hi - lo, n_v))
+                nll[lo:hi] = -picked.reshape(hi - lo, n_v).mean(axis=-1)
             for t in range(lo // 2 + 1, hi // 2 + 1):
                 rewards[t - 1] = compute_reward(*nll[2 * t - 2 : 2 * t].tolist())
             if t > lo // 2 and t % cfg.beta == 0:
@@ -728,3 +699,6 @@ def train_self_training(
                       [False] * step, epochs=epochs)
     return TrainResult(classifier, None, history,
                        {"pseudo_label_accuracy": pseudo_acc, "n_selected": n_selected})
+
+
+__all__ = _public_names(globals())

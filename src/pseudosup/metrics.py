@@ -8,15 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import rankdata
 
-__all__ = [
-    "MetricsReport",
-    "CorrelationDensity",
-    "accuracy",
-    "f1_binary",
-    "auc_roc",
-    "pearson",
-    "correlation_density",
-]
+from . import _public_names
 
 
 @dataclass
@@ -60,8 +52,12 @@ def f1_binary(predictions, labels) -> float:
 
 
 def auc_roc(scores, labels) -> float:
-    """ROC AUC via the Mann-Whitney rank statistic; ties get half credit."""
+    """ROC AUC via the Mann-Whitney rank statistic; ties get half credit and
+    +-inf scores rank as the extremes. A NaN score, which has no rank, raises
+    ValueError."""
     scores, labels = _check_lengths(np.asarray(scores, dtype=np.float64), labels)
+    if np.isnan(scores).any():
+        raise ValueError("AUC scores must not be NaN")
     pos = labels == 1
     n_pos = int(pos.sum())
     n_neg = len(labels) - n_pos
@@ -73,8 +69,12 @@ def auc_roc(scores, labels) -> float:
 
 
 def pearson(x: np.ndarray, y: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
+    """The correlation of two non-empty finite 1-D arrays of equal length;
+    any other input, or a zero-variance one, raises ValueError."""
+    x, y = np.asarray(x, dtype=np.float64), np.asarray(y, dtype=np.float64)
+    if x.ndim != 1 or x.shape != y.shape or not len(x) or not np.isfinite([x, y]).all():
+        raise ValueError(f"pearson needs two non-empty finite 1-D arrays of equal length, got "
+                         f"shapes {x.shape} and {y.shape}")
     xc = x - x.mean()
     yc = y - y.mean()
     denom = np.sqrt((xc * xc).sum() * (yc * yc).sum())
@@ -129,14 +129,16 @@ def correlation_density(X: np.ndarray, y: np.ndarray, bins: int = 50) -> Correla
     0, as in `pearson`: a zero-variance member, or an underflow. `pearson`
     stays the per-pair reference; the sums run in another order, so values
     agree with it to rounding. A `bins` that is not an int >= 1, an `X` that
-    is not 2-D, or one whose row count is not `len(y)`, raises ValueError
-    before any work."""
+    is not 2-D, one whose row count is not `len(y)`, or one that holds NaN or
+    +-inf, raises ValueError before any work."""
     if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
         raise ValueError(f"bins must be an int >= 1, got {bins!r}")
     y = np.asarray(y)
     if np.ndim(X) != 2 or len(X) != len(y):
         raise ValueError(f"X must be 2-D with one row per label: got shape "
                          f"{np.shape(X)} for {len(y)} labels")
+    if not np.isfinite(X).all():
+        raise ValueError("X must hold only finite values")
     if (y < 0).any():
         raise ValueError("correlation_density requires labeled rows")
     if (np.unique(y, return_counts=True)[1] < 2).any():
@@ -162,3 +164,6 @@ def correlation_density(X: np.ndarray, y: np.ndarray, bins: int = 50) -> Correla
     within, between = np.concatenate(within), np.concatenate(between)
     skipped = n * (n - 1) // 2 - len(within) - len(between)
     return CorrelationDensity(within, between, np.linspace(-1.0, 1.0, bins + 1), skipped)
+
+
+__all__ = _public_names(globals())

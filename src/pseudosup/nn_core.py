@@ -27,22 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _public_names
 from .data import _str_int
-
-__all__ = [
-    "NonFiniteError",
-    "MlpModel",
-    "ForwardCache",
-    "AdamW",
-    "init_mlp",
-    "clone_model",
-    "mlp_forward",
-    "mlp_backward",
-    "softmax_cross_entropy",
-    "log_softmax",
-    "save_model",
-    "load_model",
-]
 
 
 class NonFiniteError(ValueError):
@@ -298,3 +284,6 @@ def load_model(path: str) -> MlpModel:
         return MlpModel(dims, np.array(values))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+__all__ = _public_names(globals())

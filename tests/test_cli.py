@@ -526,6 +526,23 @@ class TestCliEntry:
         assert rc == 0
         assert os.path.exists(os.path.join(out, "summary.csv"))
 
+    def test_module_entry_point_in_a_fresh_process(self, tmp_path):
+        """`python -m pseudosup.cli` imports the package in a clean interpreter
+        and exits with `main`'s return code through the `__main__` guard."""
+        def child(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "pseudosup.cli", *argv], cwd=tmp_path, timeout=120,
+                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"},
+                capture_output=True, text=True)
+
+        usage = child("-h")
+        assert usage.returncode == 0 and usage.stdout.startswith("usage: pseudosup"), usage.stderr
+        bad = child("analyze-corr", "--dataset", str(tmp_path / "absent.txt"),
+                    "--out-dir", str(tmp_path / "o"), "--bins", "0")
+        assert (bad.returncode, bad.stdout, bad.stderr) == (
+            2, "", "config error: bins must be >= 1, got 0\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_gen_data_deterministic(self, tmp_path):
         a = str(tmp_path / "a.txt")
         b = str(tmp_path / "b.txt")

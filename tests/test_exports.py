@@ -33,7 +33,7 @@ def test_all_lists_exactly_the_public_definitions(name):
         if not n.startswith("_") and (inspect.isclass(obj) or inspect.isfunction(obj))
         and obj.__module__ == module.__name__
     }
-    assert sorted(public - set(module.__all__)) == []
+    assert sorted(module.__all__) == sorted(public)
 
 
 def test_root_all_is_the_modules_lists_in_order():

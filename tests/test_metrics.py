@@ -77,6 +77,18 @@ class TestAuc:
         with pytest.raises(ValueError):
             auc_roc([0.1, 0.2], [1, 1])
 
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_nan_score_rejected(self, at):
+        scores = [0.1, 0.2, 0.3, 0.4]
+        scores[at] = np.nan
+        with pytest.raises(ValueError, match="^AUC scores must not be NaN$"):
+            auc_roc(scores, [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("scores", [[-np.inf, np.inf, 0.3, 0.4], [np.inf, -np.inf, 0.3, 0.4],
+                                        [np.inf, np.inf, 0.3, 0.4]])
+    def test_infinite_scores_rank_as_extremes(self, scores):
+        assert auc_roc(scores, [0, 1, 0, 1]) == auc_pair_oracle(scores, [0, 1, 0, 1])
+
     def test_matches_pair_enumeration_with_ties(self):
         rng = np.random.default_rng(21)
         for _ in range(200):
@@ -135,6 +147,20 @@ class TestPearson:
         with pytest.raises(ValueError):
             pearson(np.ones(5), np.arange(5.0))
 
+    @pytest.mark.parametrize("x, y", [
+        ([1.0, 2.0, 3.0], [[1.0], [2.0], [4.0]]),  # broadcasts to a 3 x 3 product
+        ([[1.0, 2.0], [3.0, 5.0]], [[1.0, 2.0], [3.0, 4.0]]),
+        ([1.0, 2.0, 3.0], [1.0, 2.0]),
+        ([], []),
+        ([1.0, np.nan, 3.0], [1.0, 2.0, 4.0]),
+        ([1.0, 2.0, 3.0], [1.0, np.inf, 4.0]),
+        ([-np.inf, 2.0, 3.0], [1.0, 2.0, 4.0]),
+    ], ids=["column", "two_dim", "lengths", "empty", "nan", "inf", "minus_inf"])
+    def test_not_two_finite_vectors_rejected(self, x, y):
+        with pytest.raises(ValueError, match=r"^pearson needs two non-empty finite 1-D arrays "
+                                             r"of equal length, got shapes "):
+            pearson(x, y)
+
 
 class TestCorrelationDensity:
     @staticmethod
@@ -170,6 +196,13 @@ class TestCorrelationDensity:
         with pytest.raises(ValueError, match=rf"^X must be 2-D with one row per label: got "
                                              rf"shape {re.escape(str(shape))} for {n_labels} "
                                              rf"labels$"):
+            correlation_density(x, y)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_features_rejected(self, bad):
+        x, y = self.samples()
+        x[3, 4] = bad
+        with pytest.raises(ValueError, match="^X must hold only finite values$"):
             correlation_density(x, y)
 
     # Every pair (i, j), i < j, through `pearson` in that order; a pair that
