@@ -493,15 +493,16 @@ def _finite_logits(model: MlpModel, x: np.ndarray, what: str) -> np.ndarray:
 
 
 def evaluate(classifier: MlpModel, split: Split) -> MetricsReport:
-    """Metrics on a fully labeled split, with class 1 as the positive class."""
+    """Metrics on a fully labeled split; F1 and AUC score class 1 against the
+    rest."""
     x, y = split.X, split.y
     if (y < 0).any():
         raise ValueError("evaluate requires a fully labeled split")
     logits = _finite_logits(classifier, x, "evaluated split")
     preds = logits.argmax(axis=1)
     scores = np.exp(log_softmax(logits))[:, 1]
-    return MetricsReport(accuracy=accuracy(preds, y), f1=f1_binary(preds, y),
-                         auc=auc_roc(scores, (y == 1).astype(int)), n_samples=len(y))
+    return MetricsReport(accuracy=accuracy(preds, y), f1=f1_binary(preds == 1, y == 1),
+                         auc=auc_roc(scores, y == 1), n_samples=len(y))
 
 
 # ---------------------------------------------------------------------------

@@ -30,6 +30,12 @@ def _check_lengths(predictions, labels):
     return predictions, labels
 
 
+def _check_binary(name: str, values: np.ndarray) -> None:
+    bad = values[(values != 0) & (values != 1)]
+    if bad.size:
+        raise ValueError(f"{name} must be 0 or 1, got {bad[0].item()!r}")
+
+
 def accuracy(predictions, labels) -> float:
     predictions, labels = _check_lengths(predictions, labels)
     return float(np.mean(predictions == labels))
@@ -37,8 +43,12 @@ def accuracy(predictions, labels) -> float:
 
 def f1_binary(predictions, labels) -> float:
     """2 P R / (P + R) with class 1 positive. Degenerate convention: 0 unless
-    there are neither predicted nor actual positives, in which case 1."""
+    there are neither predicted nor actual positives, in which case 1. A
+    prediction or label other than 0 or 1 (bools count as 0 and 1) raises
+    ValueError."""
     predictions, labels = _check_lengths(predictions, labels)
+    _check_binary("predictions", predictions)
+    _check_binary("labels", labels)
     pred_pos = predictions == 1
     true_pos = labels == 1
     tp = int(np.sum(pred_pos & true_pos))
@@ -53,9 +63,10 @@ def f1_binary(predictions, labels) -> float:
 
 def auc_roc(scores, labels) -> float:
     """ROC AUC via the Mann-Whitney rank statistic; ties get half credit and
-    +-inf scores rank as the extremes. A NaN score, which has no rank, raises
-    ValueError."""
+    +-inf scores rank as the extremes. A NaN score, which has no rank, or a
+    label other than 0 or 1 (bools count as 0 and 1) raises ValueError."""
     scores, labels = _check_lengths(np.asarray(scores, dtype=np.float64), labels)
+    _check_binary("labels", labels)
     if np.isnan(scores).any():
         raise ValueError("AUC scores must not be NaN")
     pos = labels == 1

@@ -39,6 +39,13 @@ from pseudosup.engine import EngineConfig
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_python(cwd, *args):
+    """`python *args` in a fresh process importing `src/`, output captured."""
+    return subprocess.run(
+        [sys.executable, *args], cwd=cwd, timeout=120, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"})
+
+
 def small_cfg(tmp_path, method="supervised", seeds=(1, 2)):
     return ExperimentConfig(
         method=method,
@@ -530,10 +537,7 @@ class TestCliEntry:
         """`python -m pseudosup.cli` imports the package in a clean interpreter
         and exits with `main`'s return code through the `__main__` guard."""
         def child(*argv):
-            return subprocess.run(
-                [sys.executable, "-m", "pseudosup.cli", *argv], cwd=tmp_path, timeout=120,
-                env={**os.environ, "PYTHONPATH": str(ROOT / "src"), "OPENBLAS_NUM_THREADS": "1"},
-                capture_output=True, text=True)
+            return run_python(tmp_path, "-m", "pseudosup.cli", *argv)
 
         usage = child("-h")
         assert usage.returncode == 0 and usage.stdout.startswith("usage: pseudosup"), usage.stderr
@@ -542,6 +546,30 @@ class TestCliEntry:
         assert (bad.returncode, bad.stdout, bad.stderr) == (
             2, "", "config error: bins must be >= 1, got 0\n")
         assert list(tmp_path.iterdir()) == []
+
+    def test_first_main_call_freezes_the_heap_once(self, tmp_path):
+        """In a fresh process the first `main` call freezes the heap alive
+        then (scipy's import leaves most of it) and a second call freezes
+        nothing more. Both commands print to a pipe, block-buffered, so their
+        lines reach it only when the process exits with that heap frozen."""
+        script = """if True:
+            import gc, sys
+            from pseudosup.cli import main
+            counts = [gc.get_freeze_count()]
+            for argv in (["gen-data", "--out", "d.txt", "--n-per-class", "20"],
+                         ["analyze-corr", "--dataset", "d.txt", "--out-dir", "o"]):
+                assert main(argv) == 0
+                counts.append(gc.get_freeze_count())
+            print(*counts, file=sys.stderr)
+        """
+        proc = run_python(tmp_path, "-c", script)
+        assert proc.returncode == 0, proc.stderr
+        before, first, second = map(int, proc.stderr.split())
+        assert before == 0 < first == second
+        within, between = os.path.join("o", "corr_within.csv"), os.path.join("o", "corr_between.csv")
+        assert proc.stdout == f"wrote d.txt\nwrote {within}\nwrote {between}\n"
+        for name in ("d.txt", within, between):
+            assert (tmp_path / name).read_text().endswith("\n")
 
     def test_gen_data_deterministic(self, tmp_path):
         a = str(tmp_path / "a.txt")

@@ -641,6 +641,22 @@ class TestTrainLoop:
         with pytest.raises(ValueError, match="fully labeled"):
             evaluate(model, make_splits().unlabeled_train)
 
+    def test_evaluate_scores_class_1_against_the_rest(self):
+        # with three classes, F1 and AUC count classes 0 and 2 as negatives
+        rng = np.random.default_rng(5)
+        model = init_mlp([4, 8, 3], rng)
+        x, y = rng.normal(size=(30, 4)), np.arange(30) % 3
+        report = evaluate(model, Split(np.arange(30), x, y, np.full(30, -1)))
+        logits, _ = mlp_forward(model, x)
+        preds = logits.argmax(axis=1)
+        assert set(preds) == {0, 1, 2}
+        tp = np.sum((preds == 1) & (y == 1))
+        assert report.accuracy == np.mean(preds == y)
+        assert report.f1 == pytest.approx(2 * tp / (np.sum(preds == 1) + np.sum(y == 1)))
+        scores = np.exp(log_softmax(logits))[:, 1]
+        pairs = scores[y == 1, None] - scores[y != 1]
+        assert report.auc == pytest.approx(np.mean((pairs > 0) + 0.5 * (pairs == 0)))
+
 
 def classifier_step(model, xl, yl, xu, yu, optimizer, cfg):
     """The classifier step of `reference_train`, in its two-halves form:

@@ -65,6 +65,23 @@ class TestF1:
             l = rng.integers(0, 2, 10)
             assert 0.0 <= f1_binary(p, l) <= 1.0
 
+    @pytest.mark.parametrize("preds, labels, message", [
+        ([1, 2, 0], [1, 5, 0], "predictions must be 0 or 1, got 2"),
+        ([1, 0, 0], [1, 5, 0], "labels must be 0 or 1, got 5"),
+        ([1, 0, 0], [1.0, 0.5, 0.0], "labels must be 0 or 1, got 0.5"),
+        ([1.0, np.nan, 0.0], [1, 0, 0], "predictions must be 0 or 1, got nan"),
+    ])
+    def test_non_binary_rejected(self, preds, labels, message):
+        # each of these used to score 1.0, counting every value but 1 as negative
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            f1_binary(preds, labels)
+
+    def test_bool_and_float_labels_score_as_ints(self):
+        preds, labels = [1, 1, 1, 0, 0], [1, 1, 0, 1, 0]
+        expected = f1_binary(preds, labels)
+        assert f1_binary(np.array(preds, bool), np.array(labels, bool)) == expected
+        assert f1_binary(np.array(preds, float), np.array(labels, float)) == expected
+
 
 class TestAuc:
     def test_perfect_separation(self):
@@ -83,6 +100,22 @@ class TestAuc:
         scores[at] = np.nan
         with pytest.raises(ValueError, match="^AUC scores must not be NaN$"):
             auc_roc(scores, [0, 1, 0, 1])
+
+    @pytest.mark.parametrize("labels, message", [
+        ([1, 2, 0], "labels must be 0 or 1, got 2"),
+        ([1.0, 0.5, 0.0], "labels must be 0 or 1, got 0.5"),
+        ([1, -1, 0], "labels must be 0 or 1, got -1"),
+    ])
+    def test_non_binary_labels_rejected(self, labels, message):
+        # the first two used to score 1.0, counting every label but 1 as negative
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            auc_roc([0.9, 0.2, 0.3], labels)
+
+    def test_bool_and_float_labels_score_as_ints(self):
+        scores, labels = [0.2, 0.9, 0.4, 0.4, 0.1], [0, 1, 1, 0, 0]
+        expected = auc_roc(scores, labels)
+        assert auc_roc(scores, np.array(labels, bool)) == expected
+        assert auc_roc(scores, np.array(labels, float)) == expected
 
     @pytest.mark.parametrize("scores", [[-np.inf, np.inf, 0.3, 0.4], [np.inf, -np.inf, 0.3, 0.4],
                                         [np.inf, np.inf, 0.3, 0.4]])

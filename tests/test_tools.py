@@ -99,7 +99,7 @@ _spec = importlib.util.spec_from_file_location(
 cli_cost = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_cost)
 
-_RUN = r"run (\d): exit (\d+), (\S+) s after import, peak RSS (\S+) MB"
+_RUN = r"run (\d): exit (\d+), set-up (\S+) s, run (\S+) s, shutdown (\S+) s, peak RSS (\S+) MB"
 
 
 def test_cli_cost_reports_each_run_in_a_fresh_process(tmp_path, capsys):
@@ -109,8 +109,8 @@ def test_cli_cost_reports_each_run_in_a_fresh_process(tmp_path, capsys):
     runs = [re.fullmatch(_RUN, line).groups()
             for line in capsys.readouterr().out.splitlines()]
     assert [run[:2] for run in runs] == [("1", "0"), ("2", "0")]
-    for _, _, seconds, peak in runs:
-        assert float(seconds) >= 0 and float(peak) > 0
+    for _, _, *seconds, peak in runs:
+        assert all(float(value) >= 0 for value in seconds) and float(peak) > 0
     assert out.read_text().startswith("gdp-synth v1\nn_features 2\n")
     # a run that fails still reports, and fails the tool
     assert cli_cost.main(["--runs", "1", "--", *gen[:3], "--n-per-class", "0"]) == 1

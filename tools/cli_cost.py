@@ -7,17 +7,24 @@ another, each in a new Python process with `PYTHONPATH` set to the `src/`
 beside `tools/` and `OPENBLAS_NUM_THREADS=1`. The command's stdout is
 discarded; its stderr passes through.
 
-Each run prints one line: its exit code, the wall seconds from after
-`import pseudosup.cli` to the command's return, and the process's own peak
-RSS (`RUSAGE_SELF`, MB of 1024 KiB, as the bench reports it). A run that
-exits before it can report prints `-` for both. The exit status is 1 if any
-run exits non-zero, else 0.
+Each run prints one line: its exit code, the seconds of each phase of the
+process, and the process's own peak RSS (`RUSAGE_SELF`, MB of 1024 KiB, as
+the bench reports it). The phases are set-up, from process start to the end
+of `import pseudosup.cli`; the run, the wall time from there to the
+command's return; and shutdown, from that return to the end of the process
+(the interpreter's exit: its garbage collections, module teardown, flushing
+stdout). Set-up and shutdown join the parent's `time.monotonic_ns()`, read
+just before the process starts and once it has ended, with the child's,
+read after the import and at the return; CLOCK_MONOTONIC is shared by every
+process of the machine. A run that exits before it can report prints `-`
+for every figure. The exit status is 1 if any run exits non-zero, else 0.
 """
 
 import argparse
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -26,31 +33,38 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 _CHILD = """\
 import os, resource, sys, time
 import pseudosup.cli
+ready = time.monotonic_ns()
 start = time.perf_counter()
 try:
     code = pseudosup.cli.main(sys.argv[2:])
 finally:
+    seconds = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    os.write(int(sys.argv[1]), b"%.3f %.1f" % (time.perf_counter() - start, peak))
+    os.write(int(sys.argv[1]), b"%d %.3f %.1f %d" % (ready, seconds, peak, time.monotonic_ns()))
 sys.exit(code)
 """
 
 
-def run_once(command: list[str]) -> tuple[int, str, str]:
-    """Exit code, seconds after import and peak RSS MB of one run of `command`
-    in a fresh process; `-` for a figure the process did not report."""
+def run_once(command: list[str]) -> tuple[int, str, str, str, str]:
+    """Exit code, set-up, run and exit seconds and peak RSS MB of one run of
+    `command` in a fresh process; `-` for a figure it did not report."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     read_fd, write_fd = os.pipe()
     try:
+        started_ns = time.monotonic_ns()
         code = subprocess.run([sys.executable, "-c", _CHILD, str(write_fd), *command],
                               env=env, pass_fds=(write_fd,),
                               stdout=subprocess.DEVNULL).returncode
+        ended_ns = time.monotonic_ns()
     finally:
         os.close(write_fd)
     with os.fdopen(read_fd, "rb") as fh:
         report = fh.read().decode().split()
-    seconds, peak = report or ("-", "-")
-    return code, seconds, peak
+    if not report:
+        return code, "-", "-", "-", "-"
+    ready_ns, seconds, peak, returned_ns = report
+    return (code, f"{(int(ready_ns) - started_ns) / 1e9:.3f}", seconds,
+            f"{(ended_ns - int(returned_ns)) / 1e9:.3f}", peak)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -62,9 +76,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--runs must be >= 1, got {args.runs}")
     failed = False
     for i in range(1, args.runs + 1):
-        code, seconds, peak = run_once(args.command)
+        code, setup_s, run_s, exit_s, peak = run_once(args.command)
         failed |= code != 0
-        print(f"run {i}: exit {code}, {seconds} s after import, peak RSS {peak} MB", flush=True)
+        print(f"run {i}: exit {code}, set-up {setup_s} s, run {run_s} s, shutdown {exit_s} s, "
+              f"peak RSS {peak} MB", flush=True)
     return 1 if failed else 0
 
 
