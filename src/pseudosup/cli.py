@@ -17,7 +17,7 @@ import io
 import os
 import sys
 import types
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
 from typing import Any, get_args, get_origin, get_type_hints
 
@@ -388,13 +388,14 @@ def run_ablation(cfg: ExperimentConfig, beta_grid: list[int],
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_flags(p: argparse.ArgumentParser, schema: Iterable[_Field]) -> None:
+def _flags(schema: Iterable[_Field]) -> Iterator[tuple[str, dict[str, Any]]]:
+    """Each field of `schema` as a flag: (name, `add_argument` keywords)."""
     for f in schema:
         flag = FLAG_NAMES.get(f.name, "--" + f.name.replace("_", "-"))
         if f.scalar is bool:
-            p.add_argument(flag, dest=f.name, action=argparse.BooleanOptionalAction)
+            yield flag, {"dest": f.name, "action": argparse.BooleanOptionalAction}
         else:
-            p.add_argument(flag, dest=f.name, type=f.scalar, nargs=f.nargs)
+            yield flag, {"dest": f.name, "type": f.scalar, "nargs": f.nargs}
 
 
 def _given(args: argparse.Namespace, schema: Iterable[_Field]) -> dict[_Field, Any]:
@@ -423,48 +424,18 @@ _GEN_SCHEMA = tuple(f for f in SCHEMA
                     if f.section == "dataset" and f.name not in FLAG_NAMES)
 
 
-# command -> its help line, in the order `--help` lists them
-COMMANDS = {
-    "run": "run one method over the seed list",
-    "ablate": "beta/gamma grid ablation",
-    "compare": "compare methods on shared splits",
-    "gen-data": "generate a synthetic dataset file",
-    "analyze-corr": "within/between-group correlation densities",
-}
+def _cmd_run(args: argparse.Namespace) -> None:
+    cfg = _config_from_args(args)
+    run_experiment(cfg)
+    print(f"wrote {os.path.join(cfg.output_dir, 'summary.csv')}")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The `pseudosup` parser, one subparser per entry of COMMANDS. Given a
-    command name, only that subparser gets its flags: all that an argv which
-    starts with the name needs, and what `main` builds. Given None or any
-    other string, every subparser gets its flags."""
-    parser = argparse.ArgumentParser(
-        prog="pseudosup",
-        description="Pseudo-supervisor semi-supervised learning experiments",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, summary in COMMANDS.items():
-        p = sub.add_parser(name, help=summary)
-        if command in COMMANDS and command != name:
-            continue
-        if name in ("run", "ablate", "compare"):
-            p.add_argument("--config", help="INI config file; flags override its values")
-            _add_flags(p, SCHEMA)
-        if name == "ablate":
-            p.add_argument("--beta-grid", type=int, nargs="+", default=[10, 50, 100])
-            p.add_argument("--gamma-grid", type=float, nargs="+",
-                           default=[0.0, 0.5, 0.9, 1.0])
-        elif name == "compare":
-            p.add_argument("--methods", nargs="+", default=["supervised", "pseudo_sup"])
-        elif name == "gen-data":
-            p.add_argument("--out", required=True)
-            p.add_argument("--seed", type=int, default=1)
-            _add_flags(p, _GEN_SCHEMA)
-        elif name == "analyze-corr":
-            p.add_argument("--dataset", required=True)
-            p.add_argument("--bins", type=int, default=50)
-            p.add_argument("--out-dir", required=True)
-    return parser
+def _cmd_ablate(args: argparse.Namespace) -> None:
+    print(f"wrote {run_ablation(_config_from_args(args), args.beta_grid, args.gamma_grid)}")
+
+
+def _cmd_compare(args: argparse.Namespace) -> None:
+    print(f"wrote {compare_methods(_config_from_args(args), args.methods)}")
 
 
 def _cmd_gen_data(args: argparse.Namespace) -> None:
@@ -492,6 +463,51 @@ def _cmd_analyze_corr(args: argparse.Namespace) -> None:
         print(f"wrote {path}")
 
 
+_CONFIG_FLAG = [("--config", {"help": "INI config file; flags override its values"})]
+
+# command -> (help line, flags before the schema's, the schema given as flags,
+# flags after it, handler), in the order `--help` lists them; a flag is
+# (name, `add_argument` keywords)
+COMMANDS = {
+    "run": ("run one method over the seed list", _CONFIG_FLAG, SCHEMA, [], _cmd_run),
+    "ablate": ("beta/gamma grid ablation", _CONFIG_FLAG, SCHEMA, [
+        ("--beta-grid", {"type": int, "nargs": "+", "default": [10, 50, 100]}),
+        ("--gamma-grid", {"type": float, "nargs": "+", "default": [0.0, 0.5, 0.9, 1.0]}),
+    ], _cmd_ablate),
+    "compare": ("compare methods on shared splits", _CONFIG_FLAG, SCHEMA, [
+        ("--methods", {"nargs": "+", "default": ["supervised", "pseudo_sup"]}),
+    ], _cmd_compare),
+    "gen-data": ("generate a synthetic dataset file", [
+        ("--out", {"required": True}),
+        ("--seed", {"type": int, "default": 1}),
+    ], _GEN_SCHEMA, [], _cmd_gen_data),
+    "analyze-corr": ("within/between-group correlation densities", [
+        ("--dataset", {"required": True}),
+        ("--bins", {"type": int, "default": 50}),
+        ("--out-dir", {"required": True}),
+    ], (), [], _cmd_analyze_corr),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The `pseudosup` parser, one subparser per entry of COMMANDS. Given a
+    command name, only that subparser gets its flags: all that an argv which
+    starts with the name needs, and what `main` builds. Given None or any
+    other string, every subparser gets its flags."""
+    parser = argparse.ArgumentParser(
+        prog="pseudosup",
+        description="Pseudo-supervisor semi-supervised learning experiments",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, before, schema, after, _) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        if command in COMMANDS and command != name:
+            continue
+        for flag, kwargs in (*before, *_flags(schema), *after):
+            p.add_argument(flag, **kwargs)
+    return parser
+
+
 def main(argv: list[str] | None = None) -> int:
     """Run one command; returns its exit code. The first call in a process
     moves every object alive at that point (scipy's import leaves about
@@ -503,20 +519,7 @@ def main(argv: list[str] | None = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        if args.command == "gen-data":
-            _cmd_gen_data(args)
-        elif args.command == "analyze-corr":
-            _cmd_analyze_corr(args)
-        else:
-            cfg = _config_from_args(args)
-            if args.command == "run":
-                run_experiment(cfg)
-                path = os.path.join(cfg.output_dir, "summary.csv")
-            elif args.command == "ablate":
-                path = run_ablation(cfg, args.beta_grid, args.gamma_grid)
-            else:
-                path = compare_methods(cfg, args.methods)
-            print(f"wrote {path}")
+        COMMANDS[args.command][-1](args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -85,9 +85,11 @@ class LongitudinalSeries:
     md_values: np.ndarray  # per visit, decibels
 
     def __post_init__(self):
-        self.timestamps = np.asarray(self.timestamps, dtype=np.float64)
-        self.td_values = np.asarray(self.td_values, dtype=np.float64)
-        self.md_values = np.asarray(self.md_values, dtype=np.float64)
+        for name in ("timestamps", "td_values", "md_values"):
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if not np.isfinite(values).all():
+                raise ValueError(f"{name} must be finite")
+            setattr(self, name, values)
         if np.any(np.diff(self.timestamps) <= 0):
             raise ValueError("timestamps must be strictly increasing")
         if self.td_values.shape != (len(self.timestamps), VF_LOCATIONS):
@@ -227,10 +229,9 @@ def derive_progression_labels(series: LongitudinalSeries) -> ProgressionResult:
         raise ValueError("at least 2 visits required for slope fitting")
     t = series.timestamps
     design = np.column_stack([t, np.ones_like(t)])
-    td_coef, *_ = np.linalg.lstsq(design, series.td_values, rcond=None)
-    md_coef, *_ = np.linalg.lstsq(design, series.md_values, rcond=None)
-    td_slopes = td_coef[0]
-    md_slope = float(md_coef[0])
+    values = np.column_stack([series.td_values, series.md_values])  # one fit for both
+    slopes = np.linalg.lstsq(design, values, rcond=None)[0][0]
+    td_slopes, md_slope = slopes[:-1], float(slopes[-1])
     return ProgressionResult(
         td_progression=bool(np.sum(td_slopes <= -1.0) >= 3),
         md_fast_progression=md_slope <= -1.0,
@@ -268,6 +269,14 @@ def apply_crop_flip(grid: np.ndarray, flip, crop_h, crop_w, top, left) -> np.nda
     return grid.reshape(-1, h, w)[which, rows[..., :, None], cols[..., None, :]]
 
 
+def check_grid(grid: tuple[int, int], n_features: int) -> None:
+    """Raise ValueError unless the (h, w) `grid` has sides >= 1 and at most
+    `n_features` cells."""
+    h, w = grid
+    if min(h, w) < 1 or h * w > n_features:
+        raise ValueError(f"grid {h}x{w} needs sides >= 1 and at most {n_features} cells")
+
+
 def augment_weak(x: np.ndarray, grid: tuple[int, int] | None,
                  rng: np.random.Generator, scale_min: float = 0.8) -> np.ndarray:
     """Random horizontal flip (p=0.5) plus random crop-and-resize of the
@@ -276,9 +285,11 @@ def augment_weak(x: np.ndarray, grid: tuple[int, int] | None,
     u, u' ~ U[scale_min, 1], so at the default 0.8 a side of 2 or less is
     never cropped (only flipped). Row after row, `rng` draws flip, crop_h,
     crop_w, top and left in that order, as if each row were augmented alone;
-    then one `apply_crop_flip` gathers the batch. The other features pass through."""
+    then one `apply_crop_flip` gathers the batch. The other features pass through.
+    A `grid` that `check_grid` rejects for the batch raises before any draw."""
     if grid is None:
         raise ValueError("augment_weak requires grid dims")
+    check_grid(grid, x.shape[1])
     h, w = grid
     draws = []
     for _ in range(len(x)):

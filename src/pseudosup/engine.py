@@ -56,11 +56,12 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, count, islice
+from typing import get_type_hints
 
 import numpy as np
 
 from . import _public_names
-from .data import DatasetSplits, Split, augment_weak
+from .data import DatasetSplits, Split, augment_weak, check_grid
 from .metrics import MetricsReport, accuracy, auc_roc, f1_binary
 from .nn_core import (
     AdamW,
@@ -109,6 +110,11 @@ class EngineConfig:
     policy_warm_start: bool = True
 
     def __post_init__(self):
+        for name, many in _INT_FIELDS.items():
+            value = getattr(self, name)
+            if not all(map(_is_int, value if many else (value,))):
+                raise ConfigError(f"{name} must be {'integers' if many else 'an integer'}, "
+                                  f"got {value!r}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must be in [0, 1]")
         if self.beta < 1:
@@ -133,6 +139,17 @@ class EngineConfig:
             raise ConfigError("crop_scale_min must be in (0, 1]")
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+
+
+def _is_int(value) -> bool:
+    """An int or a numpy integer, but not a bool."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+# EngineConfig's integer fields, from its annotations: name -> whether it is a
+# tuple of integers rather than one
+_INT_FIELDS = {name: tp != int for name, tp in get_type_hints(EngineConfig).items()
+               if tp in (int, tuple[int, ...])}
 
 
 @dataclass
@@ -227,8 +244,8 @@ class TrainResult:
 def check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
     """Labeled splits non-empty with labels in [0, n_classes), class 1 and another
     in test (for its AUC); every non-empty split with labeled_train's feature
-    count, all finite; grid dims if cfg.augment, and any grid with sides >= 1
-    and at most that many cells, as `load_dataset` requires. A label outside
+    count, all finite; grid dims if cfg.augment, and any grid that `check_grid`
+    passes for that count, as `load_dataset` requires. A label outside
     the range raises RowError naming the split and the first such row's id."""
     if cfg.augment and splits.grid is None:
         raise ValueError("augment requires splits with grid dims")
@@ -252,10 +269,7 @@ def check_splits(splits: DatasetSplits, cfg: EngineConfig) -> None:
         if len(part) and not np.isfinite(part.X).all():
             raise ValueError(f"{name} has non-finite features")
     if splits.grid is not None:
-        h, w = splits.grid
-        if min(h, w) < 1 or h * w > n_features:
-            raise ValueError(f"grid {h}x{w} needs sides >= 1 and at most "
-                             f"{n_features} cells")
+        check_grid(splits.grid, n_features)
 
 
 def _augmented(x: np.ndarray, cfg: EngineConfig, grid: tuple[int, int] | None,

@@ -27,6 +27,7 @@ from pseudosup.data import (
     split_dataset,
     splits_digest,
 )
+from pseudosup.data import TD_MAX, TD_MIN
 from pseudosup.cli import main
 from pseudosup.data import _CHUNK_ROWS
 from pseudosup.metrics import auc_roc
@@ -261,6 +262,38 @@ class TestProgression:
         with pytest.raises(ValueError):
             self.series([0.0, 1.0], np.full((2, 52), 30.0), [0.0, 0.0])
 
+    def test_non_finite_td_rejected(self):
+        # a NaN in one of three progressing locations once gave slopes
+        # [nan, -2, -2] and no TD progression
+        td = np.zeros((3, 52))
+        td[:, :3] = [[0.0], [-2.0], [-4.0]]
+        td[1, 0] = np.nan
+        with pytest.raises(ValueError, match="^td_values must be finite$"):
+            self.series([0.0, 1.0, 2.0], td, np.zeros(3))
+
+    def test_non_finite_md_rejected(self):
+        with pytest.raises(ValueError, match="^md_values must be finite$"):
+            self.series([0.0, 1.0, 2.0], np.zeros((3, 52)), [0.0, np.nan, -4.0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_timestamp_rejected(self, bad, capfd):
+        with pytest.raises(ValueError, match="^timestamps must be finite$"):
+            self.series([0.0, 1.0, bad], np.zeros((3, 52)), np.zeros(3))
+        assert capfd.readouterr().err == ""  # LAPACK never ran
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_fit_equals_two_separate_fits(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 12))
+        t = np.cumsum(rng.uniform(0.01, 3.0, size=n))
+        td = rng.uniform(TD_MIN, TD_MAX, size=(n, 52))
+        md = rng.uniform(-30.0, 5.0, size=n)
+        result = derive_progression_labels(self.series(t, td, md))
+        design = np.column_stack([t, np.ones_like(t)])
+        np.testing.assert_array_equal(
+            result.td_slopes, np.linalg.lstsq(design, td, rcond=None)[0][0])
+        assert result.md_slope == float(np.linalg.lstsq(design, md, rcond=None)[0][0])
+
 
 class TestConcatModalities:
     def test_identity_upscale(self):
@@ -352,6 +385,15 @@ class TestAugmentWeak:
     def test_requires_grid_dims(self):
         with pytest.raises(ValueError):
             augment_weak(np.zeros((1, 4)), None, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("grid", [(3, 3), (0, 2), (2, 0), (-1, -1)])
+    def test_unusable_grid_rejected_before_any_draw(self, grid):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        message = f"^grid {grid[0]}x{grid[1]} needs sides >= 1 and at most 4 cells$"
+        with pytest.raises(ValueError, match=message):
+            augment_weak(np.zeros((2, 4)), grid, rng)
+        assert rng.bit_generator.state == state
 
 
 def crop_flip_reference(grid, flip, crop_h, crop_w, top, left):

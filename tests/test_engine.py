@@ -1158,9 +1158,26 @@ class TestEngineConfig:
         ({"crop_scale_min": 0.0}, "crop_scale_min must be in (0, 1]"),
         ({"seed": -1}, "seed must be >= 0, got -1"),
         ({"hidden_dims": ()}, "hidden_dims must not be empty"),
+        # an integer field takes an int or a numpy integer, not a float or a bool
+        ({"beta": 2.5}, "beta must be an integer, got 2.5"),
+        ({"beta": True}, "beta must be an integer, got True"),
+        ({"epochs": 1.5}, "epochs must be an integer, got 1.5"),
+        ({"warmup_steps": 2.5}, "warmup_steps must be an integer, got 2.5"),
+        ({"n_classes": 2.0}, "n_classes must be an integer, got 2.0"),
+        ({"seed": 1.0}, "seed must be an integer, got 1.0"),
+        ({"batch_labeled": 4.0}, "batch_labeled must be an integer, got 4.0"),
+        ({"batch_unlabeled": False}, "batch_unlabeled must be an integer, got False"),
+        ({"batch_val": np.float64(8.0)},
+         "batch_val must be an integer, got np.float64(8.0)"),
+        ({"hidden_dims": (4.5,)}, "hidden_dims must be integers, got (4.5,)"),
+        ({"hidden_dims": (8, True)}, "hidden_dims must be integers, got (8, True)"),
     ])
     def test_each_rule_raises_config_error(self, kwargs, message):
         with pytest.raises(ConfigError) as info:
             EngineConfig(**kwargs)
         assert str(info.value) == message
         assert isinstance(info.value, ValueError)
+
+    def test_numpy_integers_accepted(self):
+        cfg = EngineConfig(beta=np.int64(3), seed=np.uint8(2), hidden_dims=(np.int32(4), 8))
+        assert (cfg.beta, cfg.seed, cfg.hidden_dims) == (3, 2, (4, 8))

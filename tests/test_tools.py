@@ -36,6 +36,37 @@ def test_counts_neither_blanks_nor_comments_nor_docstrings():
     assert code_lines.code_lines(SOURCE) == 7
 
 
+def test_code_lines_counts_each_directory_given(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "a" / "mod.py").write_text(SOURCE)
+    (tmp_path / "a" / "a_long_module_name.py").write_text("x = 1\n")
+    (tmp_path / "a" / "notes.txt").write_text("not python\n")
+    (tmp_path / "a" / "sub").mkdir()
+    (tmp_path / "a" / "sub" / "deeper.py").write_text("y = 2\n")  # not counted
+    (tmp_path / "b").mkdir()
+    (tmp_path / "b" / "one.py").write_text("z = 3\n")
+    assert code_lines.main([str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "a_long_module_name.py       1",  # a name of 15 or more widens the column
+        "mod.py                      7",
+        "total                       8",
+    ]
+    assert code_lines.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == f"{tmp_path / 'a'}:" and out[4] == f"{tmp_path / 'b'}:"
+    assert out[5:] == ["one.py               1", "total                1"]
+    assert code_lines.main([str(tmp_path / "none")]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_code_lines_counts_the_package_by_default(capsys):
+    assert code_lines.main([]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].split()[0] == "__init__.py" and "cli.py" in [l.split()[0] for l in out]
+    files = [int(line.split()[1].replace(",", "")) for line in out[:-1]]
+    assert out[-1].split()[0] == "total" and int(out[-1].split()[1].replace(",", "")) == sum(files)
+
+
 _spec = importlib.util.spec_from_file_location(
     "drift", Path(__file__).resolve().parent.parent / "tools" / "drift.py")
 drift = importlib.util.module_from_spec(_spec)

@@ -1,14 +1,18 @@
-"""Count the code lines of each `src/pseudosup` module and their total.
+"""Count the code lines of each `*.py` file of a directory and their total.
 
 A code line holds at least one token that is not a comment or a newline and
 is not part of a module, class or function docstring. Blank lines, comment
 lines and docstrings are not counted.
 
-Run: `python3 tools/code_lines.py`. It reads the `src/` beside `tools/`.
+Run: `python3 tools/code_lines.py [DIR ...]`. With no DIR it counts the
+`src/pseudosup` beside `tools/`. Given several, it counts each in turn under a
+line that names it. Only a directory's own files are counted, not those of its
+subdirectories. The exit status is 2 if a DIR is not a directory.
 """
 
 import ast
 import io
+import sys
 import tokenize
 from pathlib import Path
 
@@ -33,14 +37,24 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
-def main() -> None:
-    total = 0
-    for path in sorted(SRC.glob("*.py")):
-        n = code_lines(path.read_text(encoding="utf-8"))
-        total += n
-        print(f"{path.name:16s}{n:6,d}")
-    print(f"{'total':16s}{total:6,d}")
+def main(argv: list[str] | None = None) -> int:
+    dirs = [Path(d) for d in (sys.argv[1:] if argv is None else argv)] or [SRC]
+    if missing := [str(d) for d in dirs if not d.is_dir()]:
+        print(f"not a directory: {', '.join(missing)}", file=sys.stderr)
+        return 2
+    for d in dirs:
+        if len(dirs) > 1:
+            print(f"{d}:")
+        paths = sorted(d.glob("*.py"))
+        width = max([16, *(len(p.name) + 2 for p in paths)])
+        total = 0
+        for path in paths:
+            n = code_lines(path.read_text(encoding="utf-8"))
+            total += n
+            print(f"{path.name:{width}s}{n:6,d}")
+        print(f"{'total':{width}s}{total:6,d}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())
