@@ -3,8 +3,10 @@
 Configs are INI-style `key = value` files with [experiment], [dataset] and
 [engine] sections; explicit CLI flags override file values. Every field of
 `ExperimentConfig`, `DatasetSpec` and `EngineConfig` is both a flag (dashes)
-and an INI key (underscores), except the per-cell fields in `PER_CELL`.
-Exit codes: 0 success, 2 config error, 3 runtime error.
+and an INI key (underscores), except the per-cell fields in `PER_CELL`: the
+seed, and each field that a row of `METHODS` sets. Each method is one row of
+`METHODS`, which names its trainer; every command runs its cells through that
+table. Exit codes: 0 success, 2 config error, 3 runtime error.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from .engine import (
     RowError,
     TrainResult,
     check_splits,
+    check_types,
     csv_text,
     train,
     train_self_training,
@@ -48,10 +51,20 @@ from .engine import (
 from .metrics import MetricsReport, correlation_density
 from .nn_core import save_model
 
-METHODS = ("pseudo_sup", "pseudo_sup_aug", "supervised", "self_training")
+# method -> (the name of its trainer, the EngineConfig fields it sets, whether
+# it requires confidence_threshold, which its trainer then takes after the
+# splits and the engine). A row names its trainer, looked up in this module
+# when a cell runs, rather than holding it, so whatever that name is bound to
+# then (a tracer's wrapper, a test's spy) is called. A new method is one row.
+METHODS = {
+    "pseudo_sup": ("train", {}, False),
+    "pseudo_sup_aug": ("train", {"augment": True}, False),
+    "supervised": ("train_supervised_only", {}, False),
+    "self_training": ("train_self_training", {}, True),
+}
 
 # EngineConfig fields the runner sets for each cell; neither flags nor INI keys.
-PER_CELL = ("seed", "augment")
+PER_CELL = ("seed", *dict.fromkeys(name for _, sets, _ in METHODS.values() for name in sets))
 # Flags not spelled as their field name with dashes.
 FLAG_NAMES = {"path": "--dataset"}
 
@@ -79,20 +92,21 @@ class ExperimentConfig:
     confidence_threshold: float | None = None
 
     def __post_init__(self):
-        """Method, seed list and threshold rules; `data` and EngineConfig own the
-        rest, the seed range included."""
-        if self.method not in METHODS:
-            raise ConfigError(f"method must be one of {METHODS}, got {self.method!r}")
-        if self.method == "self_training" and self.confidence_threshold is None:
-            raise ConfigError("method self_training requires confidence_threshold")
+        """Method, seed list and threshold rules, and each field's type rule
+        (`check_types`); `data` and EngineConfig own the rest, the seed range
+        included."""
+        if self.method not in (methods := tuple(METHODS)):
+            raise ConfigError(f"method must be one of {methods}, got {self.method!r}")
+        if METHODS[self.method][2] and self.confidence_threshold is None:
+            raise ConfigError(f"method {self.method} requires confidence_threshold")
         if not self.seeds:
             raise ConfigError("at least one seed is required")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         for seed in self.seeds:  # each must pass EngineConfig's seed rule
             replace(self.engine, seed=seed)
-        threshold = self.confidence_threshold
-        if threshold is not None and not 0.5 < threshold <= 1.0:
+        check_types(self)
+        if self.confidence_threshold is not None and not 0.5 < self.confidence_threshold <= 1.0:
             raise ConfigError("confidence_threshold must be in (0.5, 1]")
 
 
@@ -244,21 +258,6 @@ def build_splits(spec: DatasetSpec, seed: int) -> DatasetSplits:
         raise ConfigError(str(exc)) from None
 
 
-def _cell(method: str, engine: EngineConfig) -> tuple[str, EngineConfig]:
-    """The (method, engine) cell that trains `method`; pseudo_sup_aug is
-    pseudo_sup with `augment` set."""
-    return method, replace(engine, augment=True) if method == "pseudo_sup_aug" else engine
-
-
-def _run_method(method: str, splits: DatasetSplits, engine: EngineConfig,
-                confidence_threshold: float | None) -> TrainResult:
-    if method == "supervised":
-        return train_supervised_only(splits, engine)
-    if method == "self_training":
-        return train_self_training(splits, engine, confidence_threshold)
-    return train(splits, engine)  # pseudo_sup and pseudo_sup_aug
-
-
 def _write_csv(path: str, header: list[str], rows: Iterable[Sequence]) -> None:
     with open(path, "w") as fh:
         fh.write(csv_text(header, rows))
@@ -277,16 +276,18 @@ def _write_cell(out_dir: str, seed: int, result: TrainResult) -> None:
 
 def _run_cells(cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
                write_cells: bool = True) -> list[tuple[str, list[MetricsReport]]]:
-    """Build the first seed's splits, which checks the dataset settings or
+    """Set on each (method, engine) cell's engine the fields its METHODS row
+    sets. Build the first seed's splits, which checks the dataset settings or
     file, and check them against every cell's engine (`check_splits`), then
     write config.ini; per seed, build and digest the splits once (a dataset
-    file: once in all) and train every (method, engine) cell on them, writing
+    file: once in all) and train every cell with its row's trainer, writing
     each under `<output_dir>/<method>/<seed>` if `write_cells`. Returns, per
     seed, the `splits_digest` of its splits and one report per cell. A
     ValueError raised once a dataset file is loaded, by a rule of the engine
     or by a run that diverges on its values, ends with `(dataset file <path>)`,
     or `(dataset file <path>, line N)` for a RowError, whose row's line is
     looked up in the file on that path only."""
+    cells = [(method, replace(engine, **METHODS[method][1])) for method, engine in cells]
     splits = build_splits(cfg.dataset, cfg.seeds[0])
     try:
         for _, engine in cells:
@@ -303,8 +304,9 @@ def _run_cells(cfg: ExperimentConfig, cells: list[tuple[str, EngineConfig]],
                 split_hash = splits_digest(splits)
             reports = []
             for method, engine in cells:
-                result = _run_method(method, splits, replace(engine, seed=seed),
-                                     cfg.confidence_threshold)
+                trainer, _, thresholded = METHODS[method]
+                args = (cfg.confidence_threshold,) if thresholded else ()
+                result = globals()[trainer](splits, replace(engine, seed=seed), *args)
                 if write_cells:
                     _write_cell(os.path.join(cfg.output_dir, method, str(seed)), seed, result)
                 reports.append(result.final_metrics)
@@ -337,7 +339,7 @@ def _summary_row(method: str, reports: list[MetricsReport]) -> list:
 
 def run_experiment(cfg: ExperimentConfig) -> list[MetricsReport]:
     """One method over all seeds; per-seed cells plus a root summary.csv."""
-    reports = [r for _, (r,) in _run_cells(cfg, [_cell(cfg.method, cfg.engine)])]
+    reports = [r for _, (r,) in _run_cells(cfg, [(cfg.method, cfg.engine)])]
     _write_csv(os.path.join(cfg.output_dir, "summary.csv"), SUMMARY_HEADER,
                [_summary_row(cfg.method, reports)])
     return reports
@@ -350,7 +352,7 @@ def compare_methods(cfg: ExperimentConfig, methods: list[str]) -> str:
         raise ConfigError("compare requires at least 2 distinct methods")
     for method in methods:  # each must pass ExperimentConfig's method rules
         replace(cfg, method=method)
-    per_seed = _run_cells(cfg, [_cell(m, cfg.engine) for m in methods])
+    per_seed = _run_cells(cfg, [(m, cfg.engine) for m in methods])
     combined = hashlib.sha256("".join(h for h, _ in per_seed).encode()).hexdigest()
     path = os.path.join(cfg.output_dir, "comparison.csv")
     _write_csv(path, [*SUMMARY_HEADER, "split_hash"],

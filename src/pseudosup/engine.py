@@ -52,17 +52,19 @@ the seed and the step.
 
 from __future__ import annotations
 
+import functools
 import math
+import types
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, count, islice
-from typing import get_type_hints
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import _public_names
 from .data import DatasetSplits, Split, augment_weak, check_grid
-from .metrics import MetricsReport, accuracy, auc_roc, f1_binary
+from .metrics import MetricsReport, _is_int, accuracy, auc_roc, f1_binary
 from .nn_core import (
     AdamW,
     ForwardCache,
@@ -110,11 +112,7 @@ class EngineConfig:
     policy_warm_start: bool = True
 
     def __post_init__(self):
-        for name, many in _INT_FIELDS.items():
-            value = getattr(self, name)
-            if not all(map(_is_int, value if many else (value,))):
-                raise ConfigError(f"{name} must be {'integers' if many else 'an integer'}, "
-                                  f"got {value!r}")
+        check_types(self)
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must be in [0, 1]")
         if self.beta < 1:
@@ -141,15 +139,32 @@ class EngineConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _is_int(value) -> bool:
-    """An int or a numpy integer, but not a bool."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+# field annotation -> (the test its value passes, what the message says it must
+# be); a bool passes only the bool rule
+_TYPE_RULES = {
+    int: (_is_int, "an integer"),
+    float: (lambda v: _is_int(v) or isinstance(v, (float, np.floating)), "a number"),
+    bool: (lambda v: isinstance(v, bool), "a bool"),
+    tuple[int, ...]: (lambda v: np.iterable(v) and all(map(_is_int, v)), "integers"),
+}
 
 
-# EngineConfig's integer fields, from its annotations: name -> whether it is a
-# tuple of integers rather than one
-_INT_FIELDS = {name: tp != int for name, tp in get_type_hints(EngineConfig).items()
-               if tp in (int, tuple[int, ...])}
+@functools.cache
+def _field_types(cls: type) -> dict[str, object]:
+    return get_type_hints(cls)
+
+
+def check_types(config) -> None:
+    """Check each field of the dataclass `config` that its annotation gives a
+    rule in `_TYPE_RULES`, `X | None` as X for a value that is not None; the
+    first value that breaks its rule raises ConfigError."""
+    for name, tp in _field_types(type(config)).items():
+        value = getattr(config, name)
+        if isinstance(tp, types.UnionType) and value is not None:
+            (tp,) = (a for a in get_args(tp) if a is not type(None))
+        rule = _TYPE_RULES.get(tp)
+        if rule and not rule[0](value):
+            raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
 
 
 @dataclass

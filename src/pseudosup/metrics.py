@@ -22,6 +22,11 @@ class MetricsReport:
     n_samples: int
 
 
+def _is_int(value) -> bool:
+    """An int or a numpy integer, but not a bool: the package's integer rule."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_lengths(predictions, labels):
     predictions = np.asarray(predictions)
     labels = np.asarray(labels)
@@ -142,7 +147,7 @@ def correlation_density(X: np.ndarray, y: np.ndarray, bins: int = 50) -> Correla
     agree with it to rounding. A `bins` that is not an int >= 1, an `X` that
     is not 2-D, one whose row count is not `len(y)`, or one that holds NaN or
     +-inf, raises ValueError before any work."""
-    if isinstance(bins, bool) or not isinstance(bins, (int, np.integer)) or bins < 1:
+    if not _is_int(bins) or bins < 1:
         raise ValueError(f"bins must be an int >= 1, got {bins!r}")
     y = np.asarray(y)
     if np.ndim(X) != 2 or len(X) != len(y):

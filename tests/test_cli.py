@@ -304,6 +304,12 @@ class TestConfigsCheckedWhenBuilt:
         with pytest.raises(ConfigError, match="^seeds must be distinct"):
             dataclasses.replace(ExperimentConfig(), seeds=(1, 1))
 
+    @pytest.mark.parametrize("threshold", [True, "0.9", np.bool_(True)])
+    def test_threshold_follows_the_float_rule(self, threshold):
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(method="self_training", confidence_threshold=threshold)
+        assert str(info.value) == f"confidence_threshold must be a number, got {threshold!r}"
+
     def test_ini_alone_is_checked(self):
         with pytest.raises(ConfigError, match="^beta must be >= 1$"):
             config_from_ini("[engine]\nbeta = 0\n")
@@ -373,9 +379,11 @@ class TestConfigsCheckedWhenBuilt:
 
     @pytest.mark.parametrize("argv, message", [
         (["run", "--method", "bogus"],
-         f"method must be one of {cli.METHODS}, got 'bogus'"),
+         "method must be one of ('pseudo_sup', 'pseudo_sup_aug', 'supervised', "
+         "'self_training'), got 'bogus'"),
         (["compare", "--methods", "supervised", "bogus"],
-         f"method must be one of {cli.METHODS}, got 'bogus'"),
+         "method must be one of ('pseudo_sup', 'pseudo_sup_aug', 'supervised', "
+         "'self_training'), got 'bogus'"),
         (["compare", "--methods", "supervised", "self_training"],
          "method self_training requires confidence_threshold"),
         (["run", "--method", "self_training", "--confidence-threshold", "0.5"],
@@ -470,6 +478,30 @@ class TestCompare:
         # pseudo_sup_aug needs grid dims for cropping
         with open(path) as fh:
             assert len(fh.read().splitlines()) == 4
+
+    def test_each_method_reaches_the_trainer_bound_to_its_row_name(self, tmp_path,
+                                                                   monkeypatch):
+        # a row names its trainer, so a trainer rebound after import (as the
+        # bench tracer rebinds `cli.train`) is the one each cell calls
+        calls = []
+
+        def spy(name):
+            real = getattr(cli, name)
+
+            def wrapper(splits, engine, *rest):
+                calls.append((name, engine.augment, rest))
+                return real(splits, engine, *rest)
+            return wrapper
+
+        for name in ("train", "train_supervised_only", "train_self_training"):
+            monkeypatch.setattr(cli, name, spy(name))
+        cfg = small_cfg(tmp_path, seeds=(1,))
+        compare_methods(cfg, ["pseudo_sup", "pseudo_sup_aug", "supervised", "self_training"])
+        # train_supervised_only hands its splits to the real `engine.train`,
+        # which the spy on `cli.train` does not see
+        assert calls == [("train", False, ()), ("train", True, ()),
+                         ("train_supervised_only", False, ()),
+                         ("train_self_training", False, (0.9,))]
 
     def test_too_few_methods_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -720,21 +752,21 @@ class TestCliEntry:
 
     def test_generated_splits_held_for_their_seed_only(self, tmp_path, monkeypatch):
         built, seed_1_alive = [], []
-        real_build, real_run_method = cli.build_splits, cli._run_method
+        real_build, real_train = cli.build_splits, cli.train_supervised_only
 
         def build(spec, seed):
             splits = real_build(spec, seed)
             built.append(weakref.ref(splits))
             return splits
 
-        def run_method(method, splits, engine, threshold):
+        def train_supervised_only(splits, engine):
             if engine.seed == 3:
                 gc.collect()
                 seed_1_alive.append(built[0]() is not None)
-            return real_run_method(method, splits, engine, threshold)
+            return real_train(splits, engine)
 
         monkeypatch.setattr(cli, "build_splits", build)
-        monkeypatch.setattr(cli, "_run_method", run_method)
+        monkeypatch.setattr(cli, "train_supervised_only", train_supervised_only)
         assert main(["run", "--method", "supervised", "--seeds", "1", "2", "3",
                      "--n-per-class", "20", "--dim", "3", "--epochs", "1",
                      "--warmup-steps", "2", "--hidden-dims", "4",

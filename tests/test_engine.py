@@ -1171,6 +1171,16 @@ class TestEngineConfig:
          "batch_val must be an integer, got np.float64(8.0)"),
         ({"hidden_dims": (4.5,)}, "hidden_dims must be integers, got (4.5,)"),
         ({"hidden_dims": (8, True)}, "hidden_dims must be integers, got (8, True)"),
+        ({"hidden_dims": 8}, "hidden_dims must be integers, got 8"),
+        # a float field takes an int or a float, numpy scalars included, not a
+        # bool or a string; a bool field takes a bool
+        ({"gamma": "0.5"}, "gamma must be a number, got '0.5'"),
+        ({"policy_lr": None}, "policy_lr must be a number, got None"),
+        ({"crop_scale_min": True}, "crop_scale_min must be a number, got True"),
+        ({"weight_decay": np.bool_(False)},
+         "weight_decay must be a number, got np.False_"),
+        ({"augment": "no"}, "augment must be a bool, got 'no'"),
+        ({"policy_warm_start": 1}, "policy_warm_start must be a bool, got 1"),
     ])
     def test_each_rule_raises_config_error(self, kwargs, message):
         with pytest.raises(ConfigError) as info:
@@ -1181,3 +1191,7 @@ class TestEngineConfig:
     def test_numpy_integers_accepted(self):
         cfg = EngineConfig(beta=np.int64(3), seed=np.uint8(2), hidden_dims=(np.int32(4), 8))
         assert (cfg.beta, cfg.seed, cfg.hidden_dims) == (3, 2, (4, 8))
+
+    def test_ints_and_numpy_scalars_accepted_as_floats(self):
+        cfg = EngineConfig(gamma=1, policy_lr=np.float32(0.5), weight_decay=np.int64(0))
+        assert (cfg.gamma, cfg.policy_lr, cfg.weight_decay) == (1, 0.5, 0)
