@@ -18,10 +18,9 @@ import hashlib
 import io
 import os
 import sys
-import types
-from collections.abc import Callable, Iterable, Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import asdict, dataclass, field, is_dataclass, replace
-from typing import Any, get_args, get_origin, get_type_hints
+from typing import Any
 
 import numpy as np
 
@@ -41,6 +40,8 @@ from .engine import (
     EngineConfig,
     RowError,
     TrainResult,
+    _field_types,
+    _TYPE_RULES,
     check_splits,
     check_types,
     csv_text,
@@ -81,6 +82,10 @@ class DatasetSpec:
     multimodal: bool = False
     vf_target_len: int = VF_LOCATIONS
 
+    def __post_init__(self):
+        """Each field's type rule (`check_types`); `data` owns the rest."""
+        check_types(self)
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -92,9 +97,10 @@ class ExperimentConfig:
     confidence_threshold: float | None = None
 
     def __post_init__(self):
-        """Method, seed list and threshold rules, and each field's type rule
-        (`check_types`); `data` and EngineConfig own the rest, the seed range
-        included."""
+        """Each field's type rule (`check_types`), checked first, then the
+        method, seed list and threshold rules; `data` and EngineConfig own the
+        rest, the seed range included."""
+        check_types(self)
         if self.method not in (methods := tuple(METHODS)):
             raise ConfigError(f"method must be one of {methods}, got {self.method!r}")
         if METHODS[self.method][2] and self.confidence_threshold is None:
@@ -105,29 +111,12 @@ class ExperimentConfig:
             raise ConfigError(f"seeds must be distinct, got {self.seeds}")
         for seed in self.seeds:  # each must pass EngineConfig's seed rule
             replace(self.engine, seed=seed)
-        check_types(self)
         if self.confidence_threshold is not None and not 0.5 < self.confidence_threshold <= 1.0:
             raise ConfigError("confidence_threshold must be in (0.5, 1]")
 
 
 # ---------------------------------------------------------------------------
 # config schema: one entry per settable field, derived from the dataclasses
-
-def _parse_bool(raw: str) -> bool:
-    if raw.lower() in ("true", "1", "yes"):
-        return True
-    if raw.lower() in ("false", "0", "no"):
-        return False
-    raise ValueError(f"expected a boolean, got {raw!r}")
-
-
-# scalar type -> (parse one token, format one value)
-_SCALARS: dict[type, tuple[Callable[[str], Any], Callable[[Any], str]]] = {
-    int: (int, str),
-    float: (float, repr),
-    str: (str, str),
-    bool: (_parse_bool, lambda v: str(v).lower()),
-}
 
 _TOP = "experiment"  # INI section of ExperimentConfig's own fields
 
@@ -140,37 +129,23 @@ class _Field:
     nargs: int | str | None  # None: scalar; "+": tuple[T, ...]; n: n-tuple
 
     def parse(self, raw: str) -> Any:
-        parse = _SCALARS[self.scalar][0]
-        if self.nargs is None:
-            return parse(raw)
-        items = tuple(parse(tok) for tok in raw.split())
-        if self.nargs != "+" and len(items) != self.nargs:
-            raise ValueError(f"expected {self.nargs} values, got {len(items)}")
-        return items
+        parse = _TYPE_RULES[self.scalar][3]
+        return parse(raw) if self.nargs is None else tuple(parse(tok) for tok in raw.split())
 
     def format(self, value: Any) -> str:
-        fmt = _SCALARS[self.scalar][1]
+        fmt = _TYPE_RULES[self.scalar][4]
         return fmt(value) if self.nargs is None else " ".join(fmt(v) for v in value)
 
 
 def _build_schema() -> tuple[_Field, ...]:
-    def unwrap(tp):
-        if isinstance(tp, types.UnionType):  # X | None
-            (tp,) = (a for a in get_args(tp) if a is not type(None))
-        if get_origin(tp) is tuple:
-            args = get_args(tp)
-            return args[0], "+" if args[-1] is Ellipsis else len(args)
-        return tp, None
-
-    top = get_type_hints(ExperimentConfig)
-    sections = {_TOP: top} | {
-        name: get_type_hints(tp) for name, tp in top.items() if is_dataclass(tp)
+    sections = {_TOP: ExperimentConfig} | {
+        name: tp for name, (tp, _, _) in _field_types(ExperimentConfig).items() if is_dataclass(tp)
     }
     return tuple(
-        _Field(section, name, *unwrap(tp))
-        for section, hints in sections.items()
-        for name, tp in hints.items()
-        if name not in PER_CELL and not is_dataclass(tp)
+        _Field(section, name, scalar, nargs)
+        for section, cls in sections.items()
+        for name, (scalar, nargs, _) in _field_types(cls).items()
+        if name not in PER_CELL and not is_dataclass(scalar)
     )
 
 

@@ -58,7 +58,7 @@ import types
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field, replace
 from itertools import chain, count, islice
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -139,32 +139,61 @@ class EngineConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-# field annotation -> (the test its value passes, what the message says it must
-# be); a bool passes only the bool rule
+def _parse_bool(raw: str) -> bool:
+    words = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
+    if raw.lower() not in words:
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    return words[raw.lower()]
+
+
+# scalar type -> (the test one value passes, what the message says one value
+# and several values must be, parse one token, format one value); a bool
+# passes only the bool rule
 _TYPE_RULES = {
-    int: (_is_int, "an integer"),
-    float: (lambda v: _is_int(v) or isinstance(v, (float, np.floating)), "a number"),
-    bool: (lambda v: isinstance(v, bool), "a bool"),
-    tuple[int, ...]: (lambda v: np.iterable(v) and all(map(_is_int, v)), "integers"),
+    int: (_is_int, "an integer", "integers", int, str),
+    float: (lambda v: _is_int(v) or isinstance(v, (float, np.floating)), "a number",
+            "numbers", float, repr),
+    bool: (lambda v: type(v) is bool, "a bool", "bools", _parse_bool, lambda v: str(v).lower()),
+    str: (lambda v: isinstance(v, str), "a string", "strings", str, str),
 }
 
 
 @functools.cache
-def _field_types(cls: type) -> dict[str, object]:
-    return get_type_hints(cls)
+def _field_types(cls: type) -> dict[str, tuple[type, int | str | None, bool]]:
+    """Each field of the dataclass `cls` as (scalar, nargs, optional), read
+    from its annotation: `X | None` is optional; `tuple[T, ...]` has scalar T
+    and nargs "+", `tuple[T, T]` nargs 2; any other type is its own scalar,
+    with nargs None."""
+    fields = {}
+    for name, tp in get_type_hints(cls).items():
+        optional = isinstance(tp, types.UnionType)
+        if optional:
+            (tp,) = (a for a in get_args(tp) if a is not type(None))
+        nargs, args = None, get_args(tp)
+        if get_origin(tp) is tuple:
+            tp, nargs = args[0], "+" if args[-1] is Ellipsis else len(args)
+        fields[name] = (tp, nargs, optional)
+    return fields
 
 
 def check_types(config) -> None:
-    """Check each field of the dataclass `config` that its annotation gives a
-    rule in `_TYPE_RULES`, `X | None` as X for a value that is not None; the
-    first value that breaks its rule raises ConfigError."""
-    for name, tp in _field_types(type(config)).items():
+    """Check each field of the dataclass `config` whose scalar has a row in
+    `_TYPE_RULES`: a single value passes the row's test, a tuple field's value
+    is a tuple, of the field's length if it has one, whose items each pass
+    it, and None passes an optional field. The first value that breaks its
+    rule raises ConfigError."""
+    for name, (scalar, nargs, optional) in _field_types(type(config)).items():
         value = getattr(config, name)
-        if isinstance(tp, types.UnionType) and value is not None:
-            (tp,) = (a for a in get_args(tp) if a is not type(None))
-        rule = _TYPE_RULES.get(tp)
-        if rule and not rule[0](value):
-            raise ConfigError(f"{name} must be {rule[1]}, got {value!r}")
+        if scalar not in _TYPE_RULES or (optional and value is None):
+            continue
+        test, one, many = _TYPE_RULES[scalar][:3]
+        if nargs is None:
+            ok, what = test(value), one
+        else:
+            ok = isinstance(value, tuple) and nargs in ("+", len(value)) and all(map(test, value))
+            what = many if nargs == "+" else f"{nargs} {many}"
+        if not ok:
+            raise ConfigError(f"{name} must be {what}, got {value!r}")
 
 
 @dataclass
