@@ -286,10 +286,13 @@ def augment_weak(x: np.ndarray, grid: tuple[int, int] | None,
     never cropped (only flipped). Row after row, `rng` draws flip, crop_h,
     crop_w, top and left in that order, as if each row were augmented alone;
     then one `apply_crop_flip` gathers the batch. The other features pass through.
-    A `grid` that `check_grid` rejects for the batch raises before any draw."""
+    A `grid` that `check_grid` rejects for the batch, or a `scale_min` outside
+    (0, 1], NaN included, raises before any draw."""
     if grid is None:
         raise ValueError("augment_weak requires grid dims")
     check_grid(grid, x.shape[1])
+    if not 0.0 < scale_min <= 1.0:
+        raise ValueError(f"scale_min must be in (0, 1], got {scale_min!r}")
     h, w = grid
     draws = []
     for _ in range(len(x)):

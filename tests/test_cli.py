@@ -37,6 +37,11 @@ from pseudosup.data import load_dataset, splits_digest
 from pseudosup.engine import EngineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
+CONFIG_CLASSES = (EngineConfig, DatasetSpec, ExperimentConfig)
+# (class, field) for each config field whose annotation has a type rule
+RULED_FIELDS = [(cls, name) for cls in CONFIG_CLASSES
+                for name, (scalar, _, _) in engine._field_types(cls).items()
+                if scalar in engine._TYPE_RULES]
 
 
 def run_python(cwd, *args):
@@ -279,7 +284,7 @@ class TestConfigRoundTrip:
         assert (written.dataset.path, written.output_dir) == (str(ds), str(out))
 
     def test_tuple_length_checked(self):
-        with pytest.raises(ConfigError, match="grid"):
+        with pytest.raises(ConfigError, match=r"^grid must be 2 integers, got \(3,\)$"):
             config_from_ini("[dataset]\ngrid = 3\n")
 
     def test_validation_names_missing_field(self, tmp_path):
@@ -297,6 +302,37 @@ class TestConfigsCheckedWhenBuilt:
     def test_fields_cannot_be_assigned(self, cfg, name, value):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(cfg, name, value)
+
+    @pytest.mark.parametrize("cls, name", RULED_FIELDS,
+                             ids=[f"{cls.__name__}.{name}" for cls, name in RULED_FIELDS])
+    def test_wrong_type_raises_config_error_naming_the_field(self, cls, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be .*, got <object object at "):
+            cls(**{name: object()})
+
+    def test_every_field_but_a_nested_config_has_a_type_rule(self):
+        assert {(cls, f.name) for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
+                if f.name not in ("dataset", "engine")} == set(RULED_FIELDS)
+
+    @pytest.mark.parametrize("cls, kwargs, message", [
+        (DatasetSpec, {"path": 3}, "path must be a string, got 3"),
+        (DatasetSpec, {"grid": (2,)}, "grid must be 2 integers, got (2,)"),
+        (DatasetSpec, {"grid": [2, 2]}, "grid must be 2 integers, got [2, 2]"),
+        (DatasetSpec, {"fractions": (0.5, 0.5)}, "fractions must be 3 numbers, got (0.5, 0.5)"),
+        (DatasetSpec, {"multimodal": "no"}, "multimodal must be a bool, got 'no'"),
+        (DatasetSpec, {"label_fraction": True}, "label_fraction must be a number, got True"),
+        (DatasetSpec, {"n_per_class": 20.5}, "n_per_class must be an integer, got 20.5"),
+        (DatasetSpec, {"class_separation": "1"}, "class_separation must be a number, got '1'"),
+        (EngineConfig, {"hidden_dims": np.array([4, 8])},
+         "hidden_dims must be integers, got array([4, 8])"),
+        (ExperimentConfig, {"seeds": ([1],)}, "seeds must be integers, got ([1],)"),
+        (ExperimentConfig, {"seeds": 7}, "seeds must be integers, got 7"),
+        (ExperimentConfig, {"seeds": [1, 2]}, "seeds must be integers, got [1, 2]"),
+        (ExperimentConfig, {"method": 3}, "method must be a string, got 3"),
+    ])
+    def test_each_type_rule_raises_config_error(self, cls, kwargs, message):
+        with pytest.raises(ConfigError) as info:
+            cls(**kwargs)
+        assert str(info.value) == message
 
     def test_replace_is_checked(self):
         with pytest.raises(ValueError, match="^beta must be >= 1$"):
@@ -351,6 +387,13 @@ class TestConfigsCheckedWhenBuilt:
         path.write_text(ini)
         assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
         assert capsys.readouterr().err.splitlines()[0] == f"config error: {message}"
+        assert not out.exists()
+
+    def test_ini_tuple_of_wrong_length_exits_2(self, tmp_path, capsys):
+        path, out = tmp_path / "c.ini", tmp_path / "o"
+        path.write_text("[dataset]\ngrid = 3\n")
+        assert main(["run", "--config", str(path), "--output-dir", str(out)]) == 2
+        assert capsys.readouterr() == ("", "config error: grid must be 2 integers, got (3,)\n")
         assert not out.exists()
 
     def test_absent_config_file_exits_2(self, tmp_path, capsys):

@@ -395,6 +395,20 @@ class TestAugmentWeak:
             augment_weak(np.zeros((2, 4)), grid, rng)
         assert rng.bit_generator.state == state
 
+    @pytest.mark.parametrize("scale_min", [1.5, 0.0, -0.5, math.nan, math.inf])
+    def test_scale_min_outside_unit_interval_rejected_before_any_draw(self, scale_min):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        message = f"^scale_min must be in \\(0, 1\\], got {scale_min!r}$"
+        with pytest.raises(ValueError, match=message):
+            augment_weak(np.zeros((2, 4)), (2, 2), rng, scale_min)
+        assert rng.bit_generator.state == state
+
+    def test_scale_min_of_one_only_flips(self):
+        out = augment_weak(np.arange(8.0).reshape(2, 4), (2, 2), np.random.default_rng(0), 1.0)
+        assert {tuple(row) for row in out} <= {(0, 1, 2, 3), (1, 0, 3, 2), (4, 5, 6, 7),
+                                               (5, 4, 7, 6)}
+
 
 def crop_flip_reference(grid, flip, crop_h, crop_w, top, left):
     """One (h, w) grid augmented by slicing: flip, crop, nearest-neighbor resize."""
