@@ -97,10 +97,15 @@ class ExperimentConfig:
     confidence_threshold: float | None = None
 
     def __post_init__(self):
-        """Each field's type rule (`check_types`), checked first, then the
-        method, seed list and threshold rules; `data` and EngineConfig own the
-        rest, the seed range included."""
+        """Each field's type rule (`check_types`), checked first, then that
+        the engine leaves each field a METHODS row sets at its default (a
+        config.ini cannot record it), then the method, seed list and
+        threshold rules; `data` and EngineConfig own the rest, the seed range
+        included."""
         check_types(self)
+        for name in PER_CELL[1:]:  # PER_CELL[0], the seed, is set from `seeds`
+            if (value := getattr(self.engine, name)) != getattr(EngineConfig(), name):
+                raise ConfigError(f"engine.{name} is set by the method, got {value!r}")
         if self.method not in (methods := tuple(METHODS)):
             raise ConfigError(f"method must be one of {methods}, got {self.method!r}")
         if METHODS[self.method][2] and self.confidence_threshold is None:

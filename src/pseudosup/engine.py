@@ -16,8 +16,9 @@ run one forward/backward pass: the classifier step over a step's stacked
 pseudo_loss_weight/n_u, laid out by `_step_blocks` (at weight 0 the labeled
 rows alone), and the policy update over the whole beta-step window with row
 weights G_t/B_t, the returns coming from one reverse accumulation. Every
-classifier update, the supervised warmup's included, goes through
-`_classifier_update`, which `classifier_step` calls after its forward.
+classifier update, the supervised warmup's included, is one `classifier_step`
+on a finished forward: the warmup and self-training forward their step's
+rows, `train` its stacked forward.
 
 `train` runs one classifier forward per step and one policy forward per
 window, where a literal reading of the method runs three classifier forwards
@@ -177,16 +178,21 @@ def _field_types(cls: type) -> dict[str, tuple[type, int | str | None, bool]]:
 
 
 def check_types(config) -> None:
-    """Check each field of the dataclass `config` whose scalar has a row in
-    `_TYPE_RULES`: a single value passes the row's test, a tuple field's value
-    is a tuple, of the field's length if it has one, whose items each pass
-    it, and None passes an optional field. The first value that breaks its
+    """Check each field of the dataclass `config`: a single value passes the
+    test of its scalar's row in `_TYPE_RULES`, or, for a scalar without a row
+    (a nested config), is an instance of it; a tuple field's value is a
+    tuple, of the field's length if it has one, whose items each pass the
+    test, and None passes an optional field. The first value that breaks its
     rule raises ConfigError."""
     for name, (scalar, nargs, optional) in _field_types(type(config)).items():
         value = getattr(config, name)
-        if scalar not in _TYPE_RULES or (optional and value is None):
+        if optional and value is None:
             continue
-        test, one, many = _TYPE_RULES[scalar][:3]
+        if scalar in _TYPE_RULES:
+            test, one, many = _TYPE_RULES[scalar][:3]
+        else:  # a nested config
+            article = "an" if scalar.__name__[0] in "AEIOU" else "a"
+            test, one, many = lambda v: isinstance(v, scalar), f"{article} {scalar.__name__}", None
         if nargs is None:
             ok, what = test(value), one
         else:
@@ -367,7 +373,7 @@ def warmup_supervised(
     epochs = (_labeled_batches(len(labeled), cfg.batch_labeled, rng) for _ in count())
     for step, idx in enumerate(islice(chain.from_iterable(epochs), cfg.warmup_steps), 1):
         try:
-            classifier_step(classifier, x[idx], y[idx], optimizer)
+            classifier_step(*mlp_forward(classifier, x[idx]), y[idx], optimizer)
         except NonFiniteError as exc:
             raise _diverged(cfg, f"warmup step {step}", exc) from exc
     return classifier
@@ -418,31 +424,18 @@ def compute_reward(loss_before: float, loss_after: float) -> float:
                              f"loss_after {loss_after!r}") from None
 
 
-def classifier_step(
-    classifier: MlpModel,
-    x: np.ndarray,
-    y: np.ndarray,
-    optimizer: AdamW,
-    weights: np.ndarray | None = None,
-) -> None:
-    """One optimizer step on the cross-entropy of the rows `x` with labels
-    `y`, from one forward/backward pass: the mean over the rows, or with
-    `weights` the weighted sum sum_i weights[i] * CE_i. A step with pseudo
-    labels passes the rows, labels and weights that `_step_blocks` lays out
-    (in self-training, from `_step_batch`); a labeled-only step passes its
-    labeled rows alone. The step is `_classifier_update` on the forward over
-    `x`."""
-    if len(x) == 0:
-        raise ValueError("classifier step needs a non-empty batch")
-    _classifier_update(*mlp_forward(classifier, x), y, optimizer, weights)
-
-
-def _classifier_update(logits: np.ndarray, cache: ForwardCache, y: np.ndarray,
-                       optimizer: AdamW, weights: np.ndarray | None = None) -> None:
-    """The optimizer step of `classifier_step` from a finished forward: on the
-    leading len(y) rows of `logits`, the backward through `cache` sliced to
-    them. Every classifier update goes through this function."""
+def classifier_step(logits: np.ndarray, cache: ForwardCache, y: np.ndarray,
+                    optimizer: AdamW, weights: np.ndarray | None = None) -> None:
+    """One optimizer step on the cross-entropy of the leading len(y) rows of
+    a finished forward (`logits`, `cache`) with labels `y`: the mean over the
+    rows, or with `weights` the weighted sum sum_i weights[i] * CE_i, the
+    backward running through `cache` sliced to those rows. A step with pseudo
+    labels passes the labels and weights that `_step_blocks` lays out (in
+    self-training, from `_step_batch`); a labeled-only step its labeled rows'
+    labels alone. Every classifier update goes through this function."""
     n = len(y)
+    if n == 0:
+        raise ValueError("classifier step needs a non-empty batch")
     _, grad = softmax_cross_entropy(logits[:n], y, weights)
     optimizer.step(mlp_backward(ForwardCache(cache.model, [a[:n] for a in cache.activations]),
                                 grad))
@@ -690,7 +683,7 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
                 logits_p, cache_p = mlp_forward(policy, x[is_u])
                 actions, _ = _inverse_cdf(log_softmax(logits_p), u)
                 y[is_u] = actions
-            _classifier_update(logits, cache, ys, opt_c, weights)
+            classifier_step(logits, cache, ys, opt_c, weights)
             if step % per_epoch == 0:
                 epochs.append(evaluate(classifier, splits.test))
         pending.append(mlp_forward(classifier, val.X[vidx[-n_v:]])[0])  # v_T
@@ -750,7 +743,7 @@ def train_self_training(
                     pick = selected[_draw(len(selected), cfg.batch_unlabeled, rngs["policy"])]
                     x, y, weights = _step_batch(xl, y, unlabeled.X[pick], preds[pick],
                                                 cfg.pseudo_loss_weight)
-                classifier_step(classifier, x, y, opt_c, weights)
+                classifier_step(*mlp_forward(classifier, x), y, opt_c, weights)
             epochs.append(evaluate(classifier, splits.test))
     except NonFiniteError as exc:
         raise _diverged(cfg, f"step {step}", exc) from exc

@@ -38,10 +38,8 @@ from pseudosup.engine import EngineConfig
 
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG_CLASSES = (EngineConfig, DatasetSpec, ExperimentConfig)
-# (class, field) for each config field whose annotation has a type rule
-RULED_FIELDS = [(cls, name) for cls in CONFIG_CLASSES
-                for name, (scalar, _, _) in engine._field_types(cls).items()
-                if scalar in engine._TYPE_RULES]
+# (class, field) for each config field: every field has a type rule
+RULED_FIELDS = [(cls, name) for cls in CONFIG_CLASSES for name in engine._field_types(cls)]
 
 
 def run_python(cwd, *args):
@@ -309,9 +307,13 @@ class TestConfigsCheckedWhenBuilt:
         with pytest.raises(ConfigError, match=f"^{name} must be .*, got <object object at "):
             cls(**{name: object()})
 
-    def test_every_field_but_a_nested_config_has_a_type_rule(self):
-        assert {(cls, f.name) for cls in CONFIG_CLASSES for f in dataclasses.fields(cls)
-                if f.name not in ("dataset", "engine")} == set(RULED_FIELDS)
+    def test_every_field_has_a_type_rule(self):
+        # a scalar with a _TYPE_RULES row, or a nested config, checked by isinstance
+        assert {(cls, f.name) for cls in CONFIG_CLASSES
+                for f in dataclasses.fields(cls)} == set(RULED_FIELDS)
+        for cls, name in RULED_FIELDS:
+            scalar = engine._field_types(cls)[name][0]
+            assert scalar in engine._TYPE_RULES or scalar in CONFIG_CLASSES, (cls, name)
 
     @pytest.mark.parametrize("cls, kwargs, message", [
         (DatasetSpec, {"path": 3}, "path must be a string, got 3"),
@@ -328,11 +330,24 @@ class TestConfigsCheckedWhenBuilt:
         (ExperimentConfig, {"seeds": 7}, "seeds must be integers, got 7"),
         (ExperimentConfig, {"seeds": [1, 2]}, "seeds must be integers, got [1, 2]"),
         (ExperimentConfig, {"method": 3}, "method must be a string, got 3"),
+        (ExperimentConfig, {"dataset": EngineConfig()},
+         f"dataset must be a DatasetSpec, got {EngineConfig()!r}"),
+        (ExperimentConfig, {"engine": DatasetSpec()},
+         f"engine must be an EngineConfig, got {DatasetSpec()!r}"),
     ])
     def test_each_type_rule_raises_config_error(self, cls, kwargs, message):
         with pytest.raises(ConfigError) as info:
             cls(**kwargs)
         assert str(info.value) == message
+
+    @pytest.mark.parametrize("name", PER_CELL[1:])
+    def test_engine_field_a_method_sets_rejected(self, name):
+        # config.ini cannot record it, so a rerun from that file would differ
+        value = next(sets[name] for _, sets, _ in cli.METHODS.values() if name in sets)
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig(engine=EngineConfig(**{name: value}))
+        assert str(info.value) == f"engine.{name} is set by the method, got {value!r}"
+        ExperimentConfig(engine=EngineConfig(seed=7))  # the seed is set per cell
 
     def test_replace_is_checked(self):
         with pytest.raises(ValueError, match="^beta must be >= 1$"):

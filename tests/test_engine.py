@@ -208,8 +208,8 @@ class TestClassifierStep:
         yu = rng.integers(0, 2, 4)
         x, y, weights = _step_batch(xl, yl, xu, yu, 0.0)
         assert weights is None
-        engine.classifier_step(a, x, y, AdamW(a.flat, lr), weights)
-        engine.classifier_step(b, xl, yl, AdamW(b.flat, lr))
+        engine.classifier_step(*mlp_forward(a, x), y, AdamW(a.flat, lr), weights)
+        engine.classifier_step(*mlp_forward(b, xl), yl, AdamW(b.flat, lr))
         for pa, pb in zip(a.parameters(), b.parameters()):
             np.testing.assert_array_equal(pa, pb)
 
@@ -233,7 +233,7 @@ class TestClassifierStep:
             xl, yl = rng.normal(size=(6, 3)), rng.integers(0, 2, 6)
             xu, yu = rng.normal(size=(9, 3)), rng.integers(0, 2, 9)
             x, y, weights = _step_batch(xl, yl, xu, yu, 0.7)
-            engine.classifier_step(a, x, y, opt_a, weights)
+            engine.classifier_step(*mlp_forward(a, x), y, opt_a, weights)
             # reference: one forward/backward per batch, gradients summed
             parts = []
             for x, y in ((xl, yl), (xu, yu)):
@@ -248,8 +248,8 @@ class TestClassifierStep:
         rng = np.random.default_rng(10)
         model = init_mlp([3, 4, 2], rng)
         before = [p.copy() for p in model.parameters()]
-        engine.classifier_step(model, rng.normal(size=(4, 3)), rng.integers(0, 2, 4),
-                               AdamW(model.flat, 0.0))
+        engine.classifier_step(*mlp_forward(model, rng.normal(size=(4, 3))),
+                               rng.integers(0, 2, 4), AdamW(model.flat, 0.0))
         for a, b in zip(before, model.parameters()):
             np.testing.assert_array_equal(a, b)
 
@@ -273,14 +273,30 @@ class TestClassifierStep:
                 captured.append(grad)
 
         x, y, weights = _step_batch(xl, yl, xu, yu, 0.7)
-        engine.classifier_step(model, x, y, SpyOpt(), weights)
+        engine.classifier_step(*mlp_forward(model, x), y, SpyOpt(), weights)
         np.testing.assert_allclose(captured[0], gl + 0.7 * gu, atol=1e-12)
+
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_steps_on_the_leading_rows_of_a_forward(self, weighted):
+        # a forward over [x; extra] with len(y) == len(x) steps as one over x
+        # alone; 8-row blocks keep OpenBLAS's bits equal
+        rng = np.random.default_rng(16)
+        a = init_mlp([3, 6, 2], rng)
+        b, before = clone_model(a), a.flat.copy()
+        x, extra, y = rng.normal(size=(8, 3)), rng.normal(size=(8, 3)), rng.integers(0, 2, 8)
+        weights = rng.uniform(size=8) if weighted else None
+        engine.classifier_step(*mlp_forward(a, np.concatenate([x, extra])), y,
+                               AdamW(a.flat, 1e-2), weights)
+        engine.classifier_step(*mlp_forward(b, x), y, AdamW(b.flat, 1e-2), weights)
+        assert not np.array_equal(a.flat, before)
+        for pa, pb in zip(a.parameters(), b.parameters()):
+            np.testing.assert_array_equal(pa, pb)
 
     def test_empty_batch_rejected(self):
         model = init_mlp([3, 2], np.random.default_rng(0))
         with pytest.raises(ValueError, match="^classifier step needs a non-empty batch$"):
-            engine.classifier_step(model, np.zeros((0, 3)), np.zeros(0, dtype=int),
-                                   AdamW(model.flat, 0.1))
+            engine.classifier_step(*mlp_forward(model, np.zeros((0, 3))),
+                                   np.zeros(0, dtype=int), AdamW(model.flat, 0.1))
 
 
 class TestPolicyUpdate:
@@ -664,7 +680,7 @@ def classifier_step(model, xl, yl, xu, yu, optimizer, cfg):
     halves as `_step_batch` lays them out (at weight 0 the labeled rows
     alone)."""
     x, y, weights = _step_batch(xl, yl, xu, yu, cfg.pseudo_loss_weight)
-    engine.classifier_step(model, x, y, optimizer, weights)
+    engine.classifier_step(*mlp_forward(model, x), y, optimizer, weights)
 
 
 def reference_train(splits, cfg):
@@ -808,28 +824,30 @@ class TestStepByStepReference:
             assert got[name].bit_generator.state == ref[name].bit_generator.state, name
 
     @pytest.mark.parametrize("pseudo_loss_weight", [1.0, 0.0])
-    @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training"])
+    @pytest.mark.parametrize("trainer", ["pseudo_sup", "self_training", "supervised"])
     def test_every_update_goes_through_classifier_step(self, monkeypatch, trainer,
                                                        pseudo_loss_weight):
-        # classifier_step and train's steps both update through
-        # _classifier_update; a step's labeled rows are its update's rows
-        calls, engine_update = [], engine._classifier_update
+        # the warmup's, self-training's and train's steps all update through
+        # classifier_step; a step's labeled rows are its update's rows
+        calls, engine_step = [], engine.classifier_step
 
         def counted(logits, cache, y, optimizer, weights=None):
             calls.append((len(y), weights))
-            return engine_update(logits, cache, y, optimizer, weights)
+            return engine_step(logits, cache, y, optimizer, weights)
 
-        monkeypatch.setattr(engine, "_classifier_update", counted)
+        monkeypatch.setattr(engine, "classifier_step", counted)
         cfg = fast_cfg(epochs=3, beta=4, pseudo_loss_weight=pseudo_loss_weight)
         if trainer == "pseudo_sup":
             result = train(make_splits(), cfg)
-        else:
+        elif trainer == "self_training":
             result = train_self_training(make_splits(sep=6.0), cfg, 0.9)
             assert sum(result.diagnostics["n_selected"]) > 0
+        else:
+            result = train_supervised_only(make_splits(), cfg)
         n_steps = len(result.history.epoch)
         assert n_steps == 9
         assert len(calls) == cfg.warmup_steps + n_steps
-        if pseudo_loss_weight:
+        if pseudo_loss_weight and trainer != "supervised":
             assert max(n for n, _ in calls) > cfg.batch_labeled  # steps with pseudo rows
         else:  # every step is the labeled-only step
             assert all(n <= cfg.batch_labeled and w is None for n, w in calls)
