@@ -6,6 +6,7 @@ downstream classifier. Includes a minimal dense-NN substrate, synthetic data
 tooling, evaluation metrics, and an experiment CLI.
 """
 
+import gc
 import types
 
 
@@ -21,7 +22,21 @@ def _public_names(namespace: dict) -> list[str]:
             and obj.__module__ == namespace["__name__"]]
 
 
-from . import data, engine, metrics, nn_core
+# Importing the submodules (numpy and scipy.stats with them) builds a heap that
+# lives as long as the process. The collector pauses meanwhile, instead of
+# running over a hundred collections of that heap, and `gc.freeze()` then moves
+# every object alive into the permanent generation, so no later collection,
+# those at interpreter exit included, walks them again. The caller's collector
+# state is restored; `gc.unfreeze()` undoes the freeze.
+_collecting = gc.isenabled()
+gc.disable()
+try:
+    from . import data, engine, metrics, nn_core
+finally:
+    gc.freeze()
+    if _collecting:
+        gc.enable()
+
 from .data import *
 from .engine import *
 from .metrics import *

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import gc
 import hashlib
 import io
 import os
@@ -491,13 +490,10 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command; returns its exit code. The first call in a process
-    moves every object alive at that point (scipy's import leaves about
-    68,500) into the collector's permanent generation, so neither the run's
-    collections nor those at interpreter exit walk them again. Later calls
-    freeze nothing: each call's own garbage stays collectable."""
-    if not gc.get_freeze_count():
-        gc.freeze()
+    """Run one command; returns its exit code. It freezes nothing: importing
+    `pseudosup` already moved the heap that import built (about 120,000
+    objects, most of them left by scipy's) into the collector's permanent
+    generation, and each call's own garbage stays collectable."""
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:

@@ -460,7 +460,7 @@ def _read(path: str, lines) -> DatasetSplits:
     non-empty lines, read once, in order."""
     rows, texts = [], []  # (lineno, tag, id, label) per body line; this chunk's feature texts
     seen: dict[str, int] = {}  # id -> its line
-    blocks = []  # parsed feature blocks
+    pieces = {tag: [] for tag in _SPLIT_TAGS}  # each split's parsed feature rows, per chunk
     lines = iter(lines)
     if _text(path, 1, next(lines, "")).rstrip("\n") != "gdp-synth v1":
         raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
@@ -473,6 +473,17 @@ def _read(path: str, lines) -> DatasetSplits:
                                      f"exceeds {n_features} features")
     elif line:  # the first body line
         lines = itertools.chain([line], lines)
+
+    def parse_chunk() -> None:
+        """Parse the chunk in `texts`, free its text and file its rows by split,
+        so the whole file's features are never held in one array besides."""
+        chunk = rows[-len(texts):]
+        x = _parse_rows(path, n_features, chunk, texts, seen)
+        texts.clear()
+        tags = np.array([row[1] for row in chunk])
+        for tag, kept in pieces.items():
+            kept.append(x[tags == tag])
+
     for lineno, line in enumerate(lines, start=3 if grid is None else 4):
         try:
             tag, sid, label, rest = _row_head(path, n_features, lineno, line)
@@ -483,20 +494,20 @@ def _read(path: str, lines) -> DatasetSplits:
         rows.append((lineno, tag, sid, label))
         texts.append(rest)
         if len(texts) == _CHUNK_ROWS:
-            blocks.append(_parse_rows(path, n_features, rows[-_CHUNK_ROWS:], texts, seen))
-            texts = []
+            parse_chunk()
     if texts:
-        blocks.append(_parse_rows(path, n_features, rows[-len(texts):], texts, seen))
+        parse_chunk()
     tags = np.array([row[1] for row in rows], dtype=str)
     for tag in _SPLIT_TAGS:
         if tag != "trainU" and tag not in tags:
             raise DatasetFormatError(f"{path}: no {tag} rows")
-    x = np.concatenate(blocks)
-    del blocks  # freed before the per-split copies, which lowers the peak
-    whole = Split(np.array([row[2] for row in rows], dtype=str), x,
-                  np.array([row[3] for row in rows], dtype=np.int64),
-                  np.full(len(x), -1, dtype=np.int64))
-    return DatasetSplits(*(whole.take(tags == tag) for tag in _SPLIT_TAGS), grid=grid)
+    ids = np.array([row[2] for row in rows], dtype=str)
+    labels = np.array([row[3] for row in rows], dtype=np.int64)
+    masks = [tags == tag for tag in _SPLIT_TAGS]
+    # pop: each split's pieces are freed once its own array is built
+    return DatasetSplits(*(Split(ids[m], np.concatenate(pieces.pop(tag)), labels[m],
+                                 np.full(np.count_nonzero(m), -1, dtype=np.int64))
+                           for tag, m in zip(_SPLIT_TAGS, masks)), grid=grid)
 
 
 def load_dataset(path: str) -> DatasetSplits:

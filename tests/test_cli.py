@@ -637,29 +637,49 @@ class TestCliEntry:
             2, "", "config error: bins must be >= 1, got 0\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_first_main_call_freezes_the_heap_once(self, tmp_path):
-        """In a fresh process the first `main` call freezes the heap alive
-        then (scipy's import leaves most of it) and a second call freezes
-        nothing more. Both commands print to a pipe, block-buffered, so their
-        lines reach it only when the process exits with that heap frozen."""
+    def test_import_freezes_its_heap_with_the_collector_paused(self, tmp_path):
+        """In a fresh process `import pseudosup` runs no collection, freezes
+        the heap it built (scipy's import leaves most of it) and restores the
+        collector's state, also when the import fails; neither importing
+        `pseudosup.cli` nor `main` freezes anything more. Both commands print
+        to a pipe, block-buffered, so their lines reach it only when the
+        process exits with that heap frozen."""
         script = """if True:
             import gc, sys
-            from pseudosup.cli import main
+            phases = []
+            def hook(phase, info):
+                phases.append(phase)
+            gc.callbacks.append(hook)
             counts = [gc.get_freeze_count()]
+            import pseudosup
+            gc.callbacks.remove(hook)
+            counts.append(gc.get_freeze_count())
+            from pseudosup.cli import main
+            counts.append(gc.get_freeze_count())
             for argv in (["gen-data", "--out", "d.txt", "--n-per-class", "20"],
                          ["analyze-corr", "--dataset", "d.txt", "--out-dir", "o"]):
                 assert main(argv) == 0
                 counts.append(gc.get_freeze_count())
-            print(*counts, file=sys.stderr)
+            print(phases.count("start"), gc.isenabled(), *counts, file=sys.stderr)
         """
         proc = run_python(tmp_path, "-c", script)
         assert proc.returncode == 0, proc.stderr
-        before, first, second = map(int, proc.stderr.split())
-        assert before == 0 < first == second
+        collections, enabled, *counts = proc.stderr.split()
+        assert (collections, enabled) == ("0", "True")
+        before, imported, ready, first, second = map(int, counts)
+        # a frozen object can still be freed, so after the import the count
+        # may fall (the first `main` frees 3 here) but never rise
+        assert before == 0 < second == first <= ready <= imported, counts
         within, between = os.path.join("o", "corr_within.csv"), os.path.join("o", "corr_between.csv")
         assert proc.stdout == f"wrote d.txt\nwrote {within}\nwrote {between}\n"
         for name in ("d.txt", within, between):
             assert (tmp_path / name).read_text().endswith("\n")
+        paused = run_python(tmp_path, "-c", "import gc; gc.disable(); import pseudosup; "
+                            "print(gc.isenabled(), gc.get_freeze_count() > 0)")
+        assert paused.stdout == "False True\n", paused.stderr
+        failed = run_python(tmp_path, "-c", "import gc, sys; sys.modules['scipy.stats'] = None\n"
+                            "try: import pseudosup\nexcept ImportError: print(gc.isenabled())")
+        assert failed.stdout == "True\n", failed.stderr
 
     def test_gen_data_deterministic(self, tmp_path):
         a = str(tmp_path / "a.txt")

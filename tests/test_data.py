@@ -480,6 +480,26 @@ class TestDatasetIO:
                 np.testing.assert_array_equal(getattr(orig, field), getattr(new, field))
             assert new.X.dtype == np.float64 and new.y.dtype == np.int64
 
+    def test_load_peak_stays_below_twice_the_returned_arrays(self, tmp_path):
+        # the bench's analyze-corr shape: 1,000 rows x 308 features; each
+        # chunk's rows are filed by split as parsed, so the whole file's
+        # features and the per-split arrays are never alive together
+        data = generate_multimodal_gaussians(500, (16, 16), 1.0, 1)
+        splits = split_dataset(data, 0.5, (0.7, 0.1, 0.2), 1, (16, 16))
+        path = str(tmp_path / "d.txt")
+        save_dataset(splits, path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        parts = (loaded.labeled_train, loaded.unlabeled_train, loaded.validation, loaded.test)
+        returned = sum(a.nbytes for p in parts for a in (p.ids, p.X, p.y, p.hidden))
+        assert sum(map(len, parts)) == 1000 and loaded.test.X.shape[1] == 308
+        assert peak < 2 * returned, (peak, returned)
+        assert splits_digest(loaded) == splits_digest(splits)
+
     def test_row_line_finds_body_rows_only(self, tmp_path):
         # ids equal to a header's second token: line 1's `v1`, line 2's `4`, line 3's `2`
         path = tmp_path / "d.txt"

@@ -130,7 +130,8 @@ _spec = importlib.util.spec_from_file_location(
 cli_cost = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_cost)
 
-_RUN = r"run (\d): exit (\d+), set-up (\S+) s, run (\S+) s, shutdown (\S+) s, peak RSS (\S+) MB"
+_RUN = (r"run (\d): exit (\d+), set-up (\S+) s, import collections (\S+), run (\S+) s, "
+        r"shutdown (\S+) s, peak RSS (\S+) MB")
 
 
 def test_cli_cost_reports_each_run_in_a_fresh_process(tmp_path, capsys):
@@ -140,8 +141,11 @@ def test_cli_cost_reports_each_run_in_a_fresh_process(tmp_path, capsys):
     runs = [re.fullmatch(_RUN, line).groups()
             for line in capsys.readouterr().out.splitlines()]
     assert [run[:2] for run in runs] == [("1", "0"), ("2", "0")]
-    for _, _, *seconds, peak in runs:
-        assert all(float(value) >= 0 for value in seconds) and float(peak) > 0
+    for _, _, setup_s, collections, run_s, exit_s, peak in runs:
+        assert all(float(value) >= 0 for value in (setup_s, run_s, exit_s)) and float(peak) > 0
+        # the package imports with the collector paused (over a hundred
+        # collections otherwise); only `cli`'s own imports may run one
+        assert 0 <= int(collections) < 10
     assert out.read_text().startswith("gdp-synth v1\nn_features 2\n")
     # a run that fails still reports, and fails the tool
     assert cli_cost.main(["--runs", "1", "--", *gen[:3], "--n-per-class", "0"]) == 1

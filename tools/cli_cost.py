@@ -8,7 +8,9 @@ beside `tools/` and `OPENBLAS_NUM_THREADS=1`. The command's stdout is
 discarded; its stderr passes through.
 
 Each run prints one line: its exit code, the seconds of each phase of the
-process, and the process's own peak RSS (`RUSAGE_SELF`, MB of 1024 KiB, as
+process, the number of garbage collections that ran during `import
+pseudosup.cli` (the difference of `gc.get_stats()` across the import, all
+generations), and the process's own peak RSS (`RUSAGE_SELF`, MB of 1024 KiB, as
 the bench reports it). The phases are set-up, from process start to the end
 of `import pseudosup.cli`; the run, the wall time from there to the
 command's return; and shutdown, from that return to the end of the process
@@ -31,23 +33,29 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 # argv: the report's file descriptor, then the command's arguments
 _CHILD = """\
-import os, resource, sys, time
+import gc, os, resource, sys, time
+def collections():
+    return sum(gen["collections"] for gen in gc.get_stats())
+before = collections()
 import pseudosup.cli
 ready = time.monotonic_ns()
+collected = collections() - before
 start = time.perf_counter()
 try:
     code = pseudosup.cli.main(sys.argv[2:])
 finally:
     seconds = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    os.write(int(sys.argv[1]), b"%d %.3f %.1f %d" % (ready, seconds, peak, time.monotonic_ns()))
+    os.write(int(sys.argv[1]), b"%d %d %.3f %.1f %d"
+             % (ready, collected, seconds, peak, time.monotonic_ns()))
 sys.exit(code)
 """
 
 
-def run_once(command: list[str]) -> tuple[int, str, str, str, str]:
-    """Exit code, set-up, run and exit seconds and peak RSS MB of one run of
-    `command` in a fresh process; `-` for a figure it did not report."""
+def run_once(command: list[str]) -> tuple[int, str, str, str, str, str]:
+    """Exit code, set-up seconds, collections during the import, run and exit
+    seconds and peak RSS MB of one run of `command` in a fresh process; `-`
+    for a figure it did not report."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     read_fd, write_fd = os.pipe()
     try:
@@ -61,9 +69,9 @@ def run_once(command: list[str]) -> tuple[int, str, str, str, str]:
     with os.fdopen(read_fd, "rb") as fh:
         report = fh.read().decode().split()
     if not report:
-        return code, "-", "-", "-", "-"
-    ready_ns, seconds, peak, returned_ns = report
-    return (code, f"{(int(ready_ns) - started_ns) / 1e9:.3f}", seconds,
+        return code, "-", "-", "-", "-", "-"
+    ready_ns, collected, seconds, peak, returned_ns = report
+    return (code, f"{(int(ready_ns) - started_ns) / 1e9:.3f}", collected, seconds,
             f"{(ended_ns - int(returned_ns)) / 1e9:.3f}", peak)
 
 
@@ -76,10 +84,10 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--runs must be >= 1, got {args.runs}")
     failed = False
     for i in range(1, args.runs + 1):
-        code, setup_s, run_s, exit_s, peak = run_once(args.command)
+        code, setup_s, collected, run_s, exit_s, peak = run_once(args.command)
         failed |= code != 0
-        print(f"run {i}: exit {code}, set-up {setup_s} s, run {run_s} s, shutdown {exit_s} s, "
-              f"peak RSS {peak} MB", flush=True)
+        print(f"run {i}: exit {code}, set-up {setup_s} s, import collections {collected}, "
+              f"run {run_s} s, shutdown {exit_s} s, peak RSS {peak} MB", flush=True)
     return 1 if failed else 0
 
 
