@@ -377,80 +377,86 @@ def _header_ints(path: str, lineno: int, line: str, key: str, count: int) -> tup
 _CHUNK_ROWS = 256
 
 
+def _is_utf8(text: str) -> bool:
+    """False if `text` holds a surrogate code point, the only kind that does not
+    encode as UTF-8. The reader keeps a byte of the file that is not UTF-8 as
+    one (U+DC80 to U+DCFF)."""
+    return text.isascii() or not any("\ud800" <= c <= "\udfff" for c in text)
+
+
 def _text(path: str, lineno: int, line: str) -> str:
-    """`line`, or a DatasetFormatError if the file held a byte there that is not
-    UTF-8 (the reader keeps such a byte as a lone surrogate)."""
-    if not line.isascii():
-        try:
-            line.encode()
-        except UnicodeEncodeError:
-            raise DatasetFormatError(f"{path}: line {lineno}: not UTF-8 text") from None
+    """`line`, or a DatasetFormatError if it is not UTF-8 text."""
+    if not _is_utf8(line):
+        raise DatasetFormatError(f"{path}: line {lineno}: not UTF-8 text")
     return line
 
 
-def _fields_problem(n_features: int, text: str, head: int = 3) -> str | None:
-    """`expected K fields, got M` if a body line whose text after its first
-    `head` fields is `text` does not hold its 3 + n_features fields, else None."""
-    got = head + len(text.split())
-    return None if got == 3 + n_features else f"expected {3 + n_features} fields, got {got}"
+def _label(token: str) -> int | None:
+    """The label `token` holds: -1 for `?`, else an integer in [0, 2**63)
+    (within int64) written as `str` writes it; None if it is neither."""
+    if token == "?":
+        return -1
+    label = _str_int(token)
+    return label if label is not None and 0 <= label < 2**63 else None
 
 
-def _row_head(path: str, n_features: int, lineno: int, line: str) -> tuple[str, str, int, str]:
-    """Tag, id, label and the unparsed feature text of body line `lineno`. The
-    rules that need no feature value raise DatasetFormatError here, ranked as
-    the format ranks them: UTF-8 text, field count, split tag, then label."""
-    fields = _text(path, lineno, line).split(None, 3)
-    if len(fields) < 4:
-        raise DatasetFormatError(f"{path}: line {lineno}: {_fields_problem(n_features, line, 0)}")
-    tag, sid, label_tok, rest = fields
-    problem = None
-    if tag not in _SPLIT_TAGS:
-        problem = f"unknown split tag {tag!r}"
-    elif label_tok == "?":
-        label = -1
-    else:
-        label = _str_int(label_tok)
-        if label is None or label >= 2**63:  # within int64
-            problem = f"bad label {label_tok!r}"
-        elif label < 0:
-            problem = f"negative label {label}"
-    if problem is None:
-        return tag, sid, label, rest
-    problem = _fields_problem(n_features, rest) or problem
-    raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
-
-
-def _parse_rows(path: str, n_features: int, rows: list, texts: list[str],
-                seen: dict[str, int]) -> np.ndarray:
-    """The features of body lines in file order, as one float64 block: `rows`
-    holds their (lineno, tag, id, label) and `texts` their feature texts. Each
-    row must then pass, in file order, the rules that need its values: an id
-    new to `seen` (which maps each id to its line), a label outside trainU, and
-    finite features. One np.loadtxt call parses the block; if it fails, each
-    line is parsed alone by the same reader, so the first bad line is the one
-    named."""
+def _features(texts, n_features: int) -> np.ndarray | None:
+    """The feature texts `texts`, one per body line, as one float64 block from
+    one np.loadtxt call, or None if a text is not `n_features` numbers."""
     try:
         x = np.loadtxt(texts, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
-        x = None
-    if x is None or x.shape[1] != n_features:
-        if len(rows) > 1:
-            return np.concatenate([_parse_rows(path, n_features, [row], [text], seen)
-                                   for row, text in zip(rows, texts)])
-        problem = _fields_problem(n_features, texts[0]) or "non-numeric feature value"
-        raise DatasetFormatError(f"{path}: line {rows[0][0]}: {problem}")
-    for (lineno, tag, sid, label), finite in zip(rows, np.isfinite(x).all(axis=1).tolist()):
-        if sid in seen:
-            problem = f"duplicate id {sid!r} (first on line {seen[sid]})"
-        elif label < 0 and tag != "trainU":
-            problem = f"{tag} samples must be labeled"
-        elif not finite:
-            problem = "non-finite feature value"
-        else:
-            seen[sid] = lineno
-            continue
-        raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
-    return x
+        return None
+    return x if x.shape[1] == n_features else None
+
+
+def _row_problem(n_features: int, line: str, seen: dict[str, int]) -> str | None:
+    """The first rule that body `line` breaks, as the message that names it, or
+    None. The rules rank as the README lists them: UTF-8 text, field count,
+    split tag, label, numeric features, an id new to `seen` (which maps each id
+    to its line), a label outside trainU, then finite features."""
+    if not _is_utf8(line):
+        return "not UTF-8 text"
+    got = len(line.split())
+    if got != 3 + n_features:
+        return f"expected {3 + n_features} fields, got {got}"
+    tag, sid, token, text = line.split(None, 3)
+    if tag not in _SPLIT_TAGS:
+        return f"unknown split tag {tag!r}"
+    if _label(token) is None:
+        value = _str_int(token)
+        if value is not None and value < 0:
+            return f"negative label {value}"
+        return f"bad label {token!r}"
+    x = _features([text], n_features)
+    if x is None:
+        return "non-numeric feature value"
+    if sid in seen:
+        return f"duplicate id {sid!r} (first on line {seen[sid]})"
+    if token == "?" and tag != "trainU":
+        return f"{tag} samples must be labeled"
+    if not np.isfinite(x).all():
+        return "non-finite feature value"
+    return None
+
+
+def _parse_chunk(n_features: int, heads: list[list[str]], seen: dict[str, int]) -> tuple | None:
+    """The tags, ids, labels and float64 feature block of the body lines split
+    into `heads` (each line's tag, id, label and feature text), or None if one
+    of them breaks a rule of `_row_problem`. Each rule is checked over the
+    whole chunk at once, and one np.loadtxt call parses its features."""
+    if any(len(head) != 4 for head in heads):
+        return None
+    tags, ids, tokens, texts = zip(*heads)
+    labels = [_label(token) for token in tokens]
+    x = _features(texts, n_features)
+    good = (all(map(_is_utf8, itertools.chain.from_iterable(heads)))
+            and x is not None and None not in labels
+            and len(set(ids)) == len(ids) and seen.keys().isdisjoint(ids)
+            and all(tag in _SPLIT_TAGS and (label >= 0 or tag == "trainU")
+                    for tag, label in zip(tags, labels))
+            and np.isfinite(x).all())
+    return (tags, ids, labels, x) if good else None
 
 
 def _read(path: str, lines) -> DatasetSplits:
@@ -458,9 +464,6 @@ def _read(path: str, lines) -> DatasetSplits:
     `load_dataset` describes; `path` names the file in errors. `lines` may be an
     open file or a list of lines without their line endings: any iterable of
     non-empty lines, read once, in order."""
-    rows, texts = [], []  # (lineno, tag, id, label) per body line; this chunk's feature texts
-    seen: dict[str, int] = {}  # id -> its line
-    pieces = {tag: [] for tag in _SPLIT_TAGS}  # each split's parsed feature rows, per chunk
     lines = iter(lines)
     if _text(path, 1, next(lines, "")).rstrip("\n") != "gdp-synth v1":
         raise DatasetFormatError(f"{path}: line 1: missing 'gdp-synth v1' header")
@@ -473,36 +476,42 @@ def _read(path: str, lines) -> DatasetSplits:
                                      f"exceeds {n_features} features")
     elif line:  # the first body line
         lines = itertools.chain([line], lines)
+    seen: dict[str, int] = {}  # id -> its line
+    columns = ([], [], [])  # the tag, id and label of each body line
+    pieces = {tag: [] for tag in _SPLIT_TAGS}  # each split's feature rows, per chunk
 
-    def parse_chunk() -> None:
-        """Parse the chunk in `texts`, free its text and file its rows by split,
-        so the whole file's features are never held in one array besides."""
-        chunk = rows[-len(texts):]
-        x = _parse_rows(path, n_features, chunk, texts, seen)
-        texts.clear()
-        tags = np.array([row[1] for row in chunk])
+    def read_chunk(first: int, chunk: list[list[str]]) -> None:
+        """Check the body lines split into `chunk` (each line's tag, id, label
+        and feature text), the first on line `first`, then free their text and
+        file their rows by split, so the whole file's features are never held
+        in one array besides. A chunk that breaks a rule is read again line by
+        line, so the first bad line is the one named."""
+        parsed = _parse_chunk(n_features, chunk, seen)
+        if parsed is None:
+            for lineno, head in enumerate(chunk, start=first):
+                # one space between the first four fields: no rule reads what parts them
+                problem = _row_problem(n_features, " ".join(head), seen)
+                if problem:
+                    raise DatasetFormatError(f"{path}: line {lineno}: {problem}")
+                seen[head[1]] = lineno
+        tags, ids, labels, x = parsed
+        seen.update(zip(ids, itertools.count(first)))
+        chunk.clear()
+        for column, values in zip(columns, (tags, ids, labels)):
+            column.extend(values)
+        tags = np.array(tags)
         for tag, kept in pieces.items():
             kept.append(x[tags == tag])
 
-    for lineno, line in enumerate(lines, start=3 if grid is None else 4):
-        try:
-            tag, sid, label, rest = _row_head(path, n_features, lineno, line)
-        except DatasetFormatError:
-            if texts:  # a bad line before this one is named first
-                _parse_rows(path, n_features, rows[-len(texts):], texts, seen)
-            raise
-        rows.append((lineno, tag, sid, label))
-        texts.append(rest)
-        if len(texts) == _CHUNK_ROWS:
-            parse_chunk()
-    if texts:
-        parse_chunk()
-    tags = np.array([row[1] for row in rows], dtype=str)
+    heads = (line.split(None, 3) for line in lines)  # split as read: a chunk holds its text once
+    for k, chunk in enumerate(iter(lambda: list(itertools.islice(heads, _CHUNK_ROWS)), [])):
+        read_chunk((3 if grid is None else 4) + k * _CHUNK_ROWS, chunk)
+    tags = np.array(columns[0], dtype=str)
     for tag in _SPLIT_TAGS:
         if tag != "trainU" and tag not in tags:
             raise DatasetFormatError(f"{path}: no {tag} rows")
-    ids = np.array([row[2] for row in rows], dtype=str)
-    labels = np.array([row[3] for row in rows], dtype=np.int64)
+    ids = np.array(columns[1], dtype=str)
+    labels = np.array(columns[2], dtype=np.int64)
     masks = [tags == tag for tag in _SPLIT_TAGS]
     # pop: each split's pieces are freed once its own array is built
     return DatasetSplits(*(Split(ids[m], np.concatenate(pieces.pop(tag)), labels[m],
@@ -513,13 +522,15 @@ def _read(path: str, lines) -> DatasetSplits:
 def load_dataset(path: str) -> DatasetSplits:
     """Read a file in the layout `save_dataset` writes: line 1 `gdp-synth
     v1`, line 2 `n_features N`, an optional line 3 `grid H W`, then one row per
-    line to the end of the file. Rows are streamed and their features parsed in
-    chunks of lines; a malformed header or row (a blank line, a misplaced header
-    or a byte that is not UTF-8 among them) raises DatasetFormatError naming the
-    path and the first bad line. A label is `?` or an integer in [0, 2**63)
-    written as `str` writes it: `01`, `+1` or `1_0` is a bad label. A feature is
-    an ASCII decimal number with an optional sign, point and exponent, rounded
-    to the nearest double as `float` rounds it: `+2`, `.5`, `-0` and `1e5` load.
+    line to the end of the file. Rows are streamed in chunks of lines; each
+    chunk's rules are checked at once and its features parsed by one np.loadtxt
+    call. A chunk that breaks a rule is read again line by line, so a malformed
+    header or row (a blank line, a misplaced header or a byte that is not UTF-8
+    among them) raises DatasetFormatError naming the path and the first bad
+    line. A label is `?` or an integer in [0, 2**63) written as `str` writes
+    it: `01`, `+1` or `1_0` is a bad label. A feature is an ASCII decimal
+    number with an optional sign, point and exponent, rounded to the nearest
+    double as `float` rounds it: `+2`, `.5`, `-0` and `1e5` load.
     `1_0`, `0x10`, `1,5`, `1e`, `nan(1)` and non-ASCII digits are non-numeric;
     `nan`, `inf` and `Infinity` parse but are rejected as non-finite.
     `save_dataset` reads the lines it formats with the same reader."""

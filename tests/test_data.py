@@ -686,8 +686,9 @@ class TestFirstBadLineWins:
     """Over a file longer than two parse chunks, the first bad line in file
     order is the one named, whatever the kinds of the two faults."""
 
-    @pytest.mark.parametrize("rows_at", [(_CHUNK_ROWS - 1, _CHUNK_ROWS + 3), (4, 9)],
-                             ids=["across_chunks", "one_chunk"])
+    @pytest.mark.parametrize("rows_at", [(_CHUNK_ROWS - 1, _CHUNK_ROWS + 3), (4, 9),
+                                         (2 * _CHUNK_ROWS + 8, 2 * _CHUNK_ROWS + 9)],
+                             ids=["across_chunks", "one_chunk", "last_line"])
     @pytest.mark.parametrize("numeric_first", [True, False])
     @pytest.mark.parametrize("other", [k for k in _FAULTS if k != "non_numeric"])
     def test_earlier_fault_named(self, tmp_path, other, numeric_first, rows_at):
@@ -708,6 +709,10 @@ class TestFirstBadLineWins:
         ("val r00000 ? nan 1.0", "duplicate id 'r00000' \\(first on line 3\\)"),
         ("val r00004 ? nan 1.0", "val samples must be labeled"),
         ("val r\udcff ? oops", "not UTF-8 text"),
+        ("trainL r00004 x oops 1.0", "bad label 'x'"),
+        ("bogus r00004 0 oops 1.0", "unknown split tag 'bogus'"),
+        ("trainL r00000 x 1.0 2.0", "bad label 'x'"),
+        ("val r00004 0 oops nan", "non-numeric feature value"),
     ])
     def test_rules_on_one_line_keep_their_rank(self, tmp_path, row, message):
         rows = _rows(8)
@@ -1065,6 +1070,57 @@ def _mutants(kind):
                 yield f"line {i + 1} token {j + 1}", lines[:i] + [mutant] + lines[i + 1:]
 
 
+def _reference_number(token: str) -> float | None:
+    """`float(token)` for an ASCII token without `_`, else None: the feature
+    numbers that the format accepts, as far as the mutations below reach."""
+    try:
+        return float(token) if token.isascii() and "_" not in token else None
+    except ValueError:
+        return None
+
+
+def _reference_problem(line: bytes, seen: dict[str, int]) -> str | None:
+    """The first rule of the README's rank list that the two-feature body line
+    `line` breaks, or None; `seen` maps each id on an earlier good line to it."""
+    try:
+        fields = line.decode().split()
+    except UnicodeDecodeError:
+        return "not UTF-8 text"
+    if len(fields) != 5:
+        return f"expected 5 fields, got {len(fields)}"
+    tag, sid, label, *values = fields
+    if tag not in ("trainL", "trainU", "val", "test"):
+        return f"unknown split tag {tag!r}"
+    if label != "?" and re.fullmatch("-[1-9][0-9]*", label):
+        return f"negative label {label}"
+    if label != "?" and not (re.fullmatch("0|[1-9][0-9]*", label) and int(label) < 2**63):
+        return f"bad label {label!r}"
+    values = [_reference_number(v) for v in values]
+    if None in values:
+        return "non-numeric feature value"
+    if sid in seen:
+        return f"duplicate id {sid!r} (first on line {seen[sid]})"
+    if label == "?" and tag != "trainU":
+        return f"{tag} samples must be labeled"
+    if not all(map(math.isfinite, values)):
+        return "non-finite feature value"
+    return None
+
+
+def _reference_error(path: str, body: list[bytes]) -> str | None:
+    """The DatasetFormatError message for a file whose three header lines are
+    good and whose body lines, from line 4, are `body`; None if it loads."""
+    seen, tags = {}, set()
+    for lineno, line in enumerate(body, start=4):
+        problem = _reference_problem(line, seen)
+        if problem:
+            return f"{path}: line {lineno}: {problem}"
+        seen[line.split()[1].decode()] = lineno
+        tags.add(line.split()[0].decode())
+    missing = [tag for tag in ("trainL", "val", "test") if tag not in tags]
+    return f"{path}: no {missing[0]} rows" if missing else None
+
+
 class TestLoaderMutations:
     """Every one-token, one-line mutation of a valid file loads, or is rejected
     with an error naming the file and a line (or, for a whole-file rule, the
@@ -1102,3 +1158,26 @@ class TestLoaderMutations:
             if rc not in (0, 3) or (rc == 3 and str(path) not in err):
                 bad.append(f"{name}: run exited {rc}: {err}")
         assert bad == []
+
+    @pytest.mark.parametrize("kind", [*_MUTANT_TOKENS, "delete", "duplicate"],
+                             ids=["empty", "nan", "1e999", "-1", "?", "20-digit",
+                                  "not-utf8", "delete", "duplicate"])
+    def test_each_body_mutant_names_the_rule_of_the_reference(self, tmp_path, kind):
+        """A mutant of a body line (lines 4 to 10) loads, or names the line and
+        the rule that `_reference_error` gives: the right line with the wrong
+        rule fails too."""
+        wrong = []
+        for n, (name, lines) in enumerate(_mutants(kind)):
+            if int(name.split()[1]) < 4:
+                continue  # a header line
+            path = tmp_path / f"m{n}.txt"
+            path.write_bytes(b"".join(line + b"\n" for line in lines))
+            try:
+                load_dataset(str(path))
+                got = None
+            except DatasetFormatError as exc:
+                got = str(exc)
+            expected = _reference_error(str(path), lines[3:])
+            if got != expected:
+                wrong.append(f"{name}: {got!r}, expected {expected!r}")
+        assert wrong == []

@@ -130,8 +130,8 @@ _spec = importlib.util.spec_from_file_location(
 cli_cost = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(cli_cost)
 
-_RUN = (r"run (\d): exit (\d+), set-up (\S+) s, import collections (\S+), run (\S+) s, "
-        r"shutdown (\S+) s, peak RSS (\S+) MB")
+_RUN = (r"run (\d): exit (\d+), set-up (\S+) s, import (\S+) s, import collections (\S+), "
+        r"run (\S+) s, shutdown (\S+) s, peak RSS (\S+) MB")
 
 
 def test_cli_cost_reports_each_run_in_a_fresh_process(tmp_path, capsys):
@@ -141,8 +141,9 @@ def test_cli_cost_reports_each_run_in_a_fresh_process(tmp_path, capsys):
     runs = [re.fullmatch(_RUN, line).groups()
             for line in capsys.readouterr().out.splitlines()]
     assert [run[:2] for run in runs] == [("1", "0"), ("2", "0")]
-    for _, _, setup_s, collections, run_s, exit_s, peak in runs:
+    for _, _, setup_s, import_s, collections, run_s, exit_s, peak in runs:
         assert all(float(value) >= 0 for value in (setup_s, run_s, exit_s)) and float(peak) > 0
+        assert 0 < float(import_s) <= float(setup_s)  # numpy is imported before it
         # the package imports with the collector paused (over a hundred
         # collections otherwise); only `cli`'s own imports may run one
         assert 0 <= int(collections) < 10

@@ -7,15 +7,18 @@ another, each in a new Python process with `PYTHONPATH` set to the `src/`
 beside `tools/` and `OPENBLAS_NUM_THREADS=1`. The command's stdout is
 discarded; its stderr passes through.
 
-Each run prints one line: its exit code, the seconds of each phase of the
-process, the number of garbage collections that ran during `import
-pseudosup.cli` (the difference of `gc.get_stats()` across the import, all
-generations), and the process's own peak RSS (`RUSAGE_SELF`, MB of 1024 KiB, as
-the bench reports it). The phases are set-up, from process start to the end
-of `import pseudosup.cli`; the run, the wall time from there to the
-command's return; and shutdown, from that return to the end of the process
-(the interpreter's exit: its garbage collections, module teardown, flushing
-stdout). Set-up and shutdown join the parent's `time.monotonic_ns()`, read
+The child imports numpy first, as the bench's `calib` module does before
+the program. Each run prints one line: its exit code, the seconds of each
+phase of the process, the seconds of `import pseudosup.cli` alone, the number
+of garbage collections that ran during that import (the difference of
+`gc.get_stats()` across it, all generations), and the process's own peak RSS
+(`RUSAGE_SELF`, MB of 1024 KiB, as the bench reports it). The phases are
+set-up, from process start to the end of `import pseudosup.cli`; the run, the
+wall time from there to the command's return; and shutdown, from that return
+to the end of the process (the interpreter's exit: its garbage collections,
+module teardown, flushing stdout). The import alone is the stretch in which
+`bench/child.py` must take its first speed sample, one per 50 ms
+(`SAMPLE_EVERY_S`). Set-up and shutdown join the parent's `time.monotonic_ns()`, read
 just before the process starts and once it has ended, with the child's,
 read after the import and at the return; CLOCK_MONOTONIC is shared by every
 process of the machine. A run that exits before it can report prints `-`
@@ -34,9 +37,10 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 # argv: the report's file descriptor, then the command's arguments
 _CHILD = """\
 import gc, os, resource, sys, time
+import numpy
 def collections():
     return sum(gen["collections"] for gen in gc.get_stats())
-before = collections()
+before, importing = collections(), time.monotonic_ns()
 import pseudosup.cli
 ready = time.monotonic_ns()
 collected = collections() - before
@@ -46,16 +50,16 @@ try:
 finally:
     seconds = time.perf_counter() - start
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
-    os.write(int(sys.argv[1]), b"%d %d %.3f %.1f %d"
-             % (ready, collected, seconds, peak, time.monotonic_ns()))
+    os.write(int(sys.argv[1]), b"%d %.3f %d %.3f %.1f %d"
+             % (ready, (ready - importing) / 1e9, collected, seconds, peak, time.monotonic_ns()))
 sys.exit(code)
 """
 
 
-def run_once(command: list[str]) -> tuple[int, str, str, str, str, str]:
-    """Exit code, set-up seconds, collections during the import, run and exit
-    seconds and peak RSS MB of one run of `command` in a fresh process; `-`
-    for a figure it did not report."""
+def run_once(command: list[str]) -> tuple[int, str, str, str, str, str, str]:
+    """Exit code, set-up seconds, seconds of the import alone, collections
+    during it, run and exit seconds and peak RSS MB of one run of `command` in
+    a fresh process; `-` for a figure it did not report."""
     env = {**os.environ, "PYTHONPATH": str(SRC), "OPENBLAS_NUM_THREADS": "1"}
     read_fd, write_fd = os.pipe()
     try:
@@ -69,9 +73,9 @@ def run_once(command: list[str]) -> tuple[int, str, str, str, str, str]:
     with os.fdopen(read_fd, "rb") as fh:
         report = fh.read().decode().split()
     if not report:
-        return code, "-", "-", "-", "-", "-"
-    ready_ns, collected, seconds, peak, returned_ns = report
-    return (code, f"{(int(ready_ns) - started_ns) / 1e9:.3f}", collected, seconds,
+        return code, "-", "-", "-", "-", "-", "-"
+    ready_ns, import_s, collected, seconds, peak, returned_ns = report
+    return (code, f"{(int(ready_ns) - started_ns) / 1e9:.3f}", import_s, collected, seconds,
             f"{(ended_ns - int(returned_ns)) / 1e9:.3f}", peak)
 
 
@@ -84,10 +88,11 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--runs must be >= 1, got {args.runs}")
     failed = False
     for i in range(1, args.runs + 1):
-        code, setup_s, collected, run_s, exit_s, peak = run_once(args.command)
+        code, setup_s, import_s, collected, run_s, exit_s, peak = run_once(args.command)
         failed |= code != 0
-        print(f"run {i}: exit {code}, set-up {setup_s} s, import collections {collected}, "
-              f"run {run_s} s, shutdown {exit_s} s, peak RSS {peak} MB", flush=True)
+        print(f"run {i}: exit {code}, set-up {setup_s} s, import {import_s} s, "
+              f"import collections {collected}, run {run_s} s, shutdown {exit_s} s, "
+              f"peak RSS {peak} MB", flush=True)
     return 1 if failed else 0
 
 
