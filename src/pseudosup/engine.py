@@ -634,36 +634,32 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
     batches = [idx for _ in range(cfg.epochs)
                for idx in _labeled_batches(len(labeled), cfg.batch_labeled, rngs["data"])]
     per_epoch = len(batches) // cfg.epochs
-    # v_t = vidx[(t-1)*n_v : t*n_v]; only these draws read rngs["val"]
-    vidx = np.concatenate([_draw(len(val), cfg.batch_val, rngs["val"]) for _ in batches])
-    n_v = len(vidx) // len(batches)
-    yv = val.y[vidx].reshape(len(batches), n_v)
-    nll = np.empty(2 * len(batches))  # [before_1, after_1, before_2, after_2, ...]
-    rewards = np.empty(len(batches))
-    pending = []  # validation logits not yet scored, n_v rows per nll entry
+    # row t-1 of vidx is v_t; only these draws read rngs["val"]
+    vidx = np.array([_draw(len(val), cfg.batch_val, rngs["val"]) for _ in batches])
+    nll, rewards = [], []  # [before_1, after_1, before_2, ...] and [r_1, r_2, ...]
+    pending = []  # validation logits not yet scored, the next entries of nll in order
 
-    def close(hi: int) -> None:
-        """Score the pending logits, which complete nll[:hi], with one
-        log_softmax, reward in order each step whose after-loss they complete,
-        and if the last of these steps ends a window, update the policy; a
+    def close() -> None:
+        """Score the pending logits, which complete the next entries of nll,
+        with one log_softmax, then reward in order each step whose after-loss
+        is now known, updating the policy after a step that ends a window; a
         failure is named at its step."""
-        lo = hi - sum(map(len, pending)) // n_v
-        t = lo // 2
-        try:
-            if pending:
-                logits = np.concatenate(pending)
-                pending.clear()
-                labels = yv[np.arange(lo, hi) // 2].ravel()
-                picked = log_softmax(logits)[np.arange(len(labels)), labels]
-                nll[lo:hi] = -picked.reshape(hi - lo, n_v).mean(axis=-1)
-            for t in range(lo // 2 + 1, hi // 2 + 1):
-                rewards[t - 1] = compute_reward(*nll[2 * t - 2 : 2 * t].tolist())
-            if t > lo // 2 and t % cfg.beta == 0:
-                _, grad = _surrogate_grads(logits_p, cache_p, actions, rewards[t - cfg.beta : t],
-                                           [len(actions) // cfg.beta] * cfg.beta, cfg.gamma)
-                opt_p.step(grad)  # descending -J ascends J
-        except NonFiniteError as exc:
-            raise _diverged(cfg, f"step {t}", exc) from exc
+        if pending:
+            logits = np.concatenate(pending)
+            pending.clear()
+            # entry k of nll is a loss on v_{k//2+1}, row k//2 of vidx
+            rows = vidx[np.arange(len(nll), len(nll) + len(logits) // vidx.shape[1]) // 2]
+            picked = log_softmax(logits)[np.arange(rows.size), val.y[rows].ravel()]
+            nll.extend((-picked.reshape(rows.shape).mean(axis=-1)).tolist())
+        for t in range(len(rewards) + 1, len(nll) // 2 + 1):
+            try:
+                rewards.append(compute_reward(*nll[2 * t - 2 : 2 * t]))
+                if t % cfg.beta == 0:
+                    _, grad = _surrogate_grads(logits_p, cache_p, actions, rewards[-cfg.beta :],
+                                               [len(actions) // cfg.beta] * cfg.beta, cfg.gamma)
+                    opt_p.step(grad)  # descending -J ascends J
+            except NonFiniteError as exc:
+                raise _diverged(cfg, f"step {t}", exc) from exc
 
     epochs = []
     step = 0
@@ -674,11 +670,11 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
                 steps, x, y, is_u, u = _sample_window(
                     splits, batches[step - 1 :][: cfg.beta], cfg, rngs)
             xs, ys, weights = steps[j]
-            v = val.X.take(vidx[max(step - 2, 0) * n_v : step * n_v], axis=0)
+            v = val.X.take(vidx[max(step - 2, 0) : step].ravel(), axis=0)
             logits, cache = mlp_forward(classifier, np.concatenate([xs, v]))
             pending.append(logits[len(ys):])  # [v_{t-1}; v_t], or v_1
             if j == 0:  # the previous window's policy update, then this one's labels
-                close(2 * step - 1)
+                close()
                 logits_p = cache_p = None  # release the last window's forward before this one
                 logits_p, cache_p = mlp_forward(policy, x[is_u])
                 actions, _ = _inverse_cdf(log_softmax(logits_p), u)
@@ -686,14 +682,14 @@ def train(splits: DatasetSplits, cfg: EngineConfig) -> TrainResult:
             classifier_step(logits, cache, ys, opt_c, weights)
             if step % per_epoch == 0:
                 epochs.append(evaluate(classifier, splits.test))
-        pending.append(mlp_forward(classifier, val.X[vidx[-n_v:]])[0])  # v_T
-        close(2 * step)
+        pending.append(mlp_forward(classifier, val.X[vidx[-1]])[0])  # v_T
+        close()
     except NonFiniteError as exc:
-        close(2 * step - 1)  # no NonFiniteError comes before a step's forward
+        close()
         raise _diverged(cfg, f"step {step}", exc) from exc
     history = History([t // per_epoch + 1 for t in range(len(batches))],
                       [t % cfg.beta == 0 for t in range(1, len(batches) + 1)],
-                      nll[0::2], nll[1::2], rewards, epochs)
+                      np.array(nll[0::2]), np.array(nll[1::2]), np.array(rewards), epochs)
     return TrainResult(classifier, policy, history)
 
 

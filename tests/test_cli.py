@@ -446,6 +446,10 @@ class TestConfigsCheckedWhenBuilt:
          "method self_training requires confidence_threshold"),
         (["run", "--method", "self_training", "--confidence-threshold", "0.5"],
          "confidence_threshold must be in (0.5, 1]"),
+        (["compare", "--methods", "pseudo_sup"],
+         "compare requires at least 2 distinct methods"),
+        (["compare", "--methods", "pseudo_sup", "pseudo_sup"],
+         "compare requires at least 2 distinct methods"),
     ])
     def test_bad_method_exits_2_before_any_output(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"

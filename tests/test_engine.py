@@ -1153,6 +1153,25 @@ class TestSelfTraining:
         accs = [a for a in st.diagnostics["pseudo_label_accuracy"] if not math.isnan(a)]
         assert accs and min(accs) > 0.95
 
+    def test_a_row_at_the_threshold_is_selected(self):
+        splits, cfg = make_splits(sep=2.0), fast_cfg(epochs=1)
+        # the first epoch selects with the warmed classifier
+        _, classifier, _ = engine._warm_classifier(splits, cfg)
+        logits, _ = mlp_forward(classifier, splits.unlabeled_train.X)
+        top = np.exp(log_softmax(logits)).max(axis=1)
+        threshold = float(np.sort(top)[len(top) // 2])
+        assert 0.5 < threshold <= 1.0
+        st = train_self_training(splits, cfg, threshold)
+        assert st.diagnostics["n_selected"] == [int((top >= threshold).sum())]
+
+    def test_accuracy_is_nan_where_no_hidden_label_is_known(self):
+        splits = make_splits(sep=6.0)
+        unknown = np.full(len(splits.unlabeled_train), -1)
+        splits = replace(splits, unlabeled_train=replace(splits.unlabeled_train, hidden=unknown))
+        st = train_self_training(splits, fast_cfg(epochs=3), 0.6)
+        assert all(n > 0 for n in st.diagnostics["n_selected"])
+        assert all(math.isnan(a) for a in st.diagnostics["pseudo_label_accuracy"])
+
 
 class TestEngineConfig:
     @pytest.mark.parametrize("name", ["policy_lr", "classifier_lr", "weight_decay",

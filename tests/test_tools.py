@@ -2,6 +2,8 @@ import importlib.util
 import re
 from pathlib import Path
 
+import pytest
+
 _spec = importlib.util.spec_from_file_location(
     "code_lines", Path(__file__).resolve().parent.parent / "tools" / "code_lines.py")
 code_lines = importlib.util.module_from_spec(_spec)
@@ -151,3 +153,22 @@ def test_cli_cost_reports_each_run_in_a_fresh_process(tmp_path, capsys):
     # a run that fails still reports, and fails the tool
     assert cli_cost.main(["--runs", "1", "--", *gen[:3], "--n-per-class", "0"]) == 1
     assert re.fullmatch(_RUN, capsys.readouterr().out.strip()).group(2) == "2"
+
+
+_spec = importlib.util.spec_from_file_location(
+    "mutants", Path(__file__).resolve().parent.parent / "tools" / "mutants.py")
+mutants = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(mutants)
+
+
+@pytest.mark.parametrize("mutant", mutants.MUTANTS, ids=lambda m: m.name)
+def test_each_mutant_changes_one_exact_text_of_the_source(mutant):
+    # a source edit that moves a mutated text must update its entry
+    source = (mutants.ROOT / mutant.path).read_text(encoding="utf-8")
+    assert source.count(mutant.old) == 1 and mutant.new != mutant.old
+    assert [m.name for m in mutants.MUTANTS].count(mutant.name) == 1
+
+
+def test_mutants_rejects_a_name_not_in_the_table(capsys):
+    assert mutants.main(["no_such_mutant"]) == 2
+    assert capsys.readouterr().err == "not in the table: no_such_mutant\n"
