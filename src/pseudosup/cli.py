@@ -4,9 +4,12 @@ Configs are INI-style `key = value` files with [experiment], [dataset] and
 [engine] sections; explicit CLI flags override file values. Every field of
 `ExperimentConfig`, `DatasetSpec` and `EngineConfig` is both a flag (dashes)
 and an INI key (underscores), except the per-cell fields in `PER_CELL`: the
-seed, and each field that a row of `METHODS` sets. Each method is one row of
-`METHODS`, which names its trainer; every command runs its cells through that
-table. Exit codes: 0 success, 2 config error, 3 runtime error.
+seed, and each field that a row of `METHODS` sets. A flag and an INI key read
+a token by the same function, the parse function of their field's row of
+`engine._TYPE_RULES`, so a number in either follows the dataset files' rule.
+Each method is one row of `METHODS`, which names its trainer; every command
+runs its cells through that table. Exit codes: 0 success, 2 config error, 3
+runtime error.
 """
 
 from __future__ import annotations
@@ -376,7 +379,7 @@ def _flags(schema: Iterable[_Field]) -> Iterator[tuple[str, dict[str, Any]]]:
         if f.scalar is bool:
             yield flag, {"dest": f.name, "action": argparse.BooleanOptionalAction}
         else:
-            yield flag, {"dest": f.name, "type": f.scalar, "nargs": f.nargs}
+            yield flag, {"dest": f.name, "type": _TYPE_RULES[f.scalar][3], "nargs": f.nargs}
 
 
 def _given(args: argparse.Namespace, schema: Iterable[_Field]) -> dict[_Field, Any]:
@@ -445,6 +448,8 @@ def _cmd_analyze_corr(args: argparse.Namespace) -> None:
 
 
 _CONFIG_FLAG = [("--config", {"help": "INI config file; flags override its values"})]
+# the parse functions of the int and float rows, as the command flags' `type`
+_INT, _FLOAT = _TYPE_RULES[int][3], _TYPE_RULES[float][3]
 
 # command -> (help line, flags before the schema's, the schema given as flags,
 # flags after it, handler), in the order `--help` lists them; a flag is
@@ -452,19 +457,19 @@ _CONFIG_FLAG = [("--config", {"help": "INI config file; flags override its value
 COMMANDS = {
     "run": ("run one method over the seed list", _CONFIG_FLAG, SCHEMA, [], _cmd_run),
     "ablate": ("beta/gamma grid ablation", _CONFIG_FLAG, SCHEMA, [
-        ("--beta-grid", {"type": int, "nargs": "+", "default": [10, 50, 100]}),
-        ("--gamma-grid", {"type": float, "nargs": "+", "default": [0.0, 0.5, 0.9, 1.0]}),
+        ("--beta-grid", {"type": _INT, "nargs": "+", "default": [10, 50, 100]}),
+        ("--gamma-grid", {"type": _FLOAT, "nargs": "+", "default": [0.0, 0.5, 0.9, 1.0]}),
     ], _cmd_ablate),
     "compare": ("compare methods on shared splits", _CONFIG_FLAG, SCHEMA, [
         ("--methods", {"nargs": "+", "default": ["supervised", "pseudo_sup"]}),
     ], _cmd_compare),
     "gen-data": ("generate a synthetic dataset file", [
         ("--out", {"required": True}),
-        ("--seed", {"type": int, "default": 1}),
+        ("--seed", {"type": _INT, "default": 1}),
     ], _GEN_SCHEMA, [], _cmd_gen_data),
     "analyze-corr": ("within/between-group correlation densities", [
         ("--dataset", {"required": True}),
-        ("--bins", {"type": int, "default": 50}),
+        ("--bins", {"type": _INT, "default": 50}),
         ("--out-dir", {"required": True}),
     ], (), [], _cmd_analyze_corr),
 }

@@ -360,6 +360,17 @@ def _str_int(token: str) -> int | None:
     return value if str(value) == token else None
 
 
+def _str_float(token: str) -> float | None:
+    """The decimal `token` holds if it is ASCII without `_` and `float` reads
+    it, else None: `+2`, `.5`, `-0`, `1e5` and `inf` are decimals, while
+    `1_0` and non-ASCII digits are not. The bulk reader (`_features`) takes
+    the same tokens to the same values."""
+    try:
+        return float(token) if token.isascii() and "_" not in token else None
+    except ValueError:
+        return None
+
+
 def _header_ints(path: str, lineno: int, line: str, key: str, count: int) -> tuple[int, ...]:
     """The `count` positive integers after `key` on header line `lineno`,
     each written as `str` writes it, or a DatasetFormatError."""

@@ -64,7 +64,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from . import _public_names
-from .data import DatasetSplits, Split, augment_weak, check_grid
+from .data import DatasetSplits, Split, _str_float, _str_int, augment_weak, check_grid
 from .metrics import MetricsReport, _is_int, accuracy, auc_roc, f1_binary
 from .nn_core import (
     AdamW,
@@ -140,21 +140,32 @@ class EngineConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-def _parse_bool(raw: str) -> bool:
-    words = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
-    if raw.lower() not in words:
-        raise ValueError(f"expected a boolean, got {raw!r}")
-    return words[raw.lower()]
+def _parse(name: str, rule, what: str):
+    """A function, named `name` for argparse's error text, that parses one
+    token by `rule` (the value, or None if the token breaks the rule), and
+    raises `ValueError: expected <what>, got <token>` for None."""
+    def parse(token: str):
+        if (value := rule(token)) is None:
+            raise ValueError(f"expected {what}, got {token!r}")
+        return value
+    parse.__name__ = name
+    return parse
 
+
+_BOOL_WORDS = {"true": True, "1": True, "yes": True, "false": False, "0": False, "no": False}
 
 # scalar type -> (the test one value passes, what the message says one value
 # and several values must be, parse one token, format one value); a bool
-# passes only the bool rule
+# passes only the bool rule. An INI value and a flag are parsed by the same
+# function, and a number token follows the rule of the dataset files
+# (`data._str_int`, `data._str_float`).
 _TYPE_RULES = {
-    int: (_is_int, "an integer", "integers", int, str),
+    int: (_is_int, "an integer", "integers", _parse("int", _str_int, "an integer"), str),
     float: (lambda v: _is_int(v) or isinstance(v, (float, np.floating)), "a number",
-            "numbers", float, repr),
-    bool: (lambda v: type(v) is bool, "a bool", "bools", _parse_bool, lambda v: str(v).lower()),
+            "numbers", _parse("float", _str_float, "a number"), repr),
+    bool: (lambda v: type(v) is bool, "a bool", "bools",
+           _parse("bool", lambda t: _BOOL_WORDS.get(t.lower()), "a boolean"),
+           lambda v: str(v).lower()),
     str: (lambda v: isinstance(v, str), "a string", "strings", str, str),
 }
 

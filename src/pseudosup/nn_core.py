@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _public_names
-from .data import _str_int
+from .data import _str_float, _str_int
 
 
 class NonFiniteError(ValueError):
@@ -253,10 +253,10 @@ def save_model(model: MlpModel, path: str) -> None:
 def load_model(path: str) -> MlpModel:
     """Read a `save_model` checkpoint; a malformed one raises a ValueError
     naming the path (and, for a bad layer dim, a blank line or a bad value,
-    the line). A layer dim is an integer as `str` writes it: `+2`, `02` and
-    `2_0` are bad. A value is an ASCII decimal number: `+2`, `.5`, `-0` and
-    `1e5` load, while `1_0`, non-ASCII digits and bytes that are not UTF-8
-    are non-numeric."""
+    the line). A layer dim is an integer as `str` writes it (`data._str_int`):
+    `+2`, `02` and `2_0` are bad. A value is an ASCII decimal number
+    (`data._str_float`): `+2`, `.5`, `-0` and `1e5` load, while `1_0`,
+    non-ASCII digits and bytes that are not UTF-8 are non-numeric."""
     values = []
     # a byte that is not UTF-8 is kept as a lone surrogate, which no rule accepts
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -269,14 +269,8 @@ def load_model(path: str) -> MlpModel:
         for lineno, line in enumerate(fh, start=2):
             if not line.strip():
                 raise ValueError(f"{path}: line {lineno}: blank line")
-            try:
-                # float() alone also reads `1_0` and non-ASCII digits
-                if not line.isascii() or "_" in line:
-                    raise ValueError
-                value = float(line)
-            except ValueError:
-                raise ValueError(f"{path}: line {lineno}: non-numeric value "
-                                 f"{line.strip()!r}") from None
+            if (value := _str_float(line)) is None:
+                raise ValueError(f"{path}: line {lineno}: non-numeric value {line.strip()!r}")
             if not math.isfinite(value):
                 raise ValueError(f"{path}: line {lineno}: non-finite value {value}")
             values.append(value)

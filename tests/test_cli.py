@@ -396,6 +396,11 @@ class TestConfigsCheckedWhenBuilt:
         ("[DEFAULT]\n", "unknown section DEFAULT"),
         ("[engine]\nbeta = 5\n[extra]\n", "unknown section extra"),
         ("[engine]\nhidden_dims =\n", "hidden_dims must not be empty"),
+        # a number token follows the dataset files' rule, not int() or float()
+        ("[engine]\nepochs = 1_0\n", "epochs: expected an integer, got '1_0'"),
+        ("[experiment]\nseeds = +1 0_2\n", "seeds: expected an integer, got '+1'"),
+        ("[engine]\ngamma = \u0660.5\n", "gamma: expected a number, got '\u0660.5'"),
+        ("[engine]\nclassifier_lr = 1_0e-3\n", "classifier_lr: expected a number, got '1_0e-3'"),
     ])
     def test_bad_ini_exits_2_before_any_output(self, tmp_path, capsys, ini, message):
         path, out = tmp_path / "c.ini", tmp_path / "o"
@@ -1142,6 +1147,22 @@ EVERY_FLAG_ARGV = {
     "analyze-corr": ["analyze-corr", "--dataset", "d.txt", "--bins", "7", "--out-dir", "o"],
 }
 
+# argvs with a number flag whose token breaks the dataset files' number rule,
+# and argparse's message for each; each argv also sets every required flag
+BAD_NUMBER_FLAGS = [
+    (["run", "--seeds", "1", "--epochs", "1", "--output-dir", "o", "--beta", "\u0663"],
+     "argument --beta: invalid int value: '\u0663'"),
+    (["run", "--seeds", "1", "--epochs", "1", "--output-dir", "o", "--gamma", "1_0e-1"],
+     "argument --gamma: invalid float value: '1_0e-1'"),
+    (["gen-data", "--out", "d.txt", "--seed", "0_1"], "argument --seed: invalid int value: '0_1'"),
+    (["analyze-corr", "--dataset", "d.txt", "--out-dir", "o", "--bins", "1_0"],
+     "argument --bins: invalid int value: '1_0'"),
+    (["ablate", "--seeds", "1", "--epochs", "1", "--output-dir", "o", "--beta-grid", "+5"],
+     "argument --beta-grid: invalid int value: '+5'"),
+    (["ablate", "--seeds", "1", "--epochs", "1", "--output-dir", "o", "--gamma-grid",
+      "\u0660.5"], "argument --gamma-grid: invalid float value: '\u0660.5'"),
+]
+
 
 class TestCommandParser:
     """The parser `main` builds for the command it runs parses and explains
@@ -1174,7 +1195,8 @@ class TestCommandParser:
         assert self.help_text(capsys, main, argv) == full
 
     @pytest.mark.parametrize("argv", [[], ["runn", "--seeds", "1"], ["run", "--bogus"],
-                                      ["--bogus", "run"], ["analyze-corr", "--bins", "x"]])
+                                      ["--bogus", "run"], ["analyze-corr", "--bins", "x"],
+                                      *(argv for argv, _ in BAD_NUMBER_FLAGS)])
     def test_same_error(self, capsys, argv):
         errors = []
         for parse in (build_parser().parse_args, main):
@@ -1182,6 +1204,16 @@ class TestCommandParser:
                 parse(argv)
             errors.append((exc.value.code, capsys.readouterr()))
         assert errors[0] == errors[1] and errors[0][0] == 2
+
+    @pytest.mark.parametrize("argv, message", BAD_NUMBER_FLAGS)
+    def test_bad_number_flag_exits_2_before_any_output(self, tmp_path, monkeypatch, capsys,
+                                                       argv, message):
+        monkeypatch.chdir(tmp_path)  # the argv's output paths are relative
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == f"pseudosup {argv[0]}: error: {message}"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCsvFiles:

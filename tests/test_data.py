@@ -29,7 +29,7 @@ from pseudosup.data import (
 )
 from pseudosup.data import TD_MAX, TD_MIN
 from pseudosup.cli import main
-from pseudosup.data import _CHUNK_ROWS
+from pseudosup.data import _CHUNK_ROWS, _features, _str_float
 from pseudosup.metrics import auc_roc
 
 
@@ -650,6 +650,30 @@ class TestFeatureTokens:
         rows[2] = "test r00002 0 1.0 Infinity"
         with pytest.raises(DatasetFormatError, match="d.txt: line 5: non-finite feature value$"):
             load_dataset(_write(tmp_path, rows))
+
+    def test_one_token_rule_matches_the_bulk_reader(self):
+        """`_str_float`, which reads one token (a checkpoint value, an INI
+        value, a flag), and `_features`, which reads a dataset's features in
+        bulk with np.loadtxt, reject the same tokens and read the others to the
+        same bits."""
+        rng = np.random.default_rng(42)
+        big = np.finfo(float).max
+        doubles = np.concatenate([
+            rng.integers(0, 2**64, 500, dtype=np.uint64).view(np.float64),
+            rng.integers(1, 2**52, 50, dtype=np.uint64).view(np.float64),  # subnormals
+            rng.standard_normal(200) * 10.0 ** rng.integers(-300, 300, 200),
+            [5e-324, -5e-324, 2.2250738585072009e-308, big, -big],
+        ])
+        tokens = ["1e5", "+2", ".5", "-0", "1.", "inf", "Infinity", "-nan", "1e", "0x10", "1,5",
+                  "1d5", "nan(1)", "e5", ".", "+", "1.5.2", "1j", "1_0", "\u0661",
+                  *(text for v in doubles.tolist() for text in (repr(v), "%.17g" % v))]
+        differ = []
+        for token in tokens:
+            one, bulk = _str_float(token), _features([token], 1)
+            if (None if one is None else np.float64(one).tobytes()) != (
+                    None if bulk is None else bulk[0, 0].tobytes()):
+                differ.append(f"{token!r}: {one!r} against {bulk!r}")
+        assert differ == []
 
 
 class TestNotUtf8:

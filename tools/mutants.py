@@ -63,6 +63,27 @@ MUTANTS = [
            '_diverged(cfg, f"step {t}", exc)',
            '_diverged(cfg, f"step {t + 1}", exc)',
            "a reward or policy failure is named at the step it closes"),
+    # one number rule for every text: dataset files, checkpoints, INI values, flags
+    Mutant("ini_int_builtin", "src/pseudosup/engine.py",
+           '_parse("int", _str_int, "an integer")',
+           "int",
+           "an INI or flag integer is written as `str` writes one"),
+    Mutant("float_underscore", "src/pseudosup/data.py",
+           'token.isascii() and "_" not in token',
+           "token.isascii()",
+           "a decimal holds no `_`"),
+    Mutant("float_non_ascii", "src/pseudosup/data.py",
+           'token.isascii() and "_" not in token',
+           '"_" not in token',
+           "a decimal is ASCII"),
+    Mutant("schema_flag_builtin", "src/pseudosup/cli.py",
+           '"type": _TYPE_RULES[f.scalar][3]',
+           '"type": f.scalar',
+           "a schema flag reads its token as the INI key does"),
+    Mutant("command_flag_builtin", "src/pseudosup/cli.py",
+           '("--bins", {"type": _INT,',
+           '("--bins", {"type": int,',
+           "a command flag's integer follows the number rule"),
 ]
 
 
